@@ -39,7 +39,6 @@ from repro.topology import (
     Coordinate,
     ElevatorPlacement,
     Mesh3D,
-    optimize_placement,
     standard_placement,
 )
 from repro.traffic import (
@@ -71,7 +70,6 @@ from repro.core import (
 )
 from repro.analysis import (
     DesignCache,
-    ExperimentConfig,
     adele_design_for,
     elevator_load_distribution,
     latency_sweep,
@@ -97,14 +95,13 @@ from repro.spec import (
 )
 from repro import api
 
-__version__ = "1.4.0"
+__version__ = "1.11.0"
 
 __all__ = [
     "Coordinate",
     "Mesh3D",
     "ElevatorPlacement",
     "standard_placement",
-    "optimize_placement",
     "UniformTraffic",
     "ShuffleTraffic",
     "ApplicationTraffic",
@@ -128,7 +125,6 @@ __all__ = [
     "AmosaConfig",
     "AmosaOptimizer",
     "optimize_elevator_subsets",
-    "ExperimentConfig",
     "ExperimentSpec",
     "PlacementSpec",
     "PolicySpec",

@@ -11,21 +11,17 @@ application traffic (Fig. 7).
 
 from repro.analysis.runner import (
     DesignCache,
-    ExperimentConfig,
     adele_design_for,
-    as_spec,
     build_network,
     build_packet_source,
     build_policy,
     clear_design_cache,
-    config_from_spec,
     design_for,
     design_for_placement,
     design_key_for,
     get_design_cache,
     run_experiment,
     set_design_cache,
-    spec_from_config,
 )
 from repro.analysis.sweep import (
     LatencyCurve,
@@ -44,10 +40,6 @@ from repro.analysis.comparison import (
 
 __all__ = [
     "DesignCache",
-    "ExperimentConfig",
-    "as_spec",
-    "spec_from_config",
-    "config_from_spec",
     "get_design_cache",
     "set_design_cache",
     "build_network",

@@ -22,13 +22,11 @@ preserves the historical run-AMOSA-once-per-process behaviour.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import hashlib
 import json
-import warnings
-from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Dict, Iterator, Mapping, Optional, Tuple, Union
+from dataclasses import asdict
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.core.amosa import AmosaConfig, ProgressCallback
 from repro.core.optimizers import (
@@ -49,10 +47,6 @@ from repro.spec import (
     DEFAULT_NUM_REPRESENTATIVES,
     DesignSpec,
     ExperimentSpec,
-    PlacementSpec,
-    PolicySpec,
-    SimSpec,
-    TrafficSpec,
 )
 from repro.topology.elevators import ElevatorPlacement
 from repro.traffic.generator import BernoulliPacketSource, PacketSource
@@ -157,211 +151,17 @@ def _traffic_matrix_digest(traffic_matrix) -> str:
     blob = repr(items).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:16]
 
-# DEFAULT_OFFLINE_AMOSA now lives in repro.core.optimizers (the optimizer
-# registry resolves amosa options against it); re-exported here for the
-# historical import path (tests monkeypatch this module attribute).
-
-
-#: Internal depth counter: while positive, constructing the deprecated
-#: :class:`ExperimentConfig` shim does not emit a :class:`DeprecationWarning`
-#: (used by the compatibility converters, never by user code).
-_shim_quiet_depth = 0
-
-
-@contextlib.contextmanager
-def _quiet_config_shim() -> Iterator[None]:
-    """Suppress the ExperimentConfig deprecation warning (internal use)."""
-    global _shim_quiet_depth
-    _shim_quiet_depth += 1
-    try:
-        yield
-    finally:
-        _shim_quiet_depth -= 1
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Deprecated flat configuration shim.
-
-    .. deprecated:: 1.2
-        Construct a typed :class:`repro.spec.ExperimentSpec` instead (see
-        :mod:`repro.api`); this shim converts to/from it so existing
-        scripts, benches and cached results keep working, but emits a
-        :class:`DeprecationWarning` on construction.
-
-    Attributes:
-        placement: Placement name (``PS1``-``PS3``, ``PM``) or custom name
-            registered by the caller via the ``placement_obj`` field.
-        policy: Policy name (``elevator_first``, ``cda``, ``adele``,
-            ``adele_rr``, ``minimal``).
-        traffic: Traffic name (``uniform``, ``shuffle``, ... or an
-            application name such as ``fft``).
-        injection_rate: Packet injection rate per node per cycle (the x-axis
-            of the paper's Fig. 4).
-        warmup_cycles: Unmeasured warm-up cycles.
-        measurement_cycles: Measured cycles.
-        drain_cycles: Maximum drain cycles after injection stops.
-        buffer_depth: Input buffer depth in flits (Table I: 4).
-        min_packet_length: Minimum packet length in flits (Table I: 10).
-        max_packet_length: Maximum packet length in flits (Table I: 30).
-        seed: Seed for traffic and policy randomness.
-        adele_max_subset_size: Subset-size cap for AdEle's offline stage.
-        adele_low_traffic_threshold: Low-traffic override threshold.
-        placement_obj: Optional explicit placement object overriding
-            ``placement`` lookup by name.
-    """
-
-    placement: str = "PS1"
-    policy: str = "adele"
-    traffic: str = "uniform"
-    injection_rate: float = 0.004
-    warmup_cycles: int = 300
-    measurement_cycles: int = 1500
-    drain_cycles: int = 800
-    buffer_depth: int = 4
-    min_packet_length: int = 10
-    max_packet_length: int = 30
-    seed: int = 0
-    adele_max_subset_size: Optional[int] = 4
-    adele_low_traffic_threshold: Optional[float] = 0.25
-    placement_obj: Optional[ElevatorPlacement] = field(
-        default=None, compare=False, hash=False
-    )
-
-    def __post_init__(self) -> None:
-        if not _shim_quiet_depth:
-            warnings.warn(
-                "ExperimentConfig is deprecated; build a typed "
-                "repro.spec.ExperimentSpec (see repro.api) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-
-    def with_(self, **changes) -> "ExperimentConfig":
-        """A copy of the configuration with some fields replaced."""
-        with _quiet_config_shim():
-            return replace(self, **changes)
-
-    # ------------------------------------------------------------------ #
-    # Spec interop
-    # ------------------------------------------------------------------ #
-    def to_spec(self) -> ExperimentSpec:
-        """The equivalent typed :class:`~repro.spec.ExperimentSpec`."""
-        return spec_from_config(self)
-
-    @classmethod
-    def from_spec(cls, spec: ExperimentSpec) -> "ExperimentConfig":
-        """Build a (quiet) shim instance from a typed spec.
-
-        Lossy for components outside the flat-config vocabulary: traffic
-        options and non-AdEle policy options have no field here and are
-        dropped.
-        """
-        return config_from_spec(spec)
-
-
-def spec_from_config(config: ExperimentConfig) -> ExperimentSpec:
-    """Convert the deprecated flat config into a typed spec.
-
-    A supplied ``placement_obj`` becomes a *structural*
-    :class:`~repro.spec.PlacementSpec` (mesh shape + columns, keyed under
-    ``config.placement``), so two different custom placements reusing a name
-    can never alias each other.  AdEle's knobs move into the policy options;
-    for non-AdEle policies they are meaningless and intentionally dropped.
-    """
-    if config.placement_obj is not None:
-        placement = PlacementSpec.from_placement(
-            config.placement_obj, name=config.placement
-        )
-    else:
-        placement = PlacementSpec(name=config.placement)
-    options: Dict[str, object] = {}
-    policy_spec = PolicySpec(name=config.policy)
-    if policy_spec.needs_design:
-        options = {
-            "max_subset_size": config.adele_max_subset_size,
-            "low_traffic_threshold": config.adele_low_traffic_threshold,
-        }
-        policy_spec = PolicySpec(name=config.policy, options=options)
-    return ExperimentSpec(
-        placement=placement,
-        policy=policy_spec,
-        traffic=TrafficSpec(
-            pattern=config.traffic,
-            injection_rate=config.injection_rate,
-            min_packet_length=config.min_packet_length,
-            max_packet_length=config.max_packet_length,
-        ),
-        sim=SimSpec(
-            warmup_cycles=config.warmup_cycles,
-            measurement_cycles=config.measurement_cycles,
-            drain_cycles=config.drain_cycles,
-            buffer_depth=config.buffer_depth,
-            seed=config.seed,
-        ),
-    )
-
-
-def config_from_spec(spec: ExperimentSpec) -> ExperimentConfig:
-    """Convert a typed spec into the deprecated flat shim (no warning).
-
-    Lossy where the flat form has no vocabulary: traffic options and policy
-    options other than AdEle's two knobs are dropped.
-    """
-    placement_obj = None
-    if spec.placement.is_structural:
-        placement_obj = spec.placement.resolve()
-    with _quiet_config_shim():
-        return ExperimentConfig(
-            placement=spec.placement.name,
-            policy=spec.policy.name,
-            traffic=spec.traffic.pattern,
-            injection_rate=spec.traffic.injection_rate,
-            warmup_cycles=spec.sim.warmup_cycles,
-            measurement_cycles=spec.sim.measurement_cycles,
-            drain_cycles=spec.sim.drain_cycles,
-            buffer_depth=spec.sim.buffer_depth,
-            min_packet_length=spec.traffic.min_packet_length,
-            max_packet_length=spec.traffic.max_packet_length,
-            seed=spec.sim.seed,
-            adele_max_subset_size=spec.policy.option(
-                "max_subset_size", DEFAULT_ADELE_MAX_SUBSET_SIZE
-            ),
-            adele_low_traffic_threshold=spec.policy.option(
-                "low_traffic_threshold", DEFAULT_ADELE_LOW_TRAFFIC_THRESHOLD
-            ),
-            placement_obj=placement_obj,
-        )
-
-
-def as_spec(config: Union[ExperimentSpec, ExperimentConfig]) -> ExperimentSpec:
-    """Normalize a spec-or-legacy-config argument to a typed spec."""
-    if isinstance(config, ExperimentSpec):
-        return config
-    if isinstance(config, ExperimentConfig):
-        return spec_from_config(config)
-    raise TypeError(
-        f"expected ExperimentSpec or ExperimentConfig, got {type(config).__name__}"
-    )
-
 
 # ---------------------------------------------------------------------- #
 # Building blocks
 # ---------------------------------------------------------------------- #
-def resolve_placement(
-    config: Union[ExperimentSpec, ExperimentConfig],
-) -> ElevatorPlacement:
-    """Resolve the placement object of a configuration."""
-    if isinstance(config, ExperimentConfig) and config.placement_obj is not None:
-        return config.placement_obj
-    return as_spec(config).placement.resolve()
+def resolve_placement(spec: ExperimentSpec) -> ElevatorPlacement:
+    """Resolve the placement object of an experiment."""
+    return spec.placement.resolve()
 
 
-def build_traffic(
-    config: Union[ExperimentSpec, ExperimentConfig], placement: ElevatorPlacement
-) -> TrafficPattern:
-    """Build the traffic pattern named by a configuration."""
-    spec = as_spec(config)
+def build_traffic(spec: ExperimentSpec, placement: ElevatorPlacement) -> TrafficPattern:
+    """Build the traffic pattern named by an experiment."""
     return spec.traffic.build(placement, seed=spec.sim.seed)
 
 
@@ -570,11 +370,11 @@ def clear_design_cache() -> None:
 
 
 def build_policy(
-    config: Union[ExperimentSpec, ExperimentConfig],
+    spec: ExperimentSpec,
     placement: ElevatorPlacement,
     design_cache: Optional[DesignCache] = None,
 ) -> ElevatorSelectionPolicy:
-    """Build the elevator-selection policy named by a configuration.
+    """Build the elevator-selection policy named by an experiment.
 
     AdEle variants run (or fetch from cache) the offline optimization
     first -- following the spec's nested :class:`~repro.spec.DesignSpec`
@@ -583,7 +383,6 @@ def build_policy(
     is constructed directly with the spec's policy options as keyword
     arguments.
     """
-    spec = as_spec(config)
     name = spec.policy.name.lower()
     if spec.policy.needs_design:
         if spec.design is not None:
@@ -614,20 +413,19 @@ def build_policy(
 
 
 def build_network(
-    config: Union[ExperimentSpec, ExperimentConfig],
+    spec: ExperimentSpec,
     placement: Optional[ElevatorPlacement] = None,
     policy: Optional[ElevatorSelectionPolicy] = None,
     design_cache: Optional[DesignCache] = None,
     route_computation: Optional[RouteComputation] = None,
 ) -> Network:
-    """Build the network for a configuration.
+    """Build the network for an experiment.
 
     ``route_computation`` lets warm workers and replica groups share one
     precomputed route-table object across networks of the same mesh (the
     tables are immutable and depend only on the mesh shape).
     """
-    spec = as_spec(config)
-    placement = placement if placement is not None else resolve_placement(config)
+    placement = placement if placement is not None else resolve_placement(spec)
     if policy is None:
         policy = build_policy(spec, placement, design_cache=design_cache)
     return Network(
@@ -639,11 +437,8 @@ def build_network(
     )
 
 
-def build_packet_source(
-    config: Union[ExperimentSpec, ExperimentConfig], placement: ElevatorPlacement
-) -> PacketSource:
-    """Build the packet source for a configuration."""
-    spec = as_spec(config)
+def build_packet_source(spec: ExperimentSpec, placement: ElevatorPlacement) -> PacketSource:
+    """Build the packet source for an experiment."""
     pattern = spec.traffic.build(placement, seed=spec.sim.seed)
     return BernoulliPacketSource(
         pattern,
@@ -662,12 +457,12 @@ _DEFAULT_ENERGY_MODEL = EnergyModel()
 
 
 def run_experiment(
-    config: Union[ExperimentSpec, ExperimentConfig],
+    spec: ExperimentSpec,
     energy_model: Optional[EnergyModel] = None,
     network: Optional[Network] = None,
     probe=None,
 ) -> SimulationResult:
-    """Run one configuration end to end and return its result.
+    """Run one experiment end to end and return its result.
 
     A prewarmed ``network`` (e.g. from the worker memo) is reused via
     :meth:`~repro.sim.network.Network.reset`; its placement is taken as-is
@@ -678,9 +473,8 @@ def run_experiment(
     kernel like ``bit_exact``, fills ``result.probe``, and never enters
     cache keys, derived seeds or summaries (see :mod:`repro.obs`).
     """
-    spec = as_spec(config)
     placement = (
-        network.placement if network is not None else resolve_placement(config)
+        network.placement if network is not None else resolve_placement(spec)
     )
     if network is None:
         network = build_network(spec, placement=placement)

@@ -10,9 +10,9 @@ the Fig. 6 bench to place its low/high injection-rate operating points.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.runner import DesignCache, ExperimentConfig, as_spec
+from repro.analysis.runner import DesignCache
 from repro.energy.model import EnergyModel
 from repro.sim.engine import SimulationResult
 from repro.spec import ExperimentSpec
@@ -96,7 +96,7 @@ def saturation_rate(
 
 
 def latency_sweep(
-    base_config: Union[ExperimentSpec, ExperimentConfig],
+    base_spec: ExperimentSpec,
     policies: Sequence[str],
     injection_rates: Sequence[float],
     energy_model: Optional[EnergyModel] = None,
@@ -104,7 +104,7 @@ def latency_sweep(
     result_cache: Optional["ResultCache"] = None,
     design_cache: Optional[DesignCache] = None,
 ) -> Dict[str, LatencyCurve]:
-    """Sweep injection rates for several policies on one configuration.
+    """Sweep injection rates for several policies on one experiment.
 
     The whole ``policies x injection_rates`` grid is routed through
     :class:`~repro.exec.batch.ExperimentBatch`: every point builds a fresh
@@ -113,8 +113,8 @@ def latency_sweep(
     processes, and finished points are served from ``result_cache``.
 
     Args:
-        base_config: Spec (or legacy config) whose injection rate and policy
-            are overridden by the sweep.
+        base_spec: Spec whose injection rate and policy are overridden by
+            the sweep.
         policies: Registered policy names to sweep.
         injection_rates: Packet injection rates per node per cycle.
         energy_model: Optional energy model recorded into each result.
@@ -133,7 +133,6 @@ def latency_sweep(
     if not injection_rates:
         raise ValueError("injection_rates must not be empty")
     model = energy_model if energy_model is not None else EnergyModel()
-    base_spec = as_spec(base_config)
     specs = [
         base_spec.with_(policy=policy_name, injection_rate=rate)
         for policy_name in policies

@@ -58,13 +58,9 @@ from typing import Dict, Iterable, List, Optional, Union
 
 from repro.analysis.runner import (
     DesignCache,
-    ExperimentConfig,
-    as_spec,
-    config_from_spec,
     design_for,
     design_key_for,
     run_experiment,
-    spec_from_config,
 )
 from repro.core.optimizers import (
     OPTIMIZER_REGISTRY,
@@ -168,6 +164,7 @@ from repro.spec import (
     PolicySpec,
     SimSpec,
     TrafficSpec,
+    as_spec,
 )
 from repro.topology.elevators import (
     PLACEMENT_REGISTRY,
@@ -231,7 +228,7 @@ def run_design(
 # Execution
 # ---------------------------------------------------------------------- #
 def run(
-    spec: Union[ExperimentSpec, ExperimentConfig],
+    spec: ExperimentSpec,
     energy_model: Optional[EnergyModel] = None,
     probe: Optional[ProbeSpec] = None,
 ) -> SimulationResult:
@@ -246,7 +243,7 @@ def run(
 
 
 def run_scenario(
-    spec: Union[ExperimentSpec, ExperimentConfig],
+    spec: ExperimentSpec,
     scenario: Optional[ScenarioSpec] = None,
     energy_model: Optional[EnergyModel] = None,
 ) -> SimulationResult:
@@ -279,7 +276,7 @@ def run_scenario(
 
 
 def run_specs(
-    specs: Iterable[Union[ExperimentSpec, ExperimentConfig]],
+    specs: Iterable[ExperimentSpec],
     workers: int = 1,
     cache_dir: Optional[str] = None,
     base_seed: Optional[int] = None,
@@ -295,7 +292,7 @@ def run_specs(
     """Run a grid of specs through the parallel batch engine.
 
     Args:
-        specs: Experiment specs (legacy configs accepted too).
+        specs: Experiment specs.
         workers: Worker processes (``1`` = serial fallback).
         cache_dir: Optional directory for disk-backed result *and* AdEle
             design caching; a warm directory skips finished work entirely.
@@ -388,8 +385,7 @@ def connect(
 
 
 def submit(
-    specs: Union[ExperimentSpec, ExperimentConfig,
-                 Iterable[Union[ExperimentSpec, ExperimentConfig]]],
+    specs: Union[ExperimentSpec, Iterable[ExperimentSpec]],
     base_seed: Optional[int] = None,
     base_url: str = DEFAULT_SERVICE_URL,
 ) -> int:
@@ -426,7 +422,7 @@ def load_spec(path: str) -> ExperimentSpec:
         return ExperimentSpec.from_dict(json.load(handle))
 
 
-def save_spec(spec: Union[ExperimentSpec, ExperimentConfig], path: str) -> None:
+def save_spec(spec: ExperimentSpec, path: str) -> None:
     """Write a spec's canonical JSON document to a file."""
     with open(path, "w") as handle:
         json.dump(as_spec(spec).to_dict(), handle, indent=2, sort_keys=True)
@@ -448,10 +444,7 @@ __all__ = [
     "ElevatorFault",
     "ElevatorRepair",
     "StatsMarker",
-    "ExperimentConfig",
     "as_spec",
-    "spec_from_config",
-    "config_from_spec",
     "spec_from_canonical",
     "canonical_config",
     "config_key",

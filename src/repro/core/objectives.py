@@ -41,22 +41,12 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as _np
+
 from repro.topology.elevators import ElevatorPlacement
 from repro.traffic.patterns import TrafficMatrix
 
-try:  # numpy accelerates the utilization-vector aggregates when present
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
-
 SubsetAssignment = Mapping[int, Sequence[int]]
-
-
-def _float_vector(count: int):
-    """A zeroed per-elevator utilization vector (numpy array when available)."""
-    if _np is not None:
-        return _np.zeros(count, dtype=_np.float64)
-    return [0.0] * count
 
 
 def _variance_of_vector(values) -> float:
@@ -64,26 +54,16 @@ def _variance_of_vector(values) -> float:
 
     The single shared implementation behind every variance computation in
     the offline stage; both evaluators feed it bit-identical utilization
-    vectors (list or numpy array), so their variances agree exactly.  The
-    numpy path uses pairwise summation -- a different (typically more
-    accurate) rounding than the sequential fallback, but the same for
-    every caller within a process, which is what the delta-vs-full
-    equality contract requires.
+    vectors, so their variances agree exactly (numpy's pairwise summation,
+    one rounding on every install).
     """
     count = len(values)
     if count == 0:
         return 0.0
-    if _np is not None:
-        array = _np.asarray(values, dtype=_np.float64)
-        mean = array.sum() / count
-        deviation = array - mean
-        return float((deviation * deviation).sum() / count)
-    mean = sum(values) / count
-    total = 0.0
-    for value in values:
-        difference = value - mean
-        total += difference * difference
-    return total / count
+    array = _np.asarray(values, dtype=_np.float64)
+    mean = array.sum() / count
+    deviation = array - mean
+    return float((deviation * deviation).sum() / count)
 
 
 def variance_of(values: Iterable[float]) -> float:
@@ -430,7 +410,7 @@ class DeltaObjectiveEvaluator:
         self._term_memo: Dict[Tuple[int, Any], Tuple[Tuple[int, ...], int, int, int]] = {}
 
         self._util_scaled = [0] * self.num_elevators
-        self._util_float = _float_vector(self.num_elevators)
+        self._util_float = _np.zeros(self.num_elevators, dtype=_np.float64)
         self._dirty: set = set()
         self._total_scaled = 0
         self._wsum_scaled = 0
@@ -518,7 +498,7 @@ class DeltaObjectiveEvaluator:
         self._subset_obj.clear()
         self._cached.clear()
         self._util_scaled = [0] * self.num_elevators
-        self._util_float = _float_vector(self.num_elevators)
+        self._util_float = _np.zeros(self.num_elevators, dtype=_np.float64)
         self._dirty.clear()
         self._total_scaled = 0
         self._wsum_scaled = 0
@@ -626,9 +606,7 @@ class DeltaObjectiveEvaluator:
             for index in self._dirty:
                 self._util_float[index] = self._to_float(self._util_scaled[index])
             self._dirty.clear()
-        if _np is not None and isinstance(self._util_float, _np.ndarray):
-            return self._util_float.tolist()
-        return list(self._util_float)
+        return self._util_float.tolist()
 
     def evaluate(self) -> Tuple[float, float]:
         """Both objectives of the currently tracked assignment."""

@@ -51,7 +51,6 @@ from repro.exec.cache import (
     cache_stats,
     canonical_config,
     canonical_json,
-    config_from_canonical,
     config_key,
     derive_seed,
     iter_json_cache_entries,
@@ -94,7 +93,6 @@ __all__ = [
     "register_cache_backend",
     "canonical_config",
     "canonical_json",
-    "config_from_canonical",
     "spec_from_canonical",
     "config_key",
     "derive_seed",

@@ -1,16 +1,16 @@
 """Parallel experiment batches with deterministic seeding and caching.
 
 :class:`ExperimentBatch` is the execution backbone of the repository: it
-takes a list of :class:`~repro.analysis.runner.ExperimentConfig`, fans the
-uncached ones out over a :class:`concurrent.futures.ProcessPoolExecutor`
-(or runs them inline when ``workers=1``) and returns one
-:class:`ExperimentOutcome` per input configuration, in input order.
+takes a list of :class:`~repro.spec.ExperimentSpec`, fans the uncached
+ones out over a :class:`concurrent.futures.ProcessPoolExecutor` (or runs
+them inline when ``workers=1``) and returns one :class:`ExperimentOutcome`
+per input spec, in input order.
 
 Determinism guarantee
     Every task runs the exact same code path regardless of worker count:
     resolve placement, build a fresh network, build the packet source from
-    the config's seed, simulate.  All randomness flows from the config (its
-    ``seed`` field, or a seed derived from the canonical config hash when a
+    the spec's seed, simulate.  All randomness flows from the spec (its
+    ``seed`` field, or a seed derived from the canonical spec hash when a
     batch-level ``base_seed`` is given), so a batch produces *bit-identical*
     ``SimulationResult.summary()`` rows whether it runs serially, with N
     workers, or from a warm disk cache.
@@ -77,12 +77,9 @@ from typing import (
 from repro.analysis.runner import (
     _DEFAULT_ENERGY_MODEL,
     DesignCache,
-    ExperimentConfig,
     adele_design_for,
-    as_spec,
     build_network,
     build_packet_source,
-    config_from_spec,
     design_for_placement,
     resolve_placement,
     run_experiment,
@@ -108,6 +105,7 @@ from repro.spec import (
     DEFAULT_ADELE_LOW_TRAFFIC_THRESHOLD,
     DEFAULT_ADELE_MAX_SUBSET_SIZE,
     ExperimentSpec,
+    as_spec,
 )
 
 
@@ -296,11 +294,6 @@ class ExperimentOutcome:
     summary: Dict[str, float]
     from_cache: bool
 
-    @property
-    def config(self) -> ExperimentConfig:
-        """Deprecated flat view of :attr:`spec` (legacy callers)."""
-        return config_from_spec(self.spec)
-
 
 def _policy_from_subsets(
     spec: ExperimentSpec, placement, subsets: Dict[int, Tuple[int, ...]]
@@ -487,14 +480,13 @@ class ExperimentBatch:
     """Run a list of experiments, in parallel and cached.
 
     Args:
-        configs: Experiments to run -- typed :class:`ExperimentSpec` values
-            or legacy :class:`ExperimentConfig` shims, freely mixed (any
-            iterable; order is preserved in the returned outcomes).
+        specs: Experiments to run (any iterable of :class:`ExperimentSpec`;
+            order is preserved in the returned outcomes).
         workers: Process count.  ``1`` (the default) runs every task inline
             with no subprocess involved -- the serial fallback.
         result_cache: Summary-row cache consulted before and populated after
             execution; defaults to a fresh memory-only cache (which still
-            deduplicates identical configs within the batch).
+            deduplicates identical specs within the batch).
         design_cache: AdEle offline-design cache used while preparing tasks;
             defaults to the process-wide cache of :mod:`repro.analysis.runner`.
         base_seed: When given, each spec's seed is replaced by
@@ -547,7 +539,7 @@ class ExperimentBatch:
 
     def __init__(
         self,
-        configs: Iterable[Union[ExperimentSpec, ExperimentConfig]],
+        specs: Iterable[ExperimentSpec],
         workers: int = 1,
         result_cache: Optional[ResultCache] = None,
         design_cache: Optional[DesignCache] = None,
@@ -561,7 +553,7 @@ class ExperimentBatch:
         probe: Optional[ProbeSpec] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        self.specs: List[ExperimentSpec] = [as_spec(config) for config in configs]
+        self.specs: List[ExperimentSpec] = [as_spec(spec) for spec in specs]
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if chunk_size is not None and chunk_size < 1:
@@ -611,11 +603,6 @@ class ExperimentBatch:
         self.last_memo_misses = 0
 
     # ------------------------------------------------------------------ #
-    @property
-    def configs(self) -> List[ExperimentConfig]:
-        """Deprecated flat view of :attr:`specs` (legacy callers)."""
-        return [config_from_spec(spec) for spec in self.specs]
-
     def _key_extra(self) -> Dict[str, Any]:
         """Non-spec inputs the cache key must capture (see :func:`key_extra_for`)."""
         return key_extra_for(self.energy_model)
@@ -627,10 +614,6 @@ class ExperimentBatch:
         return [
             spec.with_(seed=derive_seed(spec, self.base_seed)) for spec in self.specs
         ]
-
-    def effective_configs(self) -> List[ExperimentConfig]:
-        """Deprecated flat view of :meth:`effective_specs` (legacy callers)."""
-        return [config_from_spec(spec) for spec in self.effective_specs()]
 
     def _make_task(self, spec: ExperimentSpec, key: str) -> _Task:
         subsets = None
@@ -1029,7 +1012,7 @@ class ExperimentBatch:
 
 
 def run_batch(
-    configs: Iterable[Union[ExperimentSpec, ExperimentConfig]],
+    specs: Iterable[ExperimentSpec],
     workers: int = 1,
     result_cache: Optional[ResultCache] = None,
     design_cache: Optional[DesignCache] = None,
@@ -1043,7 +1026,7 @@ def run_batch(
 ) -> List[ExperimentOutcome]:
     """Convenience wrapper: build an :class:`ExperimentBatch` and run it."""
     batch = ExperimentBatch(
-        configs,
+        specs,
         workers=workers,
         result_cache=result_cache,
         design_cache=design_cache,

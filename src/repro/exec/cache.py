@@ -3,8 +3,8 @@
 The parallel experiment engine (:mod:`repro.exec.batch`) needs three things
 from this module:
 
-* a *canonical serialization* of :class:`~repro.analysis.runner.ExperimentConfig`
-  -- a JSON-stable dictionary that is independent of field/keyword order,
+* a *canonical serialization* of :class:`~repro.spec.ExperimentSpec` -- a
+  JSON-stable dictionary that is independent of field/keyword order,
   round-trips through JSON, and captures custom placements structurally (mesh
   shape + elevator columns) so two different placements sharing a name never
   collide (:func:`canonical_config`, :func:`config_key`);
@@ -29,14 +29,12 @@ import hashlib
 import json
 import os
 import tempfile
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.analysis.runner import (
     DEFAULT_OFFLINE_AMOSA,
     DesignCache,
     DesignKey,
-    ExperimentConfig,
-    as_spec,
 )
 from repro.core.amosa import AmosaResult, ArchiveEntry
 from repro.core.optimizers import OPTIMIZER_REGISTRY, canonical_optimizer_options
@@ -51,9 +49,6 @@ from repro.topology.elevators import PLACEMENT_REGISTRY, ElevatorPlacement
 from repro.topology.mesh3d import Mesh3D
 from repro.traffic.applications import APPLICATION_REGISTRY
 from repro.traffic.patterns import PATTERN_REGISTRY, UniformTraffic
-
-#: Either experiment description accepted by the hashing helpers.
-ConfigLike = Union[ExperimentSpec, ExperimentConfig]
 
 #: Maximum derived seed (exclusive); fits ``random.Random`` comfortably and
 #: keeps seeds readable in logs.
@@ -84,21 +79,19 @@ def _canonical_name(registry: Registry, name: str, fallback_case: Any) -> str:
     return fallback_case(name)
 
 
-def canonical_config(config: ConfigLike) -> Dict[str, Any]:
+def canonical_config(config: ExperimentSpec) -> Dict[str, Any]:
     """The canonical JSON-native dictionary of an experiment.
 
     This is :meth:`repro.spec.ExperimentSpec.to_dict` with component names
     normalized to their canonical registered spelling (``AdEle`` ->
     ``adele``, the ``fluid.`` alias -> ``fluidanimate``) -- the single
     serialization shared by cache keys, derived seeds and ``--spec`` files.
-    Legacy :class:`~repro.analysis.runner.ExperimentConfig` values are
-    converted through their spec form first, so a flat config and its
-    equivalent spec hash identically.  The result is independent of how the
-    experiment was constructed and round-trips through
-    ``json.dumps``/``json.loads`` without loss: all values are
-    ``str``/``int``/``float``/``None`` or nested lists/dicts thereof.
+    The result is independent of how the experiment was constructed and
+    round-trips through ``json.dumps``/``json.loads`` without loss: all
+    values are ``str``/``int``/``float``/``None`` or nested lists/dicts
+    thereof.
     """
-    data = as_spec(config).to_dict()
+    data = config.to_dict()
     if data["placement"]["mesh"] is None:
         # Named placements resolve case-insensitively through the registry;
         # structural ones keep their label verbatim (it is an identity tag,
@@ -196,12 +189,12 @@ def _design_is_redundant(design: Dict[str, Any], policy: Dict[str, Any]) -> bool
     return design == defaults
 
 
-def canonical_json(config: ConfigLike) -> str:
+def canonical_json(config: ExperimentSpec) -> str:
     """The canonical JSON string of an experiment (sorted keys, no spaces)."""
     return json.dumps(canonical_config(config), sort_keys=True, separators=(",", ":"))
 
 
-def config_key(config: ConfigLike, extra: Optional[Dict[str, Any]] = None) -> str:
+def config_key(config: ExperimentSpec, extra: Optional[Dict[str, Any]] = None) -> str:
     """Content hash of an experiment -- the cache key.
 
     Args:
@@ -216,7 +209,7 @@ def config_key(config: ConfigLike, extra: Optional[Dict[str, Any]] = None) -> st
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def structural_config(config: ConfigLike) -> Dict[str, Any]:
+def structural_config(config: ExperimentSpec) -> Dict[str, Any]:
     """The canonical dictionary of an experiment *minus its seed*.
 
     Two experiments with the same structural configuration simulate the
@@ -232,7 +225,7 @@ def structural_config(config: ConfigLike) -> Dict[str, Any]:
     return payload
 
 
-def structural_key(config: ConfigLike, extra: Optional[Dict[str, Any]] = None) -> str:
+def structural_key(config: ExperimentSpec, extra: Optional[Dict[str, Any]] = None) -> str:
     """Content hash of :func:`structural_config` -- the replica-group key.
 
     ``extra`` is mixed in exactly as in :func:`config_key`, so specs whose
@@ -252,16 +245,7 @@ def spec_from_canonical(data: Dict[str, Any]) -> ExperimentSpec:
     return ExperimentSpec.from_dict(data)
 
 
-def config_from_canonical(data: Dict[str, Any]) -> ExperimentConfig:
-    """Rebuild a legacy flat configuration from a canonical dictionary.
-
-    Provided for callers still holding :class:`ExperimentConfig`; new code
-    should use :func:`spec_from_canonical`.
-    """
-    return ExperimentConfig.from_spec(spec_from_canonical(data))
-
-
-def derive_seed(config: ConfigLike, base_seed: int = 0) -> int:
+def derive_seed(config: ExperimentSpec, base_seed: int = 0) -> int:
     """Deterministic per-task seed from an experiment's canonical form.
 
     The experiment's own ``seed`` field is *replaced* by ``base_seed``
@@ -740,7 +724,6 @@ __all__ = [
     "canonical_config",
     "canonical_json",
     "config_key",
-    "config_from_canonical",
     "spec_from_canonical",
     "derive_seed",
     "ResultCache",

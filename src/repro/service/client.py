@@ -21,8 +21,7 @@ import urllib.error
 import urllib.request
 from typing import Any, Dict, Iterable, List, Optional, Union
 
-from repro.analysis.runner import ExperimentConfig, as_spec
-from repro.spec import ExperimentSpec
+from repro.spec import ExperimentSpec, as_spec
 
 #: Where ``python -m repro serve`` listens by default.
 DEFAULT_SERVICE_URL = "http://127.0.0.1:8765"
@@ -108,8 +107,7 @@ class ServiceClient:
 
     def submit(
         self,
-        specs: Union[ExperimentSpec, ExperimentConfig,
-                     Iterable[Union[ExperimentSpec, ExperimentConfig]]],
+        specs: Union[ExperimentSpec, Iterable[ExperimentSpec]],
         base_seed: Optional[int] = None,
     ) -> int:
         """Submit a job; returns its id (an existing one when dedup'd).
@@ -121,8 +119,7 @@ class ServiceClient:
 
     def submit_receipt(
         self,
-        specs: Union[ExperimentSpec, ExperimentConfig,
-                     Iterable[Union[ExperimentSpec, ExperimentConfig]]],
+        specs: Union[ExperimentSpec, Iterable[ExperimentSpec]],
         base_seed: Optional[int] = None,
     ) -> Dict[str, Any]:
         """Submit a job and return the full receipt document.
@@ -130,7 +127,7 @@ class ServiceClient:
         The receipt is the job-status document plus ``created`` (``False``
         when an identical job already existed -- the dedup path).
         """
-        if isinstance(specs, (ExperimentSpec, ExperimentConfig)):
+        if isinstance(specs, ExperimentSpec):
             specs = [specs]
         documents = [as_spec(spec).to_dict() for spec in specs]
         return self._request(

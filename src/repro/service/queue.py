@@ -42,13 +42,12 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
-from repro.analysis.runner import ExperimentConfig, as_spec
 from repro.exec.batch import key_extra_for
 from repro.exec.cache import config_key, derive_seed
 from repro.exec.shard import ShardSpec
 from repro.obs.tracing import span
 from repro.service.store import SqliteStore, _dumps
-from repro.spec import ExperimentSpec
+from repro.spec import ExperimentSpec, as_spec
 
 #: Job / task lifecycle states.
 QUEUED = "queued"
@@ -163,8 +162,7 @@ class JobQueue:
     # ------------------------------------------------------------------ #
     def submit(
         self,
-        specs: Union[ExperimentSpec, ExperimentConfig,
-                     Iterable[Union[ExperimentSpec, ExperimentConfig]]],
+        specs: Union[ExperimentSpec, Iterable[ExperimentSpec]],
         base_seed: Optional[int] = None,
     ) -> SubmitReceipt:
         """Submit a job (one spec or an ordered list of specs).
@@ -176,7 +174,7 @@ class JobQueue:
         ordered task keys) attaches to the existing job instead of
         creating a new one.
         """
-        if isinstance(specs, (ExperimentSpec, ExperimentConfig)):
+        if isinstance(specs, ExperimentSpec):
             specs = [specs]
         resolved = [as_spec(spec) for spec in specs]
         if not resolved:

@@ -169,18 +169,11 @@ def available_backends() -> list:
 
 
 # Import for the registration side effects: the bundled kernels register
-# themselves on import, so they are usable by name everywhere.  The
-# vectorized kernel needs numpy; on numpy-less installs it simply stays
-# unregistered (everything else keeps working).
+# themselves on import, so they are usable by name everywhere.
 from repro.sim.backends import optimized as _optimized  # noqa: E402,F401
 from repro.sim.backends import reference as _reference  # noqa: E402,F401
-
-try:
-    from repro.sim.backends import vectorized as _vectorized  # noqa: E402,F401
-    from repro.sim.backends import batched as _batched  # noqa: E402,F401
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _vectorized = None
-    _batched = None
+from repro.sim.backends import vectorized as _vectorized  # noqa: E402,F401
+from repro.sim.backends import batched as _batched  # noqa: E402,F401
 
 __all__ = [
     "BACKEND_REGISTRY",

@@ -69,9 +69,6 @@ Equivalence: the tolerance contract and bit-exact mode
     kernel-side touched mask during the run and folded back in
     ``sync_back`` (nothing reads the set while this kernel drives the
     loop), so the *post-run* set is identical to a solo run's.
-
-Requires numpy; when numpy is missing the backend is simply not
-registered (see ``repro.sim.backends``).
 """
 
 from __future__ import annotations

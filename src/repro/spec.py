@@ -25,9 +25,6 @@ keys and derived seeds (:func:`repro.exec.cache.config_key` /
 all built from it.  Structural placements are captured by mesh shape and
 columns, so two different custom placements sharing a name can never alias
 each other in the cache.
-
-The legacy flat :class:`repro.analysis.runner.ExperimentConfig` is a
-deprecated shim that converts to/from :class:`ExperimentSpec`.
 """
 
 from __future__ import annotations
@@ -786,3 +783,15 @@ class ExperimentSpec:
     def from_json(cls, blob: str) -> "ExperimentSpec":
         """Rebuild a spec from :meth:`to_json` output."""
         return cls.from_dict(json.loads(blob))
+
+
+def as_spec(spec: Any) -> ExperimentSpec:
+    """Type guard for caller input: an :class:`ExperimentSpec` passes through.
+
+    Raises:
+        TypeError: For anything else (e.g. a plain ``dict``; rebuild one with
+            :meth:`ExperimentSpec.from_dict`).
+    """
+    if not isinstance(spec, ExperimentSpec):
+        raise TypeError(f"expected ExperimentSpec, got {type(spec).__name__}")
+    return spec

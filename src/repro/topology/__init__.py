@@ -6,9 +6,9 @@ network-on-chip (PC-3DNoC):
 * :mod:`repro.topology.mesh3d` -- a regular ``X x Y x Z`` 3D mesh of routers,
   node/coordinate conversion, neighbourhood queries, and Manhattan distances.
 * :mod:`repro.topology.elevators` -- elevator (vertical TSV link) placements,
-  including the paper's ``PS1``--``PS3`` and ``PM`` patterns, a placement
-  registry, and an average-distance-driven placement optimizer used to
-  reproduce the "extracted to have an optimized average distance" placements.
+  including the paper's ``PS1``--``PS3`` and ``PM`` patterns, the global
+  placement registry, and the average-distance metric the paper's placement
+  extraction optimizes.
 """
 
 from repro.topology.mesh3d import Coordinate, Mesh3D
@@ -16,10 +16,8 @@ from repro.topology.elevators import (
     PLACEMENT_REGISTRY,
     Elevator,
     ElevatorPlacement,
-    PlacementRegistry,
     available_placements,
     average_distance_of_placement,
-    optimize_placement,
     register_placement,
     standard_placement,
 )
@@ -29,11 +27,9 @@ __all__ = [
     "Mesh3D",
     "Elevator",
     "ElevatorPlacement",
-    "PlacementRegistry",
     "PLACEMENT_REGISTRY",
     "register_placement",
     "available_placements",
     "average_distance_of_placement",
-    "optimize_placement",
     "standard_placement",
 ]

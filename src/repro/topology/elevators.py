@@ -8,22 +8,21 @@ inter-layer packets through one of these elevator columns.
 This module provides:
 
 * :class:`Elevator` / :class:`ElevatorPlacement` -- the placement data model.
-* :func:`standard_placement` and :class:`PlacementRegistry` -- the paper's
-  placement patterns ``PS1``, ``PS2``, ``PS3`` (4x4x4 mesh) and ``PM``
-  (8x8x4 mesh).  The paper describes PS1/PS3/PM as "extracted to have an
-  optimized average distance" and PS2 as taken from the FL-RuNS paper; exact
-  coordinates are not published, so PS1/PS3/PM are produced here by the same
-  average-distance optimization (:func:`optimize_placement`) with a fixed
-  seed, and PS2 uses a regular, symmetric pattern.
+* :func:`standard_placement` and the global :data:`PLACEMENT_REGISTRY` --
+  the paper's placement patterns ``PS1``, ``PS2``, ``PS3`` (4x4x4 mesh) and
+  ``PM`` (8x8x4 mesh).  The paper describes PS1/PS3/PM as "extracted to have
+  an optimized average distance" and PS2 as taken from the FL-RuNS paper;
+  exact coordinates are not published, so PS1/PS3/PM use fixed
+  low-average-distance columns (hard-coded in ``_STANDARD_COLUMNS``) and PS2
+  uses a regular, symmetric pattern.
 * :func:`average_distance_of_placement` -- the average source-elevator-
-  destination distance metric used both by the placement optimizer and as a
-  sanity metric in tests.
+  destination distance metric the paper's extraction optimizes, used here
+  as a sanity metric for placements.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.registry import Registry
@@ -247,7 +246,7 @@ class ElevatorPlacement:
 
 
 # ---------------------------------------------------------------------- #
-# Average-distance metric and placement optimization
+# Average-distance metric
 # ---------------------------------------------------------------------- #
 def average_distance_of_placement(
     placement: ElevatorPlacement,
@@ -292,105 +291,13 @@ def average_distance_of_placement(
     return total / weight_sum
 
 
-def optimize_placement(
-    mesh: Mesh3D,
-    num_elevators: int,
-    iterations: int = 300,
-    seed: int = 0,
-    traffic: Optional[Dict[Tuple[int, int], float]] = None,
-) -> ElevatorPlacement:
-    """Search for an elevator placement minimizing the average distance.
-
-    A simple simulated-annealing column swap search: starting from a spread
-    initial placement, single columns are moved to free columns; moves that
-    reduce :func:`average_distance_of_placement` are always accepted and
-    worse moves are accepted with a decaying probability.
-
-    Args:
-        mesh: Target mesh.
-        num_elevators: Number of elevator columns to place.
-        iterations: Number of annealing iterations.
-        seed: RNG seed for reproducibility.
-        traffic: Optional traffic matrix forwarded to the distance metric.
-
-    Returns:
-        The best placement found, named ``"optimized"``.
-    """
-    if num_elevators < 1:
-        raise ValueError("at least one elevator is required")
-    if num_elevators > mesh.nodes_per_layer:
-        raise ValueError("more elevators than columns in a layer")
-
-    rng = random.Random(seed)
-    all_columns = [
-        (x, y) for y in range(mesh.size_y) for x in range(mesh.size_x)
-    ]
-    current = _spread_initial_columns(mesh, num_elevators)
-    current_placement = ElevatorPlacement(mesh, current, name="optimized")
-    current_cost = average_distance_of_placement(current_placement, traffic)
-    best = list(current)
-    best_cost = current_cost
-
-    temperature = max(current_cost, 1.0)
-    cooling = 0.97
-    for _ in range(iterations):
-        candidate = list(current)
-        idx = rng.randrange(len(candidate))
-        free = [c for c in all_columns if c not in candidate]
-        if not free:
-            break
-        candidate[idx] = rng.choice(free)
-        candidate_placement = ElevatorPlacement(mesh, candidate, name="optimized")
-        candidate_cost = average_distance_of_placement(candidate_placement, traffic)
-        delta = candidate_cost - current_cost
-        if delta <= 0 or rng.random() < _acceptance(delta, temperature):
-            current = candidate
-            current_cost = candidate_cost
-            if current_cost < best_cost:
-                best = list(current)
-                best_cost = current_cost
-        temperature = max(temperature * cooling, 1e-6)
-
-    return ElevatorPlacement(mesh, best, name="optimized")
-
-
-def _acceptance(delta: float, temperature: float) -> float:
-    """Metropolis acceptance probability for a worsening move."""
-    import math
-
-    if temperature <= 0:
-        return 0.0
-    return math.exp(-delta / temperature)
-
-
-def _spread_initial_columns(mesh: Mesh3D, count: int) -> List[Tuple[int, int]]:
-    """Deterministic, roughly evenly spread initial columns."""
-    columns: List[Tuple[int, int]] = []
-    # Place elevators on a coarse grid first, then fill remaining greedily.
-    step_x = max(1, mesh.size_x // max(1, int(round(count ** 0.5))))
-    step_y = max(1, mesh.size_y // max(1, int(round(count ** 0.5))))
-    for y in range(step_y // 2, mesh.size_y, step_y):
-        for x in range(step_x // 2, mesh.size_x, step_x):
-            if len(columns) < count and (x, y) not in columns:
-                columns.append((x, y))
-    x, y = 0, 0
-    while len(columns) < count:
-        if (x, y) not in columns:
-            columns.append((x, y))
-        x += 1
-        if x >= mesh.size_x:
-            x = 0
-            y = (y + 1) % mesh.size_y
-    return columns[:count]
-
-
 # ---------------------------------------------------------------------- #
 # Standard placements from the paper (Table I)
 # ---------------------------------------------------------------------- #
 #: Columns for the paper's placement patterns.  The exact coordinates are not
-#: published; PS1/PS3/PM reproduce the paper's "optimized average distance"
-#: extraction with a fixed seed, PS2 follows the regular pattern style of the
-#: FL-RuNS reference the paper cites.
+#: published; PS1/PS3/PM are fixed low-average-distance columns standing in
+#: for the paper's "optimized average distance" extraction, PS2 follows the
+#: regular pattern style of the FL-RuNS reference the paper cites.
 _STANDARD_COLUMNS: Dict[str, Dict[str, object]] = {
     "PS1": {
         "mesh": (4, 4, 4),
@@ -531,31 +438,3 @@ def register_placement(
 def available_placements() -> List[str]:
     """Sorted canonical names of every registered placement."""
     return PLACEMENT_REGISTRY.names()
-
-
-@dataclass
-class PlacementRegistry:
-    """Deprecated local registry shim over the paper's standard placements.
-
-    Superseded by the global :data:`PLACEMENT_REGISTRY` (see
-    :func:`register_placement`); kept because older experiment scripts used
-    per-harness instances.  Custom placements registered here shadow the
-    standard names for this instance only.
-    """
-
-    _custom: Dict[str, ElevatorPlacement] = field(default_factory=dict)
-
-    def register(self, placement: ElevatorPlacement) -> None:
-        """Register a custom placement under ``placement.name``."""
-        self._custom[placement.name.upper()] = placement
-
-    def get(self, name: str) -> ElevatorPlacement:
-        """Resolve a placement by name (custom first, then standard)."""
-        key = name.upper()
-        if key in self._custom:
-            return self._custom[key]
-        return standard_placement(key)
-
-    def names(self) -> List[str]:
-        """All known placement names."""
-        return sorted(set(self._custom) | set(_STANDARD_COLUMNS))

@@ -11,7 +11,6 @@ from repro.analysis.comparison import (
 )
 from repro.analysis.load import elevator_load_distribution
 from repro.analysis.runner import (
-    ExperimentConfig,
     adele_design_for,
     build_network,
     build_packet_source,
@@ -27,6 +26,7 @@ from repro.routing.cda import CDAPolicy
 from repro.routing.elevator_first import ElevatorFirstPolicy
 from repro.sim.engine import SimulationResult
 from repro.sim.stats import SimulationStats
+from repro.spec import ExperimentSpec, PlacementSpec
 from repro.topology.elevators import ElevatorPlacement
 from repro.topology.mesh3d import Mesh3D
 from repro.traffic.applications import ApplicationTraffic
@@ -45,12 +45,10 @@ TINY_AMOSA = AmosaConfig(
 
 
 @pytest.fixture
-def tiny_config():
+def tiny_spec():
     mesh = Mesh3D(2, 2, 2)
     placement = ElevatorPlacement(mesh, [(0, 0), (1, 1)], name="TINY")
-    return ExperimentConfig(
-        placement="TINY",
-        placement_obj=placement,
+    return ExperimentSpec(placement=PlacementSpec.from_placement(placement)).with_(
         policy="elevator_first",
         traffic="uniform",
         injection_rate=0.05,
@@ -63,23 +61,23 @@ def tiny_config():
 
 class TestRunnerBuilders:
     def test_resolve_placement_by_name(self):
-        config = ExperimentConfig(placement="PS2")
-        assert resolve_placement(config).num_elevators == 4
+        spec = ExperimentSpec().with_(placement="PS2")
+        assert resolve_placement(spec).num_elevators == 4
 
-    def test_resolve_placement_object_override(self, tiny_config):
-        assert resolve_placement(tiny_config).name == "TINY"
+    def test_resolve_placement_object_override(self, tiny_spec):
+        assert resolve_placement(tiny_spec).name == "TINY"
 
-    def test_build_traffic_patterns(self, tiny_config):
-        placement = resolve_placement(tiny_config)
-        assert isinstance(build_traffic(tiny_config, placement), UniformTraffic)
+    def test_build_traffic_patterns(self, tiny_spec):
+        placement = resolve_placement(tiny_spec)
+        assert isinstance(build_traffic(tiny_spec, placement), UniformTraffic)
         assert isinstance(
-            build_traffic(tiny_config.with_(traffic="shuffle"), placement), ShuffleTraffic
+            build_traffic(tiny_spec.with_(traffic="shuffle"), placement), ShuffleTraffic
         )
         assert isinstance(
-            build_traffic(tiny_config.with_(traffic="fft"), placement), ApplicationTraffic
+            build_traffic(tiny_spec.with_(traffic="fft"), placement), ApplicationTraffic
         )
         assert isinstance(
-            build_traffic(tiny_config.with_(traffic="fluid."), placement), ApplicationTraffic
+            build_traffic(tiny_spec.with_(traffic="fluid."), placement), ApplicationTraffic
         )
 
     @pytest.mark.parametrize(
@@ -89,52 +87,52 @@ class TestRunnerBuilders:
             ("cda", CDAPolicy),
         ],
     )
-    def test_build_policy_baselines(self, tiny_config, policy, cls):
-        placement = resolve_placement(tiny_config)
-        assert isinstance(build_policy(tiny_config.with_(policy=policy), placement), cls)
+    def test_build_policy_baselines(self, tiny_spec, policy, cls):
+        placement = resolve_placement(tiny_spec)
+        assert isinstance(build_policy(tiny_spec.with_(policy=policy), placement), cls)
 
-    def test_build_policy_adele_uses_offline_design(self, tiny_config, monkeypatch):
+    def test_build_policy_adele_uses_offline_design(self, tiny_spec, monkeypatch):
         from repro.analysis import runner
 
         monkeypatch.setattr(runner, "DEFAULT_OFFLINE_AMOSA", TINY_AMOSA)
-        placement = resolve_placement(tiny_config)
-        policy = build_policy(tiny_config.with_(policy="adele"), placement)
+        placement = resolve_placement(tiny_spec)
+        policy = build_policy(tiny_spec.with_(policy="adele"), placement)
         assert isinstance(policy, AdElePolicy)
-        rr = build_policy(tiny_config.with_(policy="adele_rr"), placement)
+        rr = build_policy(tiny_spec.with_(policy="adele_rr"), placement)
         assert isinstance(rr, AdEleRoundRobinPolicy)
 
-    def test_adele_design_cache(self, tiny_config):
-        placement = resolve_placement(tiny_config)
+    def test_adele_design_cache(self, tiny_spec):
+        placement = resolve_placement(tiny_spec)
         first = adele_design_for(placement, max_subset_size=2, amosa_config=TINY_AMOSA)
         second = adele_design_for(placement, max_subset_size=2, amosa_config=TINY_AMOSA)
         assert first is second
 
-    def test_build_network_and_source(self, tiny_config):
-        placement = resolve_placement(tiny_config)
-        network = build_network(tiny_config, placement=placement)
+    def test_build_network_and_source(self, tiny_spec):
+        placement = resolve_placement(tiny_spec)
+        network = build_network(tiny_spec, placement=placement)
         assert network.mesh is placement.mesh
-        source = build_packet_source(tiny_config, placement)
+        source = build_packet_source(tiny_spec, placement)
         assert source.packet_probability == pytest.approx(0.05)
 
-    def test_with_copies_config(self, tiny_config):
-        changed = tiny_config.with_(injection_rate=0.1)
-        assert changed.injection_rate == 0.1
-        assert tiny_config.injection_rate == 0.05
+    def test_with_copies_config(self, tiny_spec):
+        changed = tiny_spec.with_(injection_rate=0.1)
+        assert changed.traffic.injection_rate == 0.1
+        assert tiny_spec.traffic.injection_rate == 0.05
 
 
 class TestRunExperiment:
-    def test_end_to_end_run(self, tiny_config):
-        result = run_experiment(tiny_config)
+    def test_end_to_end_run(self, tiny_spec):
+        result = run_experiment(tiny_spec)
         assert result.delivered_packets > 0
         assert result.average_latency > 0
         assert result.energy_per_flit is not None
         assert result.policy_name == "elevator_first"
 
-    def test_network_reuse_resets_state(self, tiny_config):
-        placement = resolve_placement(tiny_config)
-        network = build_network(tiny_config, placement=placement)
-        first = run_experiment(tiny_config, network=network)
-        second = run_experiment(tiny_config, network=network)
+    def test_network_reuse_resets_state(self, tiny_spec):
+        placement = resolve_placement(tiny_spec)
+        network = build_network(tiny_spec, placement=placement)
+        first = run_experiment(tiny_spec, network=network)
+        second = run_experiment(tiny_spec, network=network)
         assert first.delivered_packets == second.delivered_packets
         assert first.average_latency == pytest.approx(second.average_latency)
 
@@ -179,23 +177,23 @@ class TestSweep:
         with pytest.raises(ValueError):
             saturation_rate(curve, factor=1.0)
 
-    def test_latency_sweep_runs_all_policies(self, tiny_config):
-        curves = latency_sweep(tiny_config, ["elevator_first", "cda"], [0.02, 0.05])
+    def test_latency_sweep_runs_all_policies(self, tiny_spec):
+        curves = latency_sweep(tiny_spec, ["elevator_first", "cda"], [0.02, 0.05])
         assert set(curves) == {"elevator_first", "cda"}
         for curve in curves.values():
             assert len(curve.points) == 2
             assert all(latency > 0 for latency in curve.latencies())
 
-    def test_latency_sweep_requires_rates(self, tiny_config):
+    def test_latency_sweep_requires_rates(self, tiny_spec):
         with pytest.raises(ValueError):
-            latency_sweep(tiny_config, ["cda"], [])
+            latency_sweep(tiny_spec, ["cda"], [])
 
 
 class TestLoadDistribution:
-    def test_elevator_load_distribution(self, tiny_config):
-        placement = resolve_placement(tiny_config)
-        network = build_network(tiny_config, placement=placement)
-        result = run_experiment(tiny_config, network=network)
+    def test_elevator_load_distribution(self, tiny_spec):
+        placement = resolve_placement(tiny_spec)
+        network = build_network(tiny_spec, placement=placement)
+        result = run_experiment(tiny_spec, network=network)
         distribution = elevator_load_distribution(network, result)
         assert set(distribution.loads) == {0, 1}
         assert distribution.max_load >= distribution.min_load
@@ -228,10 +226,10 @@ class TestComparison:
         with pytest.raises(ValueError):
             average_improvement([], [])
 
-    def test_policy_comparison_table(self, tiny_config):
+    def test_policy_comparison_table(self, tiny_spec):
         results = {}
         for policy in ("elevator_first", "cda"):
-            results[policy] = run_experiment(tiny_config.with_(policy=policy))
+            results[policy] = run_experiment(tiny_spec.with_(policy=policy))
         table = policy_comparison_table(results, baseline="elevator_first")
         assert table["elevator_first"]["average_latency_norm"] == pytest.approx(1.0)
         assert "average_latency" in table["cda"]

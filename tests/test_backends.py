@@ -11,9 +11,7 @@ kernel relies on.
 The ``vectorized`` kernel joins the matrix in its ``bit_exact`` mode (the
 mode the equivalence contract covers); its default fast mode honors a
 documented tolerance contract instead, pinned by
-:class:`TestVectorizedFastMode`.  All vectorized tests degrade to the
-two-kernel matrix on numpy-less installs, where the backend stays
-unregistered.
+:class:`TestVectorizedFastMode`.
 """
 
 from __future__ import annotations
@@ -34,6 +32,7 @@ from repro.sim.backends import (
 )
 from repro.sim.backends.optimized import OptimizedBackend
 from repro.sim.backends.reference import ReferenceBackend
+from repro.sim.backends.vectorized import VectorizedBackend
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.sim.stats import SimulationStats
@@ -44,26 +43,12 @@ from repro.traffic.generator import BernoulliPacketSource, TracePacketSource
 from repro.traffic.patterns import UniformTraffic
 from repro.traffic.trace import TraceEvent, TrafficTrace
 
-try:
-    from repro.sim.backends.vectorized import VectorizedBackend
-
-    HAVE_VECTORIZED = True
-except ImportError:  # pragma: no cover - numpy-less installs
-    VectorizedBackend = None
-    HAVE_VECTORIZED = False
-
 #: Backends under the bit-identity contract (the numpy kernels via their
 #: bit_exact mode; ``batched`` with one replica IS the vectorized path).
-ALL_BACKENDS = ["reference", "optimized"] + (
-    ["vectorized", "batched"] if HAVE_VECTORIZED else []
-)
+ALL_BACKENDS = ["reference", "optimized", "vectorized", "batched"]
 
 #: Kernels whose bit-identity membership requires the bit_exact flag.
 BIT_EXACT_BACKENDS = frozenset({"vectorized", "batched"})
-
-requires_vectorized = pytest.mark.skipif(
-    not HAVE_VECTORIZED, reason="numpy (and the vectorized kernel) unavailable"
-)
 
 
 def _placement(shape=(3, 3, 2), columns=((0, 0), (2, 2))) -> ElevatorPlacement:
@@ -114,19 +99,15 @@ class TestRegistry:
     def test_bundled_backends_registered(self):
         assert "reference" in BACKEND_REGISTRY
         assert "optimized" in BACKEND_REGISTRY
-        expected = ["optimized", "reference"]
-        if HAVE_VECTORIZED:
-            expected = ["batched", "optimized", "reference", "vectorized"]
+        expected = ["batched", "optimized", "reference", "vectorized"]
         assert available_backends() == expected
 
-    @requires_vectorized
     def test_vectorized_aliases_resolve(self):
         assert isinstance(resolve_backend("vectorized"), VectorizedBackend)
         assert isinstance(resolve_backend("numpy"), VectorizedBackend)
         assert isinstance(resolve_backend("flat-array"), VectorizedBackend)
         assert resolve_backend("vectorized").bit_exact is False
 
-    @requires_vectorized
     def test_batched_aliases_resolve(self):
         from repro.sim.backends.batched import BatchedBackend
 
@@ -514,7 +495,6 @@ class TestSaturatedDrainAccounting:
             ), backend
 
 
-@requires_vectorized
 class TestVectorizedFastMode:
     """The vectorized kernel's default (fast) mode tolerance contract.
 

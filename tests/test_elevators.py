@@ -3,10 +3,11 @@
 import pytest
 
 from repro.topology.elevators import (
+    PLACEMENT_REGISTRY,
     ElevatorPlacement,
-    PlacementRegistry,
+    available_placements,
     average_distance_of_placement,
-    optimize_placement,
+    register_placement,
     standard_placement,
 )
 from repro.topology.mesh3d import Mesh3D
@@ -168,6 +169,26 @@ class TestStandardPlacements:
         )
 
 
+class TestPlacementRegistry:
+    def test_custom_registration_overrides(self):
+        standard = PLACEMENT_REGISTRY.entry("PS1")
+        custom = ElevatorPlacement(Mesh3D(2, 2, 2), [(1, 1)], name="PS1")
+        register_placement(custom, overwrite=True)
+        try:
+            assert PLACEMENT_REGISTRY.get("ps1")() is custom
+            assert "PS1" in available_placements()
+        finally:
+            PLACEMENT_REGISTRY.add(
+                standard.name,
+                standard.value,
+                aliases=standard.aliases,
+                description=standard.description,
+                overwrite=True,
+                **standard.metadata,
+            )
+        assert PLACEMENT_REGISTRY.get("PS1")().num_elevators == 3
+
+
 class TestAverageDistanceAndOptimizer:
     def test_average_distance_zero_for_single_layer(self):
         placement = ElevatorPlacement(Mesh3D(3, 3, 1), [(1, 1)])
@@ -183,49 +204,3 @@ class TestAverageDistanceAndOptimizer:
         traffic = {(src, dst): 1.0}
         # Only this pair counts; it sits exactly on the (0, 0) elevator.
         assert average_distance_of_placement(small_placement, traffic) == 1.0
-
-    def test_optimizer_beats_or_matches_corner_placement(self):
-        mesh = Mesh3D(4, 4, 2)
-        optimized = optimize_placement(mesh, 2, iterations=120, seed=3)
-        corner = ElevatorPlacement(mesh, [(0, 0), (0, 1)])
-        assert average_distance_of_placement(
-            optimized
-        ) <= average_distance_of_placement(corner)
-
-    def test_optimizer_respects_elevator_count(self):
-        mesh = Mesh3D(4, 4, 2)
-        placement = optimize_placement(mesh, 3, iterations=50, seed=1)
-        assert placement.num_elevators == 3
-        assert len(set(placement.columns())) == 3
-
-    def test_optimizer_rejects_bad_counts(self):
-        mesh = Mesh3D(2, 2, 2)
-        with pytest.raises(ValueError):
-            optimize_placement(mesh, 0)
-        with pytest.raises(ValueError):
-            optimize_placement(mesh, 5)
-
-    def test_optimizer_is_deterministic_for_seed(self):
-        mesh = Mesh3D(4, 4, 2)
-        a = optimize_placement(mesh, 2, iterations=60, seed=9)
-        b = optimize_placement(mesh, 2, iterations=60, seed=9)
-        assert a.columns() == b.columns()
-
-
-class TestPlacementRegistry:
-    def test_standard_lookup(self):
-        registry = PlacementRegistry()
-        assert registry.get("PS2").num_elevators == 4
-
-    def test_custom_registration_overrides(self):
-        registry = PlacementRegistry()
-        custom = ElevatorPlacement(Mesh3D(2, 2, 2), [(1, 1)], name="PS1")
-        registry.register(custom)
-        assert registry.get("PS1") is custom
-
-    def test_names_include_standard_and_custom(self):
-        registry = PlacementRegistry()
-        custom = ElevatorPlacement(Mesh3D(2, 2, 2), [(1, 1)], name="LAB")
-        registry.register(custom)
-        names = registry.names()
-        assert "LAB" in names and "PS1" in names and "PM" in names

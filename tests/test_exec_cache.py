@@ -1,4 +1,4 @@
-"""Property-style tests for canonical config hashing and the caches.
+"""Property-style tests for canonical spec hashing and the caches.
 
 Covers the cache-key contract (order-insensitive canonicalization, JSON
 round-trips, no collisions on the benchmark grid), the injectable
@@ -15,7 +15,6 @@ import pytest
 from repro.analysis import runner
 from repro.analysis.runner import (
     DesignCache,
-    ExperimentConfig,
     adele_design_for,
     build_policy,
 )
@@ -24,11 +23,12 @@ from repro.exec.cache import (
     DiskDesignCache,
     ResultCache,
     canonical_json,
-    config_from_canonical,
     config_key,
     derive_seed,
+    spec_from_canonical,
     SEED_SPACE,
 )
+from repro.spec import ExperimentSpec, PlacementSpec, PolicySpec
 from repro.topology.elevators import ElevatorPlacement
 from repro.topology.mesh3d import Mesh3D
 
@@ -48,42 +48,50 @@ def _tiny_placement(name="cache-tiny", columns=((0, 0), (1, 1))):
     return ElevatorPlacement(Mesh3D(2, 2, 2), list(columns), name=name)
 
 
+def _tiny_spec(name="cache-tiny", columns=((0, 0), (1, 1)), **changes):
+    placement = PlacementSpec.from_placement(_tiny_placement(name, columns))
+    return ExperimentSpec(placement=placement).with_(**changes)
+
+
 # ---------------------------------------------------------------------- #
 # Canonicalization properties
 # ---------------------------------------------------------------------- #
 class TestCanonicalization:
     def test_keyword_order_is_irrelevant(self):
-        a = ExperimentConfig(policy="cda", traffic="shuffle", injection_rate=0.003)
-        b = ExperimentConfig(injection_rate=0.003, traffic="shuffle", policy="cda")
+        a = ExperimentSpec().with_(policy="cda", traffic="shuffle", injection_rate=0.003)
+        b = ExperimentSpec().with_(injection_rate=0.003, traffic="shuffle", policy="cda")
         assert canonical_json(a) == canonical_json(b)
         assert config_key(a) == config_key(b)
 
     def test_canonical_json_sorts_keys(self):
-        blob = canonical_json(ExperimentConfig())
+        blob = canonical_json(ExperimentSpec())
         keys = list(json.loads(blob))
         assert keys == sorted(keys)
 
     def test_round_trips_through_json(self):
-        config = ExperimentConfig(
-            placement="PS2", policy="adele_rr", traffic="fft",
-            injection_rate=0.004, seed=11, adele_max_subset_size=None,
+        spec = ExperimentSpec().with_(
+            placement="PS2", traffic="fft", injection_rate=0.004, seed=11,
+            policy=PolicySpec(name="adele_rr", options={"max_subset_size": None}),
         )
-        rebuilt = config_from_canonical(json.loads(canonical_json(config)))
-        assert rebuilt == config
-        assert config_key(rebuilt) == config_key(config)
+        rebuilt = spec_from_canonical(json.loads(canonical_json(spec)))
+        assert rebuilt == spec
+        assert config_key(rebuilt) == config_key(spec)
 
     def test_round_trip_preserves_custom_placements(self):
         placement = _tiny_placement()
-        config = ExperimentConfig(placement="cache-tiny", placement_obj=placement)
-        rebuilt = config_from_canonical(json.loads(canonical_json(config)))
-        assert rebuilt.placement_obj is not None
-        assert rebuilt.placement_obj.name == placement.name
-        assert rebuilt.placement_obj.columns() == placement.columns()
-        assert rebuilt.placement_obj.mesh.shape == placement.mesh.shape
-        assert config_key(rebuilt) == config_key(config)
+        spec = _tiny_spec()
+        rebuilt = spec_from_canonical(json.loads(canonical_json(spec)))
+        resolved = rebuilt.placement.resolve()
+        assert resolved.name == placement.name
+        assert resolved.columns() == placement.columns()
+        assert resolved.mesh.shape == placement.mesh.shape
+        assert config_key(rebuilt) == config_key(spec)
 
     def test_every_field_feeds_the_key(self):
-        base = ExperimentConfig()
+        adele = PolicySpec(
+            name="adele", options={"max_subset_size": 4, "low_traffic_threshold": 0.25}
+        )
+        base = ExperimentSpec(policy=adele)
         variants = [
             base.with_(placement="PS2"),
             base.with_(policy="cda"),
@@ -96,26 +104,22 @@ class TestCanonicalization:
             base.with_(min_packet_length=11),
             base.with_(max_packet_length=31),
             base.with_(seed=1),
-            base.with_(adele_max_subset_size=3),
-            base.with_(adele_low_traffic_threshold=0.3),
+            base.with_(policy_options={**adele.options, "max_subset_size": 3}),
+            base.with_(policy_options={**adele.options, "low_traffic_threshold": 0.3}),
         ]
         keys = {config_key(base)} | {config_key(v) for v in variants}
         assert len(keys) == len(variants) + 1
 
     def test_custom_placements_with_the_same_name_do_not_collide(self):
-        config_a = ExperimentConfig(
-            placement="dup", placement_obj=_tiny_placement("dup", ((0, 0),))
-        )
-        config_b = ExperimentConfig(
-            placement="dup", placement_obj=_tiny_placement("dup", ((1, 1),))
-        )
-        assert config_key(config_a) != config_key(config_b)
+        spec_a = _tiny_spec("dup", ((0, 0),))
+        spec_b = _tiny_spec("dup", ((1, 1),))
+        assert config_key(spec_a) != config_key(spec_b)
 
     def test_no_collisions_on_the_benchmark_grid(self):
         # The happy-path grid the benchmarks sweep: every (placement, policy,
         # traffic, rate) combination must map to a distinct cache key.
-        configs = [
-            ExperimentConfig(
+        specs = [
+            ExperimentSpec().with_(
                 placement=placement, policy=policy, traffic=traffic,
                 injection_rate=rate, seed=1,
             )
@@ -124,8 +128,8 @@ class TestCanonicalization:
             for traffic in ("uniform", "shuffle")
             for rate in (0.001, 0.003, 0.005)
         ]
-        keys = [config_key(config) for config in configs]
-        assert len(set(keys)) == len(configs)
+        keys = [config_key(spec) for spec in specs]
+        assert len(set(keys)) == len(specs)
 
 
 class TestKeyExtras:
@@ -133,25 +137,24 @@ class TestKeyExtras:
         from repro.energy.model import EnergyModel
         from repro.exec.batch import ExperimentBatch
 
-        config = ExperimentConfig(
-            placement="cache-tiny", placement_obj=_tiny_placement(),
+        spec = _tiny_spec(
             policy="elevator_first", injection_rate=0.05,
             warmup_cycles=10, measurement_cycles=80, drain_cycles=80,
         )
         cache = ResultCache(str(tmp_path))
-        default_run = ExperimentBatch([config], result_cache=cache)
+        default_run = ExperimentBatch([spec], result_cache=cache)
         default_run.run()
 
         # A different energy model must not be served the default model's row.
         custom = EnergyModel(router_energy_per_bit=2e-12)
-        custom_run = ExperimentBatch([config], result_cache=cache, energy_model=custom)
+        custom_run = ExperimentBatch([spec], result_cache=cache, energy_model=custom)
         custom_outcomes = custom_run.run()
         assert custom_run.last_executed == 1
         assert not custom_outcomes[0].from_cache
 
         # Passing the default model explicitly and passing None share keys.
         explicit_run = ExperimentBatch(
-            [config], result_cache=cache, energy_model=EnergyModel()
+            [spec], result_cache=cache, energy_model=EnergyModel()
         )
         explicit_outcomes = explicit_run.run()
         assert explicit_run.last_executed == 0
@@ -160,15 +163,15 @@ class TestKeyExtras:
 
 class TestDerivedSeeds:
     def test_range_and_determinism(self):
-        config = ExperimentConfig(policy="cda")
-        seed = derive_seed(config, 3)
+        spec = ExperimentSpec().with_(policy="cda")
+        seed = derive_seed(spec, 3)
         assert 0 <= seed < SEED_SPACE
-        assert seed == derive_seed(config, 3)
+        assert seed == derive_seed(spec, 3)
 
     def test_varies_with_config_and_base_seed(self):
-        config = ExperimentConfig(policy="cda")
-        assert derive_seed(config, 3) != derive_seed(config, 4)
-        assert derive_seed(config, 3) != derive_seed(config.with_(policy="adele"), 3)
+        spec = ExperimentSpec().with_(policy="cda")
+        assert derive_seed(spec, 3) != derive_seed(spec, 4)
+        assert derive_seed(spec, 3) != derive_seed(spec.with_(policy="adele"), 3)
 
 
 # ---------------------------------------------------------------------- #
@@ -227,14 +230,12 @@ class TestDesignCache:
         monkeypatch.setattr(runner, "DEFAULT_OFFLINE_AMOSA", TINY_AMOSA)
         placement = _tiny_placement()
         cache = DesignCache()
-        config = ExperimentConfig(
-            placement="cache-tiny", placement_obj=placement, policy="adele"
-        )
+        spec = _tiny_spec(policy="adele")
         policy_1 = build_policy(
-            config.with_(adele_max_subset_size=1), placement, design_cache=cache
+            spec.with_(policy_options={"max_subset_size": 1}), placement, design_cache=cache
         )
         build_policy(
-            config.with_(adele_max_subset_size=2), placement, design_cache=cache
+            spec.with_(policy_options={"max_subset_size": 2}), placement, design_cache=cache
         )
         assert len(cache) == 2
         nodes = placement.mesh.nodes()

@@ -1,6 +1,6 @@
 """Regression tests for the parallel experiment engine's determinism.
 
-The engine's contract: an identical configuration + seed produces a
+The engine's contract: an identical spec + seed produces a
 *bit-identical* ``SimulationResult.summary()`` row whether the batch runs
 serially (``workers=1``), fanned out over worker processes, or replayed from
 a warm disk cache -- and a warm cache performs zero new simulations.
@@ -11,10 +11,10 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import runner
-from repro.analysis.runner import ExperimentConfig
 from repro.core.amosa import AmosaConfig
 from repro.exec.batch import ExperimentBatch, run_batch
 from repro.exec.cache import DiskDesignCache, ResultCache, config_key, derive_seed
+from repro.spec import ExperimentSpec, PlacementSpec, PolicySpec
 from repro.topology.elevators import ElevatorPlacement
 from repro.topology.mesh3d import Mesh3D
 
@@ -34,11 +34,9 @@ def _tiny_placement() -> ElevatorPlacement:
     return ElevatorPlacement(Mesh3D(2, 2, 2), [(0, 0), (1, 1)], name="exec-tiny")
 
 
-def _base_config(**overrides) -> ExperimentConfig:
-    placement = _tiny_placement()
+def _base_spec(**overrides) -> ExperimentSpec:
+    placement = PlacementSpec.from_placement(_tiny_placement())
     defaults = dict(
-        placement="exec-tiny",
-        placement_obj=placement,
         traffic="uniform",
         injection_rate=0.05,
         warmup_cycles=20,
@@ -47,13 +45,13 @@ def _base_config(**overrides) -> ExperimentConfig:
         seed=5,
     )
     defaults.update(overrides)
-    return ExperimentConfig(**defaults)
+    return ExperimentSpec(placement=placement).with_(**defaults)
 
 
 @pytest.fixture
 def grid():
     """A small Fig. 4-style grid: 2 policies x 2 injection rates."""
-    base = _base_config()
+    base = _base_spec()
     return [
         base.with_(policy=policy, injection_rate=rate)
         for policy in ("elevator_first", "cda")
@@ -65,7 +63,7 @@ class TestSerialParallelCacheIdentity:
     def test_serial_matches_four_workers(self, grid):
         serial = run_batch(grid, workers=1)
         parallel = run_batch(grid, workers=4)
-        assert [o.config for o in serial] == [o.config for o in parallel]
+        assert [o.spec for o in serial] == [o.spec for o in parallel]
         # Bit-identical rows, not approximate equality.
         assert [o.summary for o in serial] == [o.summary for o in parallel]
         assert not any(o.from_cache for o in serial + parallel)
@@ -108,22 +106,24 @@ class TestAdEleDeterminism:
         monkeypatch.setattr(runner, "DEFAULT_OFFLINE_AMOSA", TINY_AMOSA)
 
     def test_adele_serial_matches_workers_and_cache(self, tmp_path):
-        base = _base_config(policy="adele", adele_max_subset_size=2)
-        configs = [base.with_(injection_rate=rate) for rate in (0.02, 0.05)]
+        base = _base_spec(
+            policy=PolicySpec(name="adele", options={"max_subset_size": 2})
+        )
+        specs = [base.with_(injection_rate=rate) for rate in (0.02, 0.05)]
         design_cache = DiskDesignCache(str(tmp_path))
 
-        serial = run_batch(configs, workers=1, design_cache=design_cache)
-        parallel = run_batch(configs, workers=4, design_cache=design_cache)
+        serial = run_batch(specs, workers=1, design_cache=design_cache)
+        parallel = run_batch(specs, workers=4, design_cache=design_cache)
         assert [o.summary for o in serial] == [o.summary for o in parallel]
 
         # Warm result cache on top: identical rows, zero new simulations.
         result_cache = ResultCache(str(tmp_path))
         cold = ExperimentBatch(
-            configs, workers=1, result_cache=result_cache, design_cache=design_cache
+            specs, workers=1, result_cache=result_cache, design_cache=design_cache
         )
         cold_rows = [o.summary for o in cold.run()]
         warm = ExperimentBatch(
-            configs,
+            specs,
             workers=4,
             result_cache=ResultCache(str(tmp_path)),
             design_cache=DiskDesignCache(str(tmp_path)),
@@ -139,46 +139,43 @@ class TestCrossBackendDeterminism:
     batch engine -- and backend spelling never splits the cache."""
 
     def test_backend_matrix_is_bit_identical(self, grid):
-        specs = [c.to_spec() for c in grid]
-        reference = run_batch([s.with_(backend="reference") for s in specs])
-        optimized = run_batch([s.with_(backend="optimized") for s in specs])
-        default = run_batch(specs)
+        reference = run_batch([s.with_(backend="reference") for s in grid])
+        optimized = run_batch([s.with_(backend="optimized") for s in grid])
+        default = run_batch(grid)
         assert [o.summary for o in reference] == [o.summary for o in optimized]
         assert [o.summary for o in optimized] == [o.summary for o in default]
 
     def test_warm_cache_matches_both_backends(self, grid, tmp_path):
-        specs = [c.to_spec() for c in grid]
         cold = run_batch(
-            [s.with_(backend="reference") for s in specs],
+            [s.with_(backend="reference") for s in grid],
             result_cache=ResultCache(str(tmp_path)),
         )
         warm_batch = ExperimentBatch(
-            [s.with_(backend="reference") for s in specs],
+            [s.with_(backend="reference") for s in grid],
             result_cache=ResultCache(str(tmp_path)),
         )
         warm = warm_batch.run()
         assert warm_batch.last_executed == 0
         assert [o.summary for o in cold] == [o.summary for o in warm]
         # The optimized runs reproduce the cached reference rows exactly.
-        live = run_batch(specs)
+        live = run_batch(grid)
         assert [o.summary for o in live] == [o.summary for o in warm]
 
     def test_default_backend_spelling_shares_cache_keys(self, grid):
-        spec = grid[0].to_spec()
+        spec = grid[0]
         assert config_key(spec) == config_key(spec.with_(backend="optimized"))
         assert config_key(spec) == config_key(spec.with_(backend="ACTIVE-SET"))
         assert config_key(spec) != config_key(spec.with_(backend="reference"))
 
     def test_derived_seed_ignores_backend(self, grid):
-        spec = grid[0].to_spec()
+        spec = grid[0]
         assert derive_seed(spec.with_(backend="reference"), 7) == derive_seed(
             spec.with_(backend="optimized"), 7
         )
 
     def test_base_seeded_batches_agree_across_backends(self, grid):
-        specs = [c.to_spec() for c in grid]
-        ref = run_batch([s.with_(backend="reference") for s in specs], base_seed=9)
-        opt = run_batch([s.with_(backend="optimized") for s in specs], base_seed=9)
+        ref = run_batch([s.with_(backend="reference") for s in grid], base_seed=9)
+        opt = run_batch([s.with_(backend="optimized") for s in grid], base_seed=9)
         assert [o.summary for o in ref] == [o.summary for o in opt]
 
 
@@ -186,23 +183,23 @@ class TestBaseSeedDerivation:
     def test_base_seed_replaces_config_seeds_deterministically(self, grid):
         batch_a = ExperimentBatch(grid, base_seed=7)
         batch_b = ExperimentBatch(grid, base_seed=7)
-        seeds_a = [c.seed for c in batch_a.effective_configs()]
-        seeds_b = [c.seed for c in batch_b.effective_configs()]
+        seeds_a = [s.sim.seed for s in batch_a.effective_specs()]
+        seeds_b = [s.sim.seed for s in batch_b.effective_specs()]
         assert seeds_a == seeds_b
-        assert seeds_a == [derive_seed(c, 7) for c in grid]
+        assert seeds_a == [derive_seed(s, 7) for s in grid]
         # Distinct tasks get distinct seeds on this grid.
         assert len(set(seeds_a)) == len(grid)
 
     def test_different_base_seeds_give_different_tasks(self, grid):
-        seeds_7 = [c.seed for c in ExperimentBatch(grid, base_seed=7).effective_configs()]
-        seeds_8 = [c.seed for c in ExperimentBatch(grid, base_seed=8).effective_configs()]
+        seeds_7 = [s.sim.seed for s in ExperimentBatch(grid, base_seed=7).effective_specs()]
+        seeds_8 = [s.sim.seed for s in ExperimentBatch(grid, base_seed=8).effective_specs()]
         assert seeds_7 != seeds_8
 
     def test_derived_seed_ignores_the_configs_own_seed(self, grid):
-        config = grid[0]
-        assert derive_seed(config, 7) == derive_seed(config.with_(seed=999), 7)
+        spec = grid[0]
+        assert derive_seed(spec, 7) == derive_seed(spec.with_(seed=999), 7)
 
     def test_cache_keys_follow_the_derived_seed(self, grid):
         batch = ExperimentBatch(grid, base_seed=7)
-        effective = batch.effective_configs()
-        assert [config_key(c) for c in effective] != [config_key(c) for c in grid]
+        effective = batch.effective_specs()
+        assert [config_key(s) for s in effective] != [config_key(s) for s in grid]

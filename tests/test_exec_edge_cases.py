@@ -10,20 +10,19 @@ from __future__ import annotations
 
 import math
 
-from repro.analysis.runner import ExperimentConfig, run_experiment
+from repro.analysis.runner import run_experiment
 from repro.exec.batch import ExperimentBatch, run_batch
 from repro.exec.cache import ResultCache
 from repro.sim.engine import SimulationResult
 from repro.sim.stats import SimulationStats
+from repro.spec import ExperimentSpec, PlacementSpec
 from repro.topology.elevators import ElevatorPlacement
 from repro.topology.mesh3d import Mesh3D
 
 
-def _tiny_config(**overrides) -> ExperimentConfig:
+def _tiny_spec(**overrides) -> ExperimentSpec:
     placement = ElevatorPlacement(Mesh3D(2, 2, 2), [(0, 0)], name="edge-tiny")
     defaults = dict(
-        placement="edge-tiny",
-        placement_obj=placement,
         policy="elevator_first",
         traffic="uniform",
         injection_rate=0.05,
@@ -33,7 +32,9 @@ def _tiny_config(**overrides) -> ExperimentConfig:
         seed=7,
     )
     defaults.update(overrides)
-    return ExperimentConfig(**defaults)
+    return ExperimentSpec(placement=PlacementSpec.from_placement(placement)).with_(
+        **defaults
+    )
 
 
 def _result_with(stats: SimulationStats) -> SimulationResult:
@@ -58,7 +59,7 @@ class TestZeroTraffic:
         assert math.isinf(result.average_latency)
 
     def test_zero_injection_rate_run(self):
-        result = run_experiment(_tiny_config(injection_rate=0.0))
+        result = run_experiment(_tiny_spec(injection_rate=0.0))
         assert result.stats.packets_created == 0
         assert result.stats.delivery_ratio == 1.0
         assert result.saturated is False
@@ -66,14 +67,14 @@ class TestZeroTraffic:
         assert result.throughput == 0.0
 
     def test_zero_injection_summary_survives_the_batch_and_cache(self, tmp_path):
-        config = _tiny_config(injection_rate=0.0)
-        outcomes = run_batch([config], result_cache=ResultCache(str(tmp_path)))
+        spec = _tiny_spec(injection_rate=0.0)
+        outcomes = run_batch([spec], result_cache=ResultCache(str(tmp_path)))
         summary = outcomes[0].summary
         assert summary["packets_created"] == 0.0
         assert summary["delivery_ratio"] == 1.0
         assert math.isinf(summary["average_latency"])
 
-        warm = ExperimentBatch([config], result_cache=ResultCache(str(tmp_path)))
+        warm = ExperimentBatch([spec], result_cache=ResultCache(str(tmp_path)))
         warm_outcomes = warm.run()
         assert warm.last_executed == 0
         assert warm_outcomes[0].summary == summary
@@ -100,13 +101,13 @@ class TestNeverDrains:
         # Far past saturation and drain_cycles=0: the network cannot drain,
         # so most measured packets never arrive -- the saturation heuristic
         # must trip and every summary value must stay finite or inf, not NaN.
-        config = _tiny_config(
+        spec = _tiny_spec(
             injection_rate=0.5,
             buffer_depth=1,
             measurement_cycles=150,
             drain_cycles=0,
         )
-        result = run_experiment(config)
+        result = run_experiment(spec)
         assert result.drain_cycles_used == 0
         assert result.stats.packets_created > 0
         assert result.stats.delivery_ratio < 0.5
@@ -115,14 +116,14 @@ class TestNeverDrains:
         assert all(not math.isnan(value) for value in summary.values())
 
     def test_saturated_summary_round_trips_through_the_cache(self, tmp_path):
-        config = _tiny_config(
+        spec = _tiny_spec(
             injection_rate=0.5,
             buffer_depth=1,
             measurement_cycles=150,
             drain_cycles=0,
         )
-        cold = run_batch([config], result_cache=ResultCache(str(tmp_path)))
-        warm = run_batch([config], result_cache=ResultCache(str(tmp_path)))
+        cold = run_batch([spec], result_cache=ResultCache(str(tmp_path)))
+        warm = run_batch([spec], result_cache=ResultCache(str(tmp_path)))
         assert warm[0].from_cache
         assert warm[0].summary == cold[0].summary
         assert warm[0].summary["delivery_ratio"] < 0.5

@@ -10,7 +10,6 @@ import pytest
 from repro.analysis.comparison import relative_improvement
 from repro.analysis.load import elevator_load_distribution
 from repro.analysis.runner import (
-    ExperimentConfig,
     adele_design_for,
     build_network,
     build_packet_source,
@@ -21,6 +20,7 @@ from repro.energy.model import EnergyModel
 from repro.routing.adele import AdElePolicy
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
+from repro.spec import ADELE_POLICY_NAMES, ExperimentSpec, PlacementSpec, PolicySpec
 from repro.topology.elevators import ElevatorPlacement
 from repro.topology.mesh3d import Mesh3D
 
@@ -36,30 +36,36 @@ TINY_AMOSA = AmosaConfig(
 )
 
 
+def _policy(name: str) -> PolicySpec:
+    """An arena policy: AdEle variants keep the arena's subset-size cap of 2."""
+    options = {"max_subset_size": 2} if name in ADELE_POLICY_NAMES else {}
+    return PolicySpec(name=name, options=options)
+
+
 @pytest.fixture
 def arena():
-    """A 3x3x2 PC-3DNoC with two elevators and a ready-made config."""
+    """A 3x3x2 PC-3DNoC with two elevators and a ready-made spec."""
     mesh = Mesh3D(3, 3, 2)
     placement = ElevatorPlacement(mesh, [(0, 0), (2, 1)], name="ARENA")
-    config = ExperimentConfig(
-        placement="ARENA",
-        placement_obj=placement,
+    spec = ExperimentSpec(
+        placement=PlacementSpec.from_placement(placement), policy=_policy("adele")
+    ).with_(
         traffic="uniform",
         injection_rate=0.03,
         warmup_cycles=100,
         measurement_cycles=600,
         drain_cycles=400,
         seed=11,
-        adele_max_subset_size=2,
     )
-    return placement, config
+    return placement, spec
 
 
 class TestEndToEndDelivery:
     def test_all_packets_delivered_below_saturation(self, arena):
-        placement, config = arena
-        result = run_experiment(config.with_(policy="elevator_first",
-                                             injection_rate=0.01))
+        placement, spec = arena
+        result = run_experiment(
+            spec.with_(policy=_policy("elevator_first"), injection_rate=0.01)
+        )
         assert result.stats.delivery_ratio == pytest.approx(1.0)
         assert result.stats.packets_created > 10
 
@@ -67,22 +73,22 @@ class TestEndToEndDelivery:
         from repro.analysis import runner
 
         monkeypatch.setattr(runner, "DEFAULT_OFFLINE_AMOSA", TINY_AMOSA)
-        placement, config = arena
+        placement, spec = arena
         for policy in ("elevator_first", "cda", "adele", "adele_rr", "minimal"):
-            result = run_experiment(config.with_(policy=policy, injection_rate=0.02))
+            result = run_experiment(spec.with_(policy=_policy(policy), injection_rate=0.02))
             assert result.delivered_packets > 0, policy
             assert result.average_latency < 500, policy
 
     def test_latency_grows_with_injection_rate(self, arena):
-        placement, config = arena
-        low = run_experiment(config.with_(policy="elevator_first", injection_rate=0.005))
-        high = run_experiment(config.with_(policy="elevator_first", injection_rate=0.06))
+        placement, spec = arena
+        low = run_experiment(spec.with_(policy=_policy("elevator_first"), injection_rate=0.005))
+        high = run_experiment(spec.with_(policy=_policy("elevator_first"), injection_rate=0.06))
         assert high.average_latency > low.average_latency
 
     def test_results_reproducible_for_fixed_seed(self, arena):
-        placement, config = arena
-        a = run_experiment(config.with_(policy="cda"))
-        b = run_experiment(config.with_(policy="cda"))
+        placement, spec = arena
+        a = run_experiment(spec.with_(policy=_policy("cda")))
+        b = run_experiment(spec.with_(policy=_policy("cda")))
         assert a.average_latency == pytest.approx(b.average_latency)
         assert a.stats.packets_created == b.stats.packets_created
 
@@ -93,11 +99,11 @@ class TestPaperQualitativeShapes:
         from repro.analysis import runner
 
         monkeypatch.setattr(runner, "DEFAULT_OFFLINE_AMOSA", TINY_AMOSA)
-        placement, config = arena
-        loaded = config.with_(injection_rate=0.06, measurement_cycles=800)
-        baseline = run_experiment(loaded.with_(policy="elevator_first"))
-        cda = run_experiment(loaded.with_(policy="cda"))
-        adele = run_experiment(loaded.with_(policy="adele"))
+        placement, spec = arena
+        loaded = spec.with_(injection_rate=0.06, measurement_cycles=800)
+        baseline = run_experiment(loaded.with_(policy=_policy("elevator_first")))
+        cda = run_experiment(loaded.with_(policy=_policy("cda")))
+        adele = run_experiment(loaded.with_(policy=_policy("adele")))
         assert cda.average_latency < baseline.average_latency
         assert adele.average_latency < baseline.average_latency
 
@@ -106,11 +112,11 @@ class TestPaperQualitativeShapes:
         from repro.analysis import runner
 
         monkeypatch.setattr(runner, "DEFAULT_OFFLINE_AMOSA", TINY_AMOSA)
-        placement, config = arena
-        loaded = config.with_(injection_rate=0.05, measurement_cycles=800)
+        placement, spec = arena
+        loaded = spec.with_(injection_rate=0.05, measurement_cycles=800)
 
         def load_for(policy_name):
-            cfg = loaded.with_(policy=policy_name)
+            cfg = loaded.with_(policy=_policy(policy_name))
             network = build_network(cfg, placement=placement)
             result = run_experiment(cfg, network=network)
             return elevator_load_distribution(network, result)
@@ -124,16 +130,16 @@ class TestPaperQualitativeShapes:
         from repro.analysis import runner
 
         monkeypatch.setattr(runner, "DEFAULT_OFFLINE_AMOSA", TINY_AMOSA)
-        placement, config = arena
-        quiet = config.with_(injection_rate=0.004, measurement_cycles=900)
-        baseline = run_experiment(quiet.with_(policy="elevator_first"))
-        adele = run_experiment(quiet.with_(policy="adele"))
+        placement, spec = arena
+        quiet = spec.with_(injection_rate=0.004, measurement_cycles=900)
+        baseline = run_experiment(quiet.with_(policy=_policy("elevator_first")))
+        adele = run_experiment(quiet.with_(policy=_policy("adele")))
         assert adele.energy_per_flit is not None and baseline.energy_per_flit is not None
         assert adele.energy_per_flit <= baseline.energy_per_flit * 1.1
 
     def test_offline_design_reduces_utilization_variance(self, arena):
         """Fig. 3 shape: the selected solution dominates Elevator-First on variance."""
-        placement, _config = arena
+        placement, _spec = arena
         design = adele_design_for(placement, max_subset_size=2, amosa_config=TINY_AMOSA)
         assert design.selected.objectives[0] <= design.baseline_objectives[0]
 
@@ -144,12 +150,12 @@ class TestPaperQualitativeShapes:
 class TestFaultToleranceExtension:
     def test_traffic_survives_elevator_fault(self, arena):
         """Section V: AdEle 'can be easily adjusted to consider faults'."""
-        placement, config = arena
+        placement, spec = arena
         placement.mark_faulty(0)
         try:
             policy = AdElePolicy(placement, low_traffic_threshold=None, seed=1)
             network = Network(placement, policy)
-            source = build_packet_source(config.with_(injection_rate=0.01), placement)
+            source = build_packet_source(spec.with_(injection_rate=0.01), placement)
             result = Simulator(network, source, 50, 400, 600, EnergyModel()).run()
             assert result.delivered_packets > 0
             assert result.stats.delivery_ratio > 0.9
@@ -159,11 +165,13 @@ class TestFaultToleranceExtension:
             placement.clear_faults()
 
     def test_elevator_first_reroutes_around_fault(self, arena):
-        placement, config = arena
+        placement, spec = arena
         placement.mark_faulty(0)
         try:
-            result = run_experiment(config.with_(policy="elevator_first",
-                                                 injection_rate=0.01))
+            # The faulty placement object must be the one simulated.
+            light = spec.with_(policy=_policy("elevator_first"), injection_rate=0.01)
+            network = build_network(light, placement=placement)
+            result = run_experiment(light, network=network)
             assert result.stats.delivery_ratio == pytest.approx(1.0)
         finally:
             placement.clear_faults()
@@ -175,21 +183,21 @@ class TestLargerConfigurationSmoke:
         from repro.analysis import runner
 
         monkeypatch.setattr(runner, "DEFAULT_OFFLINE_AMOSA", TINY_AMOSA)
-        config = ExperimentConfig(
+        spec = ExperimentSpec().with_(
             placement="PS1", traffic="uniform", injection_rate=0.003,
             warmup_cycles=50, measurement_cycles=300, drain_cycles=300, seed=5,
         )
         latencies = {}
         for policy in ("elevator_first", "cda", "adele"):
-            result = run_experiment(config.with_(policy=policy))
+            result = run_experiment(spec.with_(policy=policy))
             assert result.delivered_packets > 0
             latencies[policy] = result.average_latency
         assert all(latency < 400 for latency in latencies.values())
 
     def test_application_traffic_runs(self, monkeypatch):
-        config = ExperimentConfig(
+        spec = ExperimentSpec().with_(
             placement="PS2", policy="cda", traffic="fft", injection_rate=0.004,
             warmup_cycles=50, measurement_cycles=300, drain_cycles=300, seed=6,
         )
-        result = run_experiment(config)
+        result = run_experiment(spec)
         assert result.delivered_packets > 0

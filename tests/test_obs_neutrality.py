@@ -31,16 +31,7 @@ from repro.obs.tracing import (
 )
 from repro.spec import ExperimentSpec, PlacementSpec, PolicySpec, SimSpec, TrafficSpec
 
-try:
-    import numpy  # noqa: F401
-
-    HAVE_VECTORIZED = True
-except ImportError:  # pragma: no cover - numpy-less installs
-    HAVE_VECTORIZED = False
-
-ALL_BACKENDS = ["reference", "optimized"] + (
-    ["vectorized", "batched"] if HAVE_VECTORIZED else []
-)
+ALL_BACKENDS = ["reference", "optimized", "vectorized", "batched"]
 
 
 def _spec(backend: str, policy: str, rate: float, seed: int) -> ExperimentSpec:

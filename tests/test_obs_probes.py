@@ -22,16 +22,7 @@ from repro.obs.probes import (
 )
 from repro.spec import ExperimentSpec, PlacementSpec, PolicySpec, SimSpec, TrafficSpec
 
-try:
-    import numpy  # noqa: F401
-
-    HAVE_VECTORIZED = True
-except ImportError:  # pragma: no cover - numpy-less installs
-    HAVE_VECTORIZED = False
-
-ALL_BACKENDS = ["reference", "optimized"] + (
-    ["vectorized", "batched"] if HAVE_VECTORIZED else []
-)
+ALL_BACKENDS = ["reference", "optimized", "vectorized", "batched"]
 
 NUM_LAYERS = 2
 
@@ -148,7 +139,6 @@ class TestBackendsFillChannels:
         assert run_experiment(_spec("optimized")).probe is None
 
 
-@pytest.mark.skipif(not HAVE_VECTORIZED, reason="numpy unavailable")
 class TestReplicaGroupProbes:
     def test_one_series_per_replica(self):
         specs = [_spec("batched", seed=seed) for seed in (1, 2, 3)]

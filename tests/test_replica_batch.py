@@ -29,34 +29,32 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-np = pytest.importorskip("numpy")
-
-from repro.analysis.runner import (  # noqa: E402
+from repro.analysis.runner import (
     build_network,
     build_packet_source,
     resolve_placement,
     run_experiment,
 )
-from repro.energy.model import EnergyModel  # noqa: E402
-from repro.exec.batch import (  # noqa: E402
+from repro.energy.model import EnergyModel
+from repro.exec.batch import (
     ABORT_AFTER_CHUNKS_ENV,
     ChunkAbort,
     ExperimentBatch,
     clear_setup_memo,
 )
-from repro.exec.cache import (  # noqa: E402
+from repro.exec.cache import (
     ResultCache,
     canonical_config,
     structural_config,
     structural_key,
 )
-from repro.scenario.spec import ScenarioSpec  # noqa: E402
-from repro.sim.backends.batched import (  # noqa: E402
+from repro.scenario.spec import ScenarioSpec
+from repro.sim.backends.batched import (
     BatchedBackend,
     ReplicaRun,
     run_replica_group,
 )
-from repro.spec import ExperimentSpec, PlacementSpec, SimSpec, TrafficSpec  # noqa: E402
+from repro.spec import ExperimentSpec, PlacementSpec, SimSpec, TrafficSpec
 
 SEEDS = (3, 7, 11, 19)
 

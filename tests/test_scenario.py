@@ -32,7 +32,6 @@ from repro.scenario import (
     TrafficPhase,
     event_from_dict,
 )
-from repro.sim.backends import available_backends
 from repro.sim.router import Port
 from repro.spec import ExperimentSpec, PlacementSpec, PolicySpec, SimSpec, TrafficSpec
 from repro.topology.elevators import ElevatorPlacement
@@ -199,10 +198,8 @@ class TestKeyStability:
 # Cross-backend matrix (acceptance criterion)
 # ---------------------------------------------------------------------- #
 #: Kernels in the scenario cross-backend identity matrix.  The vectorized
-#: kernel participates in its bit-exact mode and only where numpy imports.
-MATRIX_BACKENDS = ["reference", "optimized"] + (
-    ["vectorized"] if "vectorized" in available_backends() else []
-)
+#: kernel participates in its bit-exact mode.
+MATRIX_BACKENDS = ["reference", "optimized", "vectorized"]
 
 #: One scenario per registered event kind.  The completeness check below
 #: fails if a new kind is registered without a matrix entry.

@@ -5,12 +5,12 @@ Covers the satellite guarantees of the `repro.api` redesign:
 * property test that ``ExperimentSpec.from_dict(spec.to_dict()) == spec``
   and that ``config_key`` is stable across round-trips, over both a
   hypothesis-generated spec space and the full bench grid;
-* custom-placement cache correctness: a ``placement_obj`` reusing a name
-  must never share a ``config_key`` with the named placement (or another
-  structure under the same name);
-* the deprecated ``ExperimentConfig`` shim warns on construction, while the
-  spec-native internals (runner, batch, sweep, CLI) never trigger the
-  warning.
+* custom-placement cache correctness: a structural placement reusing a
+  name must never share a ``config_key`` with the named placement (or
+  another structure under the same name);
+* entry points taking caller input reject anything but an
+  ``ExperimentSpec``, and the spec-native stack (runner, batch, sweep, CLI)
+  raises no deprecation warning.
 """
 
 from __future__ import annotations
@@ -22,19 +22,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.runner import (
-    ExperimentConfig,
-    as_spec,
-    config_from_spec,
-    spec_from_config,
-)
+from repro import api
+from repro.exec.batch import ExperimentBatch
 from repro.exec.cache import (
     canonical_json,
-    config_from_canonical,
     config_key,
     derive_seed,
     spec_from_canonical,
 )
+from repro.service.client import ServiceClient
+from repro.service.queue import JobQueue
+from repro.service.store import SqliteStore
 from repro.spec import (
     ExperimentSpec,
     PlacementSpec,
@@ -44,12 +42,6 @@ from repro.spec import (
 )
 from repro.topology.elevators import ElevatorPlacement
 from repro.topology.mesh3d import Mesh3D
-
-
-def _quiet_config(**kwargs) -> ExperimentConfig:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return ExperimentConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------- #
@@ -148,19 +140,22 @@ class TestRoundTripProperties:
             keys.append(config_key(spec))
         assert len(set(keys)) == len(specs)
 
-    def test_legacy_config_and_its_spec_hash_identically(self):
-        config = _quiet_config(
-            placement="PS2", policy="adele", traffic="shuffle",
-            injection_rate=0.003, seed=9, adele_max_subset_size=3,
-        )
-        spec = spec_from_config(config)
-        assert config_key(config) == config_key(spec)
-        assert derive_seed(config, 5) == derive_seed(spec, 5)
-        assert config_from_canonical(json.loads(canonical_json(config))) == config
-
-    def test_as_spec_rejects_foreign_types(self):
-        with pytest.raises(TypeError):
-            as_spec({"placement": "PS1"})
+    @pytest.mark.parametrize(
+        "entry_point",
+        [
+            lambda spec, tmp_path: ExperimentBatch([spec]),
+            lambda spec, tmp_path: api.run(spec),
+            lambda spec, tmp_path: JobQueue(
+                SqliteStore(str(tmp_path / "jobs.sqlite"))
+            ).submit(spec),
+            # No daemon needed: the type check runs before any request.
+            lambda spec, tmp_path: ServiceClient("http://127.0.0.1:9").submit(spec),
+        ],
+        ids=["ExperimentBatch", "api.run", "JobQueue.submit", "ServiceClient.submit"],
+    )
+    def test_as_spec_rejects_foreign_types(self, entry_point, tmp_path):
+        with pytest.raises(TypeError, match="expected ExperimentSpec"):
+            entry_point({"placement": "PS1"}, tmp_path)
 
 
 class TestSpecValidation:
@@ -230,29 +225,29 @@ class TestCustomPlacementCacheKeys:
     """Satellite regression: placement objects reusing a name never alias."""
 
     def test_placement_obj_reusing_a_standard_name_gets_a_distinct_key(self):
-        named = _quiet_config(placement="PS1", policy="elevator_first")
-        custom = _quiet_config(
-            placement="PS1",
-            policy="elevator_first",
-            placement_obj=ElevatorPlacement(Mesh3D(4, 4, 4), [(0, 0)], name="PS1"),
+        named = ExperimentSpec().with_(placement="PS1", policy="elevator_first")
+        custom = named.with_(
+            placement=PlacementSpec.from_placement(
+                ElevatorPlacement(Mesh3D(4, 4, 4), [(0, 0)], name="PS1")
+            )
         )
-        # The flat dataclass considers them equal (placement_obj is excluded
-        # from comparison) -- exactly why the cache key must not.
-        assert named == custom
+        assert custom.placement.name == named.placement.name
         assert config_key(named) != config_key(custom)
         assert derive_seed(named, 1) != derive_seed(custom, 1)
 
     def test_two_structures_under_one_name_get_distinct_keys(self):
         mesh = Mesh3D(2, 2, 2)
-        config_a = _quiet_config(
-            placement="dup",
-            placement_obj=ElevatorPlacement(mesh, [(0, 0)], name="dup"),
+        spec_a = ExperimentSpec(
+            placement=PlacementSpec.from_placement(
+                ElevatorPlacement(mesh, [(0, 0)], name="dup")
+            )
         )
-        config_b = _quiet_config(
-            placement="dup",
-            placement_obj=ElevatorPlacement(mesh, [(1, 1)], name="dup"),
+        spec_b = ExperimentSpec(
+            placement=PlacementSpec.from_placement(
+                ElevatorPlacement(mesh, [(1, 1)], name="dup")
+            )
         )
-        assert config_key(config_a) != config_key(config_b)
+        assert config_key(spec_a) != config_key(spec_b)
 
     def test_case_variants_and_aliases_share_keys(self):
         # Equivalent spellings of one experiment must hit the same cache
@@ -289,39 +284,12 @@ class TestCustomPlacementCacheKeys:
 
 
 class TestDeprecatedShim:
-    def test_constructing_config_warns(self):
-        with pytest.warns(DeprecationWarning, match="ExperimentConfig is deprecated"):
-            ExperimentConfig()
-
-    def test_with_derivation_stays_quiet(self):
-        # The warning fires once, at construction; deriving copies of an
-        # already-constructed config must not re-warn on every sweep point.
-        config = _quiet_config()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            assert config.with_(seed=1).seed == 1
-
-    def test_spec_conversions_do_not_warn(self):
-        config = _quiet_config(policy="cda")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            spec = spec_from_config(config)
-            back = config_from_spec(spec)
-        assert back == config
-
-    def test_lossy_conversion_drops_foreign_options(self):
-        spec = ExperimentSpec(
-            policy=PolicySpec(name="custom", options={"weight": 2.0}),
-            traffic=TrafficSpec(pattern="hotspot", options={"hotspot_fraction": 0.5}),
-        )
-        config = config_from_spec(spec)
-        assert config.policy == "custom"
-        assert config.traffic == "hotspot"
+    """The retired ``ExperimentConfig`` shim must not come back."""
 
     def test_internal_modules_do_not_trigger_the_warning(self, tmp_path):
         # Run the whole spec-native stack -- builders, batch engine (cold and
         # warm cache), sweep, CLI -- with DeprecationWarning promoted to an
-        # error: no internal module may construct the shim loudly.
+        # error: no internal module may emit one.
         from repro.analysis.sweep import latency_sweep
         from repro.exec.batch import run_batch
         from repro.exec.cli import main as cli_main
