@@ -470,8 +470,8 @@ def run_experiment(
 
     ``probe`` is an optional :class:`~repro.obs.probes.ProbeSpec` -- a
     *run argument*, deliberately not a spec field: it threads to the
-    kernel like ``bit_exact``, fills ``result.probe``, and never enters
-    cache keys, derived seeds or summaries (see :mod:`repro.obs`).
+    kernel, fills ``result.probe``, and never enters cache keys, derived
+    seeds or summaries (see :mod:`repro.obs`).
     """
     placement = (
         network.placement if network is not None else resolve_placement(spec)
@@ -493,7 +493,6 @@ def run_experiment(
         backend=spec.sim.backend,
         scenario=spec.scenario,
         scenario_seed=spec.sim.seed,
-        bit_exact=spec.sim.bit_exact,
         probe=probe,
     )
     return simulator.run()

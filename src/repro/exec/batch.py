@@ -100,7 +100,7 @@ from repro.obs.tracing import span
 from repro.registry import UnknownComponentError
 from repro.routing.adele import AdElePolicy, AdEleRoundRobinPolicy
 from repro.routing.base import RouteComputation
-from repro.sim.backends import BACKEND_REGISTRY
+from repro.sim.backends import BACKEND_REGISTRY, FLAT_ARRAY_BACKENDS
 from repro.spec import (
     DEFAULT_ADELE_LOW_TRAFFIC_THRESHOLD,
     DEFAULT_ADELE_MAX_SUBSET_SIZE,
@@ -167,12 +167,11 @@ class _TaskGroup:
     tasks: Tuple[_Task, ...]
 
 
-#: Simulation backends whose specs may be coalesced into replica groups.
-#: Only the flat-array kernel family is eligible: it is the kernel that
-#: has the replica axis, and routing other backends' specs through it
-#: would violate cache byte-identity (fast mode is a tolerance contract,
-#: not bit-identical to ``reference``/``optimized``).
-_GROUPABLE_BACKENDS = frozenset({"vectorized", "batched"})
+#: Simulation backends whose specs may be coalesced into replica groups:
+#: the flat-array kernel family, the only kernels with a replica axis.
+#: Specs naming another kernel run on it solo, so the kernel that ran is
+#: always the one the spec asked for.
+_GROUPABLE_BACKENDS = FLAT_ARRAY_BACKENDS
 
 
 def _groupable_spec(spec: ExperimentSpec) -> bool:
@@ -447,7 +446,6 @@ def _execute_group(
             warmup_cycles=sim.warmup_cycles,
             measurement_cycles=sim.measurement_cycles,
             drain_cycles=sim.drain_cycles,
-            bit_exact=sim.bit_exact,
             probe=group.tasks[0].probe,
         )
     kernel_s = time.perf_counter() - kernel_start

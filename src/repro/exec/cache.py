@@ -43,7 +43,7 @@ from repro.core.subset_search import ElevatorSubsetProblem, SubsetSolution
 from repro.obs.tracing import span
 from repro.registry import Registry
 from repro.routing.base import POLICY_REGISTRY
-from repro.sim.backends import BACKEND_REGISTRY, DEFAULT_BACKEND
+from repro.sim.backends import BACKEND_REGISTRY, DEFAULT_BACKEND, FLAT_ARRAY_BACKENDS
 from repro.spec import ADELE_POLICY_NAMES, DesignSpec, ExperimentSpec
 from repro.topology.elevators import PLACEMENT_REGISTRY, ElevatorPlacement
 from repro.topology.mesh3d import Mesh3D
@@ -120,6 +120,14 @@ def canonical_config(config: ExperimentSpec) -> Dict[str, Any]:
             del data["sim"]["backend"]
         else:
             data["sim"]["backend"] = canonical_backend
+    # ``bit_exact`` selects nothing, but flat-array keys carried it back
+    # when those kernels had an inexact default mode.  So the key holds the
+    # flag exactly when the kernel is one of them, whatever the field says:
+    # their exact-mode keys stay byte-identical, and other kernels' keys
+    # collapse onto the flag-free form.
+    data["sim"].pop("bit_exact", None)
+    if data["sim"].get("backend") in FLAT_ARRAY_BACKENDS:
+        data["sim"]["bit_exact"] = True
     # A nested design spec (present only when explicitly set) normalizes its
     # optimizer name/options and traffic label the same way: aliases and
     # explicitly spelled defaults never split the cache.
@@ -252,13 +260,15 @@ def derive_seed(config: ExperimentSpec, base_seed: int = 0) -> int:
     before hashing, so the derived seed depends only on *what* is simulated
     plus the batch-level base seed -- two batches with the same base seed
     assign identical seeds to identical tasks regardless of process, worker
-    count or submission order.  The simulation *backend* is excluded for
-    the same reason: backends are result-equivalent, so the same experiment
-    run on different kernels must draw the same traffic.
+    count or submission order.  The simulation *backend* (and the
+    ``bit_exact`` flag flat-array keys carry) is excluded for the same
+    reason: backends are result-equivalent, so the same experiment run on
+    different kernels must draw the same traffic.
     """
     payload = canonical_config(config)
     payload["sim"] = dict(payload["sim"], seed=int(base_seed))
     payload["sim"].pop("backend", None)
+    payload["sim"].pop("bit_exact", None)
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(blob.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") % SEED_SPACE

@@ -20,9 +20,9 @@ numpy reductions per sampled cycle (one series *per replica* under the
 batched backend).
 
 A probe is a **run argument**, never a spec field: it is threaded through
-``Simulator(probe=...)`` / ``run_experiment(probe=...)`` exactly like
-``bit_exact`` threads to the backend, and it never enters canonical
-serialization, ``config_key``, ``derive_seed`` or a cached summary row.
+``Simulator(probe=...)`` / ``run_experiment(probe=...)`` to the backend,
+and it never enters canonical serialization, ``config_key``,
+``derive_seed`` or a cached summary row.
 Kernels only *read* state when sampling, so a probed run is bit-identical
 to an unprobed one (pinned by ``tests/test_obs_neutrality.py``).
 """

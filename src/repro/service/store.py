@@ -34,6 +34,7 @@ import json
 import os
 import sqlite3
 import threading
+import time
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.analysis.runner import DesignCache, DesignKey
@@ -105,6 +106,9 @@ MIGRATIONS: Tuple[Tuple[str, ...], ...] = (
 
 SCHEMA_VERSION = len(MIGRATIONS)
 
+#: Seconds a connection waits on another process's lock before failing.
+BUSY_TIMEOUT_S = 30.0
+
 
 def _dumps(value: Any) -> str:
     """Canonical JSON text (sorted keys; ``Infinity`` allowed -- saturated
@@ -144,15 +148,33 @@ class SqliteStore:
         conn: Optional[sqlite3.Connection] = getattr(self._local, "conn", None)
         if conn is not None:
             return conn
-        conn = sqlite3.connect(self.path, timeout=30.0)
+        conn = sqlite3.connect(self.path, timeout=BUSY_TIMEOUT_S)
         conn.row_factory = sqlite3.Row
-        conn.execute("PRAGMA journal_mode=WAL")
+        self._enable_wal(conn)
         conn.execute("PRAGMA synchronous=NORMAL")
-        conn.execute("PRAGMA busy_timeout=30000")
+        conn.execute(f"PRAGMA busy_timeout={int(BUSY_TIMEOUT_S * 1000)}")
         conn.execute("PRAGMA foreign_keys=ON")
         self._local.conn = conn
         self._migrate(conn)
         return conn
+
+    @staticmethod
+    def _enable_wal(conn: sqlite3.Connection) -> None:
+        # Switching a new file into WAL upgrades a read lock to an exclusive
+        # one, and SQLite skips the busy handler on that upgrade, so racing
+        # first-openers get an immediate "database is locked".  Retry within
+        # the busy-timeout budget instead.
+        deadline = time.monotonic() + BUSY_TIMEOUT_S
+        delay = 0.001
+        while True:
+            try:
+                conn.execute("PRAGMA journal_mode=WAL")
+                return
+            except sqlite3.OperationalError as exc:
+                if "locked" not in str(exc) or time.monotonic() >= deadline:
+                    raise
+            time.sleep(delay)
+            delay = min(2 * delay, 0.05)
 
     def _migrate(self, conn: sqlite3.Connection) -> None:
         version = conn.execute("PRAGMA user_version").fetchone()[0]

@@ -3,7 +3,7 @@
 The :class:`~repro.sim.engine.Simulator` no longer owns the cycle loop: it
 delegates to a :class:`SimulatorBackend` looked up by name in
 :data:`BACKEND_REGISTRY`, mirroring the policy / traffic / placement
-registries.  Two kernels ship with the repository:
+registries.  Four kernels ship with the repository:
 
 ``reference``
     The original loop: every router evaluates route computation, switch
@@ -18,27 +18,18 @@ registries.  Two kernels ship with the repository:
     injection rates, where most of the mesh is empty most of the time, this
     cuts per-cycle work from O(routers) to O(active routers).
 
-``vectorized`` (requires numpy; registered only when numpy imports)
-    A flat-array kernel for the high-load regime: flit/channel/credit/
-    occupancy state lives in numpy arrays keyed by router index, with
-    batched per-cycle route lookup, allocation and commit.  Near
-    saturation -- where the active set degenerates to the whole mesh --
-    this removes the per-flit interpreter overhead that caps the other
-    kernels.
+``vectorized`` and ``batched``
+    A flat-array kernel: flit/channel/credit/occupancy state lives in numpy
+    arrays keyed by router index, with a batched per-cycle route lookup
+    and commit around the reference allocation discipline.  ``batched``
+    drives its replica axis, running seed replicas of one structural spec
+    through one numpy pass (:mod:`repro.sim.backends.batched`).
 
 **Equivalence contract**: every backend must produce *bit-identical*
 :class:`~repro.sim.engine.SimulationResult` data (statistics counters,
 latency samples, drain accounting) for the same network, packet source and
 seed.  The cross-backend test matrix in ``tests/test_backends.py`` enforces
-this; a registered kernel that diverges is a bug, not a variant.  One
-qualified exception: the ``vectorized`` kernel's *fast* allocation phase
-evaluates all routers against the cycle-start occupancy snapshot, so under
-contention it honors a documented tolerance contract instead (identical
-packet creation, flit conservation, aggregates within a small band -- see
-its module docstring).  Setting ``bit_exact`` (a per-run flag on the
-backend instance, threaded from :class:`repro.spec.SimSpec`) switches it
-to a sequential allocation phase that restores full bit-identity, which is
-how the cross-backend matrix validates it.
+this; a registered kernel that diverges is a bug, not a variant.
 
 Registering a custom kernel (e.g. from a ``--plugin`` module)::
 
@@ -76,6 +67,11 @@ register_backend = BACKEND_REGISTRY.register
 #: cache keys (and cached results) predating the backend field stay valid.
 DEFAULT_BACKEND = "optimized"
 
+#: Canonical names of the flat-array kernel family: the kernels with a
+#: replica axis, whose seed-only-differing specs the batch engine may
+#: group into one pass.
+FLAT_ARRAY_BACKENDS = frozenset({"vectorized", "batched"})
+
 
 class SimulatorBackend:
     """Base class for simulation kernels.
@@ -88,24 +84,18 @@ class SimulatorBackend:
 
     Attributes:
         name: Short backend name used in registries and reports.
-        bit_exact: When true, the kernel must produce results bit-identical
-            to the ``reference`` kernel even where its fast path only
-            honors a tolerance contract.  Inherently exact kernels ignore
-            the flag; :class:`~repro.sim.engine.Simulator` sets it on the
-            resolved instance when requested.
         probe: Optional :class:`~repro.obs.probes.ProbeSpec` asking the
             kernel to sample per-cycle congestion gauges.  A *run
-            argument* threaded exactly like ``bit_exact`` -- set on the
-            resolved instance by :class:`~repro.sim.engine.Simulator`,
-            never part of the spec or any cache key -- and, by contract,
-            **read-only**: sampling must not perturb results.
+            argument* -- set on the resolved instance by
+            :class:`~repro.sim.engine.Simulator`, never part of the spec
+            or any cache key -- and, by contract, **read-only**: sampling
+            must not perturb results.
         last_probe: One :class:`~repro.obs.probes.ProbeSeries` per replica
             (solo kernels: a one-element list) from the most recent
             ``execute`` call when ``probe`` was set, else ``None``.
     """
 
     name = "base"
-    bit_exact = False
     probe = None
     last_probe = None
 
@@ -178,6 +168,7 @@ from repro.sim.backends import batched as _batched  # noqa: E402,F401
 __all__ = [
     "BACKEND_REGISTRY",
     "DEFAULT_BACKEND",
+    "FLAT_ARRAY_BACKENDS",
     "SimulatorBackend",
     "available_backends",
     "register_backend",

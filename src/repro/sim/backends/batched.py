@@ -18,9 +18,9 @@ The hard invariant -- pinned by ``tests/test_replica_batch.py`` and the
 solo ``vectorized`` run of the same spec: links never cross replica
 blocks, allocation winner order within a replica matches the solo order
 (global node ids are replica-major), and all per-packet bookkeeping
-dispatches to the owning replica's objects.  ``bit_exact`` mode batches
-the exact sequential discipline the same way, joining the cross-backend
-identity matrix per replica.
+dispatches to the owning replica's objects.  Since the solo run is the
+one-replica case of the same cycle loop, every replica also joins the
+cross-backend identity matrix against ``reference``.
 
 Two entry points:
 
@@ -98,7 +98,6 @@ def run_replica_group(
     warmup_cycles: int,
     measurement_cycles: int,
     drain_cycles: int,
-    bit_exact: bool = False,
     backend_name: str = "batched",
     probe: Optional["ProbeSpec"] = None,
 ) -> List["SimulationResult"]:
@@ -108,9 +107,8 @@ def run_replica_group(
     :meth:`Simulator.run`: per-replica measurement windows, scenario
     timelines advanced through each replica's own packet-source wrapper,
     and *per-replica* drain accounting -- a replica's
-    ``drain_cycles_used`` is the cycle count until *it* went idle (idle is
-    monotone during drain: sources are not polled, so a drained replica
-    stays drained while stragglers keep stepping).
+    ``drain_cycles_used`` is the cycle count until *it* went idle (see
+    :meth:`~repro.sim.backends.vectorized._VectorizedKernel.run`).
     """
     # Deferred: repro.sim.engine imports this package at module scope.
     from repro.scenario.runtime import ScenarioRuntime
@@ -142,51 +140,19 @@ def run_replica_group(
         sources.append(source)
         runtimes.append(runtime)
 
-    count = len(replicas)
-    drain_used = [0] * count
-    kernel = _VectorizedKernel(networks, bit_exact=bit_exact)
-    step = kernel.step_exact if bit_exact else kernel.step
-    inject = kernel.inject
-    create_packet = kernel.create_packet
+    kernel = _VectorizedKernel(networks)
     series = None if probe is None else [probe.series() for _ in replicas]
-
-    def _sample(cycle: int) -> None:
-        if series is None or not probe.should_sample(cycle):
-            return
-        for index, reading in enumerate(kernel.probe_readings()):
-            series[index].append(cycle, reading)
-
     try:
-        for cycle in range(injection_end):
-            for index, source in enumerate(sources):
-                for request in source.requests(cycle):
-                    create_packet(
-                        index, request.source, request.destination,
-                        request.length, cycle,
-                    )
-            inject(cycle)
-            step(cycle)
-            _sample(cycle)
-
-        for drain in range(drain_cycles):
-            active = [
-                index for index in range(count)
-                if not kernel.replica_idle(index)
-            ]
-            if not active:
-                break
-            cycle = injection_end + drain
-            inject(cycle)
-            step(cycle)
-            for index in active:
-                drain_used[index] = drain + 1
-            _sample(cycle)
+        drain_used = kernel.run(
+            sources,
+            injection_end=injection_end,
+            drain_cycles=drain_cycles,
+            series=series,
+        )
     finally:
-        kernel.sync_back()
-        kernel.close()
         for index, runtime in enumerate(runtimes):
             if runtime is not None:
-                runtime.finalize(injection_end + drain_used[index])
+                runtime.finalize(injection_end + kernel.drain_used[index])
 
     results: List["SimulationResult"] = []
     for index, replica in enumerate(replicas):

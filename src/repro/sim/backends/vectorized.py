@@ -1,13 +1,13 @@
 """The vectorized simulation kernel: flat numpy state, batched cycle phases.
 
-Why it is faster *at high load*
+The flat-array layout
     The ``optimized`` active-set kernel makes per-cycle cost proportional
     to the number of buffered flits -- which is exactly what saturates at
     the injection rates of the paper's saturation and Pareto figures.  Near
     saturation every router holds flits, the active set degenerates to the
     whole mesh, and the per-flit Python interpreter overhead dominates.
-    This kernel removes that overhead by holding *all* flit, channel,
-    credit and allocation state in flat numpy arrays keyed by router index:
+    This kernel instead holds *all* flit, channel, credit and allocation
+    state in flat numpy arrays keyed by router index:
 
     * input buffers are fixed-depth ring buffers in ``(router, channel,
       slot)`` arrays holding packet indices and flit sequence numbers --
@@ -15,10 +15,13 @@ Why it is faster *at high load*
     * route computation is one batched lookup per cycle through the
       precomputed tables of :class:`repro.routing.base.PrecomputedRoutes`
       (intra-layer table, per-column elevator tables);
-    * switch allocation picks every router's per-output-port round-robin
-      winner in one ``lexsort`` over the eligible channels, and commits
-      all pops/stages/credit updates as batched scatter operations;
+    * switch allocation runs the reference discipline -- ascending node
+      id, per-output-port round-robin, live credit checks -- over those
+      arrays, and staged arrivals commit in one batched add per cycle;
     * the drain-idle check is an O(1) flit-counter comparison.
+
+    How its speed compares with ``optimized`` is recorded in
+    ``benchmarks/results/BENCH_perf_kernel.json``.
 
 The replica axis
     The kernel runs R structurally identical networks (*seed replicas*)
@@ -26,43 +29,27 @@ The replica axis
     disconnected union of the replicas, global node id ``r * N + local``
     for replica ``r`` of an N-router mesh.  Links never cross replicas
     (each replica's ``nbr`` rows point inside its own block), allocation
-    groups are keyed by global node so ``lexsort`` winners never mix
-    replicas, and per-packet bookkeeping dispatches to the owning
-    replica's ``Network`` / policy / statistics objects.  Each replica
-    therefore observes exactly the event sequence of a solo run -- the
-    batched path is bit-identical to R independent vectorized runs, per
-    replica, in both fast and exact mode (pinned by
-    ``tests/test_replica_batch.py``).  The solo case is simply R=1; the
-    ``batched`` backend (:mod:`repro.sim.backends.batched`) drives R>1.
+    walks global node ids in ascending order -- replica-major, so each
+    replica's routers arbitrate in their solo order -- and per-packet
+    bookkeeping dispatches to the owning replica's ``Network`` / policy /
+    statistics objects.  Each replica therefore observes exactly the event
+    sequence of a solo run -- the batched path is bit-identical to R
+    independent vectorized runs, per replica (pinned by
+    ``tests/test_replica_batch.py``).  The solo case is simply R=1 of the
+    same cycle loop (:meth:`_VectorizedKernel.run`); the ``batched``
+    backend (:mod:`repro.sim.backends.batched`) drives R>1.
 
-Equivalence: the tolerance contract and bit-exact mode
+Equivalence
     Packet-level bookkeeping (creation, elevator selection, latency
-    recording, AdEle's source-latency feedback) still routes through the
-    real :class:`~repro.sim.network.Network` / policy / statistics methods,
-    so per-packet statistics keep the reference semantics (including the
-    latency reservoir's sampling order).
-
-    The *fast* (default) allocation phase, however, evaluates all routers
-    against the cycle-start occupancy snapshot instead of the reference
-    kernel's ascending-node-id live scan.  The only observable difference
-    is credit visibility: a buffer slot freed by a router this cycle
-    becomes available to *all* upstream routers next cycle, where the
-    sequential kernels expose it to higher-numbered routers within the
-    same cycle.  Under contention this can delay individual flits by a
-    cycle and therefore reorder round-robin outcomes, so fast-mode results
-    are **not** bit-identical to ``reference``/``optimized`` -- they
-    satisfy a tolerance contract instead: identical packet creation
-    (injection RNG consumption is network-state independent), conservation
-    of flits, and aggregate metrics within a small relative band (pinned
-    by ``tests/test_backends.py``).
-
-    With ``bit_exact=True`` (see :class:`repro.spec.SimSpec.bit_exact`)
-    the allocation phase runs the exact sequential discipline -- ascending
-    node id, per-output-port round-robin, live credit checks -- over the
-    same numpy state, reproducing the other kernels' results bit for bit.
-    That mode is how the cross-backend identity matrix validates this
-    kernel; it is slower than fast mode but still avoids per-flit object
-    allocation.
+    recording, AdEle's source-latency feedback) routes through the real
+    :class:`~repro.sim.network.Network` / policy / statistics methods, so
+    per-packet statistics keep the reference semantics (including the
+    latency reservoir's sampling order).  Allocation visits routers in
+    ascending node id with live credit checks, so a buffer slot freed this
+    cycle is visible to higher-numbered routers within the same cycle,
+    exactly as in the sequential kernels.  Results are therefore
+    bit-identical to ``reference`` (pinned by the cross-backend identity
+    matrix in ``tests/test_backends.py``).
 
     One bookkeeping difference against the sequential kernels: the
     networks' ``_active_routers`` over-approximation is accumulated in a
@@ -84,6 +71,7 @@ from repro.sim.flit import Flit, FlitType, Packet
 from repro.sim.router import OPPOSITE_PORT, Port, VERTICAL_PORTS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.obs.probes import ProbeSeries
     from repro.sim.network import Network
     from repro.traffic.generator import PacketSource
 
@@ -94,15 +82,13 @@ _NUM_PORTS = len(Port)
 
 
 class _VectorizedKernel:
-    """Per-run flat numpy state + the batched (or exact) cycle step.
+    """Per-run flat numpy state, the cycle step and the cycle loop.
 
     Operates on a *list* of structurally identical networks (the replica
     axis, see module docstring); the solo case is a one-element list.
     """
 
-    def __init__(
-        self, networks: Sequence["Network"], bit_exact: bool = False
-    ) -> None:
+    def __init__(self, networks: Sequence["Network"]) -> None:
         self.networks: List["Network"] = list(networks)
         if not self.networks:
             raise ValueError("need at least one network")
@@ -117,7 +103,6 @@ class _VectorizedKernel:
                     "replica networks must be structurally identical "
                     "(mesh shape, virtual channels, buffer depth)"
                 )
-        self.bit_exact = bit_exact
         self.routes = first._route_computation.tables
         num_vcs = first.num_vcs
         self.num_vcs = num_vcs
@@ -213,6 +198,8 @@ class _VectorizedKernel:
         self.rt_acc = np.zeros(num_nodes, dtype=np.int64)
         #: In-network flit counts per replica (the O(1) drain-idle check).
         self.total_flits = np.zeros(self.num_replicas, dtype=np.int64)
+        #: Drain cycles each replica has used so far (kept by :meth:`run`).
+        self.drain_used: List[int] = [0] * self.num_replicas
         #: Global nodes staged into during the run; folded into each
         #: network's ``_active_routers`` over-approximation at sync_back.
         self._touched = np.zeros(num_nodes, dtype=bool)
@@ -487,14 +474,8 @@ class _VectorizedKernel:
             and self.total_flits[replica] == 0
         )
 
-    def idle(self) -> bool:
-        """Whether every replica is drained."""
-        return all(
-            self.replica_idle(replica) for replica in range(self.num_replicas)
-        )
-
     # ------------------------------------------------------------------ #
-    # Route computation (shared by both modes)
+    # Route computation
     # ------------------------------------------------------------------ #
     def _compute_routes(self) -> None:
         """Claim output ports for head flits at buffer fronts, batched."""
@@ -532,234 +513,9 @@ class _VectorizedKernel:
         self.route[nodes, channels] = ports
 
     # ------------------------------------------------------------------ #
-    # Fast mode: snapshot allocation, batched commit
+    # Switch allocation and commit: the reference discipline
     # ------------------------------------------------------------------ #
     def step(self, cycle: int) -> None:
-        """One cycle: batched route, snapshot allocation, batched commit."""
-        self._compute_routes()
-        head = self.head
-        nfifo = self.nfifo
-        nstaged = self.nstaged
-        depth = self.depth
-
-        candidates = (self.route >= 0) & (nfifo > 0)
-        if candidates.any():
-            nodes, channels = np.nonzero(candidates)
-            fronts = head[nodes, channels]
-            pkt = self.slot_pkt[nodes, channels, fronts]
-            seq = self.slot_seq[nodes, channels, fronts]
-            out_port = self.route[nodes, channels].astype(np.int32)
-            out_vc = self.p_vn[pkt].astype(np.int32)
-            holder = self.owner[nodes, out_port, out_vc]
-            is_head = seq == 0
-            eligible = np.where(
-                is_head, (holder < 0) | (holder == channels), holder == channels
-            )
-            # Credit check against the cycle-start snapshot (the tolerance
-            # contract: slots freed this cycle become visible next cycle).
-            is_local = out_port == _LOCAL
-            down = self.nbr[nodes, out_port]
-            down_ch = self.opp_base[out_port] + out_vc
-            has_space = np.zeros(len(nodes), dtype=bool)
-            linked = (~is_local) & (down >= 0)
-            if linked.any():
-                has_space[linked] = (
-                    nfifo[down[linked], down_ch[linked]]
-                    + nstaged[down[linked], down_ch[linked]]
-                ) < depth
-            eligible &= is_local | has_space
-            if eligible.any():
-                self._commit_winners(
-                    cycle,
-                    nodes,
-                    channels,
-                    pkt,
-                    seq,
-                    out_port,
-                    out_vc,
-                    is_head,
-                    down,
-                    down_ch,
-                    eligible,
-                )
-
-        # Commit staged arrivals (two-phase discipline).
-        if nstaged.any():
-            nfifo += nstaged
-            nstaged.fill(0)
-            self._occ_cache = None
-
-    def _commit_winners(
-        self,
-        cycle: int,
-        nodes,
-        channels,
-        pkt,
-        seq,
-        out_port,
-        out_vc,
-        is_head,
-        down,
-        down_ch,
-        eligible,
-    ) -> None:
-        """Pick each (router, output port) round-robin winner and commit.
-
-        Allocation groups are keyed by *global* node id, so winners never
-        mix replicas and the within-replica winner order (ascending local
-        node id) matches a solo run's -- which is what keeps per-replica
-        delivery order, and therefore latency-reservoir sampling,
-        bit-identical to solo execution.
-        """
-        idx = np.nonzero(eligible)[0]
-        group = nodes[idx] * _NUM_PORTS + out_port[idx]
-        rr_key = (channels[idx] - self.rr[nodes[idx], out_port[idx]]) % (
-            self.num_channels
-        )
-        order = np.lexsort((rr_key, group))
-        sorted_group = group[order]
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = sorted_group[1:] != sorted_group[:-1]
-        win = idx[order[first]]
-
-        w_node = nodes[win]
-        w_chan = channels[win]
-        w_pkt = pkt[win]
-        w_seq = seq[win]
-        w_port = out_port[win]
-        w_vc = out_vc[win]
-        w_head = is_head[win]
-        w_tail = w_seq == (self.p_len[w_pkt] - 1)
-
-        per_replica = self.nodes_per_replica
-        num_replicas = self.num_replicas
-        networks = self.networks
-        w_rep = w_node // per_replica
-
-        # Pop the winners and advance the round-robin pointers.  All
-        # scatter targets are unique: one winner per input channel, one
-        # per (router, output port) group, and -- because opposite ports
-        # are a bijection -- one per downstream (router, channel) slot.
-        head = self.head
-        nfifo = self.nfifo
-        head[w_node, w_chan] = (head[w_node, w_chan] + 1) % self.depth
-        nfifo[w_node, w_chan] -= 1
-        self.rr[w_node, w_port] = (w_chan + 1) % self.num_channels
-        if w_head.any():
-            self.owner[w_node[w_head], w_port[w_head], w_vc[w_head]] = w_chan[
-                w_head
-            ]
-        if w_tail.any():
-            self.owner[w_node[w_tail], w_port[w_tail], w_vc[w_tail]] = -1
-            self.route[w_node[w_tail], w_chan[w_tail]] = -1
-        self._occ_cache = None
-
-        measurement_start = networks[0].stats.measurement_start
-        measured = cycle >= measurement_start
-        if measured:
-            np.add.at(self.rt_acc, w_node, 1)
-            rep_counts = np.bincount(w_rep, minlength=num_replicas)
-            for replica in np.nonzero(rep_counts)[0].tolist():
-                phase = networks[replica].stats._phase
-                if phase is not None:
-                    phase.router_traversals += int(rep_counts[replica])
-
-        # Source-side bookkeeping (AdEle's local latency estimate): flits
-        # leaving their source router's LOCAL input port.
-        packets = self.packets
-        from_local = w_chan < self.num_vcs
-        if from_local.any():
-            for j in np.nonzero(from_local)[0]:
-                packet = packets[w_pkt[j]]
-                replica = int(w_rep[j])
-                if w_node[j] - replica * per_replica != packet.source:
-                    continue
-                if w_head[j]:
-                    packet.head_exit_cycle = cycle
-                if w_tail[j]:
-                    packet.tail_exit_cycle = cycle
-                    metric = packet.source_serialization_latency()
-                    if metric is not None and packet.elevator_index is not None:
-                        networks[replica].policy.notify_source_latency(
-                            packet.source, packet.elevator_index, metric, cycle
-                        )
-
-        is_local = w_port == _LOCAL
-        forwarded = ~is_local
-        if forwarded.any():
-            vertical = (w_port == _UP) | (w_port == _DOWN)
-            if measured:
-                vert_mask = forwarded & vertical
-                fwd_counts = np.bincount(
-                    w_rep[forwarded], minlength=num_replicas
-                )
-                vert_counts = np.bincount(
-                    w_rep[vert_mask], minlength=num_replicas
-                )
-                for replica in np.nonzero(fwd_counts)[0].tolist():
-                    stats = networks[replica].stats
-                    vertical_count = int(vert_counts[replica])
-                    horizontal_count = int(fwd_counts[replica]) - vertical_count
-                    stats.vertical_link_traversals += vertical_count
-                    stats.horizontal_link_traversals += horizontal_count
-                    phase = stats._phase
-                    if phase is not None:
-                        phase.vertical_link_traversals += vertical_count
-                        phase.horizontal_link_traversals += horizontal_count
-            head_hops = forwarded & w_head
-            if head_hops.any():
-                for j in np.nonzero(head_hops)[0]:
-                    packet = packets[w_pkt[j]]
-                    packet.hops += 1
-                    if vertical[j]:
-                        packet.vertical_hops += 1
-            fwd = np.nonzero(forwarded)[0]
-            dest_node = down[win[fwd]]
-            dest_chan = down_ch[win[fwd]]
-            slot = (
-                head[dest_node, dest_chan]
-                + nfifo[dest_node, dest_chan]
-                + self.nstaged[dest_node, dest_chan]
-            ) % self.depth
-            self.slot_pkt[dest_node, dest_chan, slot] = w_pkt[fwd]
-            self.slot_seq[dest_node, dest_chan, slot] = w_seq[fwd]
-            self.nstaged[dest_node, dest_chan] += 1
-            self._touched[dest_node] = True
-
-        if is_local.any():
-            ejected = np.nonzero(is_local)[0]
-            eject_rep = w_rep[ejected]
-            delivered_mask = (
-                self.p_creation[w_pkt[ejected]] >= measurement_start
-            )
-            if delivered_mask.any():
-                del_counts = np.bincount(
-                    eject_rep[delivered_mask], minlength=num_replicas
-                )
-                for replica in np.nonzero(del_counts)[0].tolist():
-                    stats = networks[replica].stats
-                    delivered = int(del_counts[replica])
-                    stats.flits_delivered += delivered
-                    phase = stats._phase
-                    if phase is not None:
-                        phase.flits_delivered += delivered
-            self.total_flits -= np.bincount(eject_rep, minlength=num_replicas)
-            # Tail ejections finish packets; winners are sorted by global
-            # router id, so within each replica the delivery order matches
-            # the sequential kernels' (and a solo run's).
-            for j in ejected:
-                if not w_tail[j]:
-                    continue
-                packet = packets[w_pkt[j]]
-                network = networks[int(w_rep[j])]
-                packet.delivery_cycle = cycle
-                network.stats.record_packet_delivered(packet, cycle)
-                network._in_flight -= 1
-
-    # ------------------------------------------------------------------ #
-    # Bit-exact mode: sequential allocation over the numpy state
-    # ------------------------------------------------------------------ #
-    def step_exact(self, cycle: int) -> None:
         """One cycle with the reference allocation discipline (live credits)."""
         self._compute_routes()
         head = self.head
@@ -884,6 +640,68 @@ class _VectorizedKernel:
             nfifo += nstaged
             nstaged.fill(0)
         self._occ_cache = None
+
+    # ------------------------------------------------------------------ #
+    # The cycle loop (a solo run is the one-replica case)
+    # ------------------------------------------------------------------ #
+    def run(
+        self,
+        sources: Sequence["PacketSource"],
+        *,
+        injection_end: int,
+        drain_cycles: int,
+        series: Optional[Sequence["ProbeSeries"]] = None,
+    ) -> List[int]:
+        """Inject / step / probe until ``injection_end``, then drain.
+
+        ``sources[r]`` feeds replica ``r``; when probing, ``series[r]``
+        receives its readings.  Returns each replica's drain cycles: the
+        count until *it* went idle (idle is monotone during drain, since
+        sources are no longer polled, so a drained replica stays drained
+        while stragglers keep stepping).  The counts are kept in
+        ``drain_used`` as the loop runs, so they stay readable after an
+        exception.  Flit-level state is rematerialized and the networks
+        detached on *every* exit path -- a packet source or policy raising
+        mid-run must not leave a network unreadable.
+        """
+        drain_used = self.drain_used
+        replicas = range(self.num_replicas)
+        inject = self.inject
+        step = self.step
+        create_packet = self.create_packet
+
+        def _sample(cycle: int) -> None:
+            if series is None or not series[0].spec.should_sample(cycle):
+                return
+            for replica, reading in enumerate(self.probe_readings()):
+                series[replica].append(cycle, reading)
+
+        try:
+            for cycle in range(injection_end):
+                for replica, source in enumerate(sources):
+                    for request in source.requests(cycle):
+                        create_packet(
+                            replica, request.source, request.destination,
+                            request.length, cycle,
+                        )
+                inject(cycle)
+                step(cycle)
+                _sample(cycle)
+
+            for drain in range(drain_cycles):
+                active = [r for r in replicas if not self.replica_idle(r)]
+                if not active:
+                    break
+                cycle = injection_end + drain
+                inject(cycle)
+                step(cycle)
+                for replica in active:
+                    drain_used[replica] = drain + 1
+                _sample(cycle)
+        finally:
+            self.sync_back()
+            self.close()
+        return drain_used
 
     # ------------------------------------------------------------------ #
     # State export
@@ -1051,17 +869,14 @@ class _VectorizedKernel:
     "vectorized",
     aliases=("numpy", "flat-array"),
     description=(
-        "flat-array numpy kernel for the high-load regime "
-        "(tolerance contract; bit-exact mode available)"
+        "flat-array numpy kernel with a replica axis "
+        "(bit-identical to reference)"
     ),
 )
 class VectorizedBackend(SimulatorBackend):
     """Vectorized flat-array simulation kernel (see module docstring)."""
 
     name = "vectorized"
-
-    def __init__(self, bit_exact: bool = False) -> None:
-        self.bit_exact = bit_exact
 
     def execute(
         self,
@@ -1072,38 +887,12 @@ class VectorizedBackend(SimulatorBackend):
         measurement_cycles: int,
         drain_cycles: int,
     ) -> int:
-        kernel = _VectorizedKernel([network], bit_exact=self.bit_exact)
-        step = kernel.step_exact if self.bit_exact else kernel.step
-        inject = kernel.inject
-        create_packet = kernel.create_packet
+        kernel = _VectorizedKernel([network])
         probe = self._probe_begin()
-        injection_end = warmup_cycles + measurement_cycles
-        # The finally clause rematerializes Flit-level state on *every*
-        # exit path -- a packet source or policy raising mid-run must not
-        # leave the network unreadable.
-        try:
-            for cycle in range(injection_end):
-                for request in packet_source.requests(cycle):
-                    create_packet(
-                        0, request.source, request.destination, request.length,
-                        cycle,
-                    )
-                inject(cycle)
-                step(cycle)
-                if probe is not None and probe.spec.should_sample(cycle):
-                    probe.append(cycle, kernel.probe_readings()[0])
-
-            drain_used = 0
-            for drain in range(drain_cycles):
-                if kernel.idle():
-                    break
-                cycle = injection_end + drain
-                inject(cycle)
-                step(cycle)
-                drain_used = drain + 1
-                if probe is not None and probe.spec.should_sample(cycle):
-                    probe.append(cycle, kernel.probe_readings()[0])
-        finally:
-            kernel.sync_back()
-            kernel.close()
+        [drain_used] = kernel.run(
+            [packet_source],
+            injection_end=warmup_cycles + measurement_cycles,
+            drain_cycles=drain_cycles,
+            series=None if probe is None else [probe],
+        )
         return drain_used

@@ -141,18 +141,11 @@ class Simulator:
             statistics gain per-phase measurement windows.
         scenario_seed: Seed that phase traffic patterns derive theirs from
             (the experiment seed, for spec-driven runs).
-        bit_exact: Ask the backend for results bit-identical to the
-            ``reference`` kernel even where its fast path only honors the
-            documented tolerance contract (the ``vectorized`` backend; the
-            other kernels are inherently exact and ignore the flag).  The
-            flag is set on the resolved backend instance, so passing a
-            pre-built backend shared across simulators with different
-            ``bit_exact`` values is the caller's responsibility.
         probe: Optional :class:`~repro.obs.probes.ProbeSpec` asking the
             kernel to sample per-cycle congestion gauges into
-            ``result.probe``.  A run argument threaded to the backend
-            exactly like ``bit_exact`` -- never a spec field, never part
-            of cache keys or summaries (see :mod:`repro.obs`).
+            ``result.probe``.  A run argument set on the resolved backend
+            instance -- never a spec field, never part of cache keys or
+            summaries (see :mod:`repro.obs`).
     """
 
     def __init__(
@@ -166,7 +159,6 @@ class Simulator:
         backend: Union[str, SimulatorBackend, None] = None,
         scenario: Optional[ScenarioSpec] = None,
         scenario_seed: int = 0,
-        bit_exact: bool = False,
         probe: Optional[Any] = None,
     ) -> None:
         if warmup_cycles < 0 or measurement_cycles <= 0 or drain_cycles < 0:
@@ -178,8 +170,6 @@ class Simulator:
         self.drain_cycles = drain_cycles
         self.energy_model = energy_model
         self.backend = resolve_backend(backend)
-        if bit_exact:
-            self.backend.bit_exact = True
         if probe is not None:
             self.backend.probe = probe
         self.scenario = scenario
@@ -257,7 +247,6 @@ def run_simulation(
     backend: Union[str, SimulatorBackend, None] = None,
     scenario: Optional[ScenarioSpec] = None,
     scenario_seed: int = 0,
-    bit_exact: bool = False,
     probe: Optional[Any] = None,
 ) -> SimulationResult:
     """Convenience wrapper building and running a :class:`Simulator`."""
@@ -271,7 +260,6 @@ def run_simulation(
         backend=backend,
         scenario=scenario,
         scenario_seed=scenario_seed,
-        bit_exact=bit_exact,
         probe=probe,
     )
     return simulator.run()

@@ -332,11 +332,10 @@ class SimSpec:
             field when it equals the default -- cache keys (and cached
             results) predating the field stay valid, and picking the
             default backend explicitly never splits the cache.
-        bit_exact: Force the selected backend to produce results
-            bit-identical to the ``reference`` kernel even where its fast
-            path only honors the documented tolerance contract (the
-            ``vectorized`` backend).  Serialized only when set, for the
-            same cache-stability reason as ``backend``.
+        bit_exact: Selects nothing: every kernel is bit-identical to
+            ``reference``.  Still accepted and round-tripped (serialized
+            only when set) so older spec files load; cache keys ignore its
+            value (see :func:`repro.exec.cache.canonical_config`).
     """
 
     warmup_cycles: int = 300

@@ -7,11 +7,6 @@ that contract down with a cross-backend matrix over policies, traffic
 patterns and injection rates (including saturation), hypothesis-generated
 random specs, and direct checks of the active-set bookkeeping the optimized
 kernel relies on.
-
-The ``vectorized`` kernel joins the matrix in its ``bit_exact`` mode (the
-mode the equivalence contract covers); its default fast mode honors a
-documented tolerance contract instead, pinned by
-:class:`TestVectorizedFastMode`.
 """
 
 from __future__ import annotations
@@ -43,12 +38,9 @@ from repro.traffic.generator import BernoulliPacketSource, TracePacketSource
 from repro.traffic.patterns import UniformTraffic
 from repro.traffic.trace import TraceEvent, TrafficTrace
 
-#: Backends under the bit-identity contract (the numpy kernels via their
-#: bit_exact mode; ``batched`` with one replica IS the vectorized path).
+#: Backends under the bit-identity contract (``batched`` with one replica
+#: IS the vectorized path).
 ALL_BACKENDS = ["reference", "optimized", "vectorized", "batched"]
-
-#: Kernels whose bit-identity membership requires the bit_exact flag.
-BIT_EXACT_BACKENDS = frozenset({"vectorized", "batched"})
 
 
 def _placement(shape=(3, 3, 2), columns=((0, 0), (2, 2))) -> ElevatorPlacement:
@@ -67,9 +59,6 @@ def _spec(backend: str, **overrides) -> ExperimentSpec:
             drain_cycles=200,
             seed=11,
             backend=backend,
-            # The equivalence matrix runs the vectorized kernel in its
-            # bit-exact mode; the other kernels ignore the flag.
-            bit_exact=(backend in BIT_EXACT_BACKENDS),
         ),
     )
     return spec.with_(**overrides) if overrides else spec
@@ -106,7 +95,6 @@ class TestRegistry:
         assert isinstance(resolve_backend("vectorized"), VectorizedBackend)
         assert isinstance(resolve_backend("numpy"), VectorizedBackend)
         assert isinstance(resolve_backend("flat-array"), VectorizedBackend)
-        assert resolve_backend("vectorized").bit_exact is False
 
     def test_batched_aliases_resolve(self):
         from repro.sim.backends.batched import BatchedBackend
@@ -186,7 +174,7 @@ class TestPrecomputedRoutes:
 
 
 class TestCrossBackendEquivalence:
-    """reference == optimized == vectorized (bit-exact mode), bit for bit,
+    """reference == optimized == vectorized == batched, bit for bit,
     over a policy x traffic x rate matrix that spans empty, flowing and
     saturated networks."""
 
@@ -233,8 +221,7 @@ class TestCrossBackendEquivalence:
         for backend in ALL_BACKENDS:
             network = Network(placement, make_policy("elevator_first", placement))
             sim = Simulator(
-                network, TracePacketSource(trace), 5, 40, 100,
-                backend=backend, bit_exact=(backend in BIT_EXACT_BACKENDS),
+                network, TracePacketSource(trace), 5, 40, 100, backend=backend
             )
             results.append(sim.run())
         for other in results[1:]:
@@ -253,10 +240,7 @@ class TestCrossBackendEquivalence:
             source = BernoulliPacketSource(
                 UniformTraffic(placement.mesh, seed=7), 0.2, seed=7
             )
-            sim = Simulator(
-                network, source, 10, 80, 30,
-                backend=backend, bit_exact=(backend in BIT_EXACT_BACKENDS),
-            )
+            sim = Simulator(network, source, 10, 80, 30, backend=backend)
             first = sim.run()
             assert first.drain_cycles_used == 30  # saturated: drain exhausted
             results[backend] = sim.run()  # resumes from in-flight state
@@ -267,6 +251,17 @@ class TestCrossBackendEquivalence:
                 _full_stats_fields(results[backend].stats)
             ), backend
 
+    def test_vectorized_without_flag_is_exact_under_contention(self):
+        """One contract for the flat-array kernel: a spec that never sets
+        ``bit_exact`` still matches ``reference`` bit for bit on a
+        contended mesh, where any allocation-order divergence shows."""
+        spec = _spec("reference", injection_rate=0.08)
+        assert spec.sim.bit_exact is False
+        ref = run_experiment(spec)
+        other = run_experiment(spec.with_(backend="vectorized"))
+        assert ref.summary() == other.summary()
+        assert _full_stats_fields(ref.stats) == _full_stats_fields(other.stats)
+
     def test_adele_policy_identical(self, tiny_amosa):
         spec = _spec(
             "reference",
@@ -274,9 +269,7 @@ class TestCrossBackendEquivalence:
         )
         ref = run_experiment(spec)
         for backend in ALL_BACKENDS[1:]:
-            other = run_experiment(
-                spec.with_(backend=backend, bit_exact=(backend in BIT_EXACT_BACKENDS))
-            )
+            other = run_experiment(spec.with_(backend=backend))
             assert ref.summary() == other.summary(), backend
             assert _full_stats_fields(ref.stats) == (
                 _full_stats_fields(other.stats)
@@ -339,9 +332,7 @@ class TestHypothesisEquivalence:
         )
         ref = run_experiment(spec)
         for backend in ALL_BACKENDS[1:]:
-            other = run_experiment(
-                spec.with_(backend=backend, bit_exact=(backend in BIT_EXACT_BACKENDS))
-            )
+            other = run_experiment(spec.with_(backend=backend))
             assert ref.summary() == other.summary(), backend
             assert ref.drain_cycles_used == other.drain_cycles_used, backend
             assert _full_stats_fields(ref.stats) == (
@@ -455,7 +446,7 @@ class TestDrainAccounting:
 class TestSaturatedDrainAccounting:
     """Satellite regression: a saturated mesh must exhaust its drain budget
     and report identical drain / undelivered-packet accounting on every
-    backend (vectorized in bit-exact mode)."""
+    backend."""
 
     RATE = 0.2
 
@@ -493,54 +484,6 @@ class TestSaturatedDrainAccounting:
             assert other.stats.flits_delivered == (
                 ref.stats.flits_delivered
             ), backend
-
-
-class TestVectorizedFastMode:
-    """The vectorized kernel's default (fast) mode tolerance contract.
-
-    The fast allocation phase arbitrates against the cycle-start occupancy
-    snapshot, so under contention individual allocation orders may differ
-    from the reference kernel.  The contract it must still honor: packet
-    creation is bit-identical (the traffic RNG never observes network
-    state), flits are conserved, and runs that fully drain deliver every
-    packet.
-    """
-
-    def test_packet_creation_identical_to_reference(self):
-        for rate in (0.01, 0.08):
-            ref = run_experiment(_spec("reference", injection_rate=rate))
-            fast = run_experiment(
-                _spec("vectorized", injection_rate=rate, bit_exact=False)
-            )
-            assert fast.stats.packets_created == ref.stats.packets_created
-            assert (
-                fast.stats.elevator_assignments == ref.stats.elevator_assignments
-            )
-
-    def test_drained_run_conserves_packets(self):
-        fast = run_experiment(
-            _spec("vectorized", injection_rate=0.01, bit_exact=False)
-        )
-        assert fast.drain_cycles_used < 200  # drained before the budget
-        assert fast.stats.packets_delivered == fast.stats.packets_created
-        assert fast.stats.packets_delivered > 0
-
-    def test_fast_mode_is_deterministic(self):
-        spec = _spec("vectorized", injection_rate=0.08, bit_exact=False)
-        first = run_experiment(spec)
-        second = run_experiment(spec.with_(seed=11))  # same spec, fresh run
-        assert first.summary() == second.summary()
-        assert _full_stats_fields(first.stats) == _full_stats_fields(second.stats)
-
-    def test_fast_mode_throughput_close_to_reference(self):
-        ref = run_experiment(_spec("reference", injection_rate=0.04))
-        fast = run_experiment(
-            _spec("vectorized", injection_rate=0.04, bit_exact=False)
-        )
-        assert fast.throughput == pytest.approx(ref.throughput, rel=0.05)
-        assert fast.average_latency == pytest.approx(
-            ref.average_latency, rel=0.15
-        )
 
 
 class TestLatencyReservoir:

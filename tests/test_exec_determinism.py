@@ -14,7 +14,7 @@ from repro.analysis import runner
 from repro.core.amosa import AmosaConfig
 from repro.exec.batch import ExperimentBatch, run_batch
 from repro.exec.cache import DiskDesignCache, ResultCache, config_key, derive_seed
-from repro.spec import ExperimentSpec, PlacementSpec, PolicySpec
+from repro.spec import ExperimentSpec, PlacementSpec, PolicySpec, SimSpec, TrafficSpec
 from repro.topology.elevators import ElevatorPlacement
 from repro.topology.mesh3d import Mesh3D
 
@@ -28,6 +28,14 @@ TINY_AMOSA = AmosaConfig(
     initial_solutions=3,
     seed=2,
 )
+
+#: Cache keys of two benchmark-shaped specs, computed before the
+#: ``vectorized`` kernel lost its inexact default mode: a Fig. 4 PM-knee
+#: spec on the flat-array kernel with ``bit_exact`` set, and a Fig. 7
+#: application spec on the default kernel.  Rows cached under them stay
+#: servable only while these hashes hold byte for byte.
+PM_KNEE_KEY = "ee276ad6a53d4226ec7f7dd1e89e7afd49486276f685958d5a9ecb556ce02fbe"
+PAPER_APPS_KEY = "797c9ada42f42b93bdd9dd292230c156512acf2cce147439cc8817fc0e77af18"
 
 
 def _tiny_placement() -> ElevatorPlacement:
@@ -172,6 +180,43 @@ class TestCrossBackendDeterminism:
         assert derive_seed(spec.with_(backend="reference"), 7) == derive_seed(
             spec.with_(backend="optimized"), 7
         )
+
+    def test_derived_seed_ignores_kernel_and_bit_exact_flag(self, grid):
+        spec = grid[0]
+        seeds = {
+            derive_seed(spec.with_(backend=backend, bit_exact=flag), 7)
+            for backend in ("reference", "optimized", "vectorized")
+            for flag in (False, True)
+        }
+        assert seeds == {derive_seed(spec, 7)}
+
+    def test_bit_exact_flag_never_splits_the_cache(self, grid):
+        for backend in ("reference", "optimized", "vectorized", "batched"):
+            spec = grid[0].with_(backend=backend)
+            assert config_key(spec) == config_key(spec.with_(bit_exact=True)), backend
+
+    def test_benchmark_shaped_keys_are_pinned(self):
+        pm_knee = ExperimentSpec(
+            placement=PlacementSpec(name="PM"),
+            policy=PolicySpec(name="adele"),
+            traffic=TrafficSpec(pattern="uniform", injection_rate=0.006),
+            sim=SimSpec(
+                warmup_cycles=200, measurement_cycles=600, drain_cycles=400,
+                seed=100003, backend="vectorized", bit_exact=True,
+            ),
+        )
+        paper_apps = ExperimentSpec(
+            placement=PlacementSpec(name="PS1"),
+            policy=PolicySpec(name="cda"),
+            traffic=TrafficSpec(pattern="fft", injection_rate=0.005),
+            sim=SimSpec(
+                warmup_cycles=200, measurement_cycles=800, drain_cycles=500,
+                seed=100003,
+            ),
+        )
+        assert config_key(pm_knee) == PM_KNEE_KEY
+        assert config_key(pm_knee.with_(bit_exact=False)) == PM_KNEE_KEY
+        assert config_key(paper_apps) == PAPER_APPS_KEY
 
     def test_base_seeded_batches_agree_across_backends(self, grid):
         ref = run_batch([s.with_(backend="reference") for s in grid], base_seed=9)

@@ -10,8 +10,8 @@ may change.
 
 Sections:
 
-* ``TestReplicaGroupContract`` -- run_replica_group vs solo runs, fast
-  and bit-exact modes, both shipped policies, scenario timelines.
+* ``TestReplicaGroupContract`` -- run_replica_group vs solo runs, both
+  shipped policies, scenario timelines.
 * ``TestStructuralKeyGrouping`` -- hypothesis property: the structural
   key partitions any mixed grid exactly (same key iff canonical config
   minus seed matches), and ``_plan_units`` emits every task exactly once
@@ -110,6 +110,8 @@ def _result_fields(result) -> dict:
 
 
 class TestReplicaGroupContract:
+    # ``SimSpec.bit_exact`` selects nothing: grouped runs match solo runs
+    # of specs that carry the flag exactly as they match flag-less ones.
     @pytest.mark.parametrize("bit_exact", [False, True])
     @pytest.mark.parametrize("policy", ["elevator_first", "cda"])
     def test_group_matches_solo_runs(self, policy, bit_exact):
@@ -123,7 +125,6 @@ class TestReplicaGroupContract:
             warmup_cycles=specs[0].sim.warmup_cycles,
             measurement_cycles=specs[0].sim.measurement_cycles,
             drain_cycles=specs[0].sim.drain_cycles,
-            bit_exact=bit_exact,
         )
         grouped = [_result_fields(result) for result in grouped_results]
         assert grouped == solo

@@ -197,8 +197,7 @@ class TestKeyStability:
 # ---------------------------------------------------------------------- #
 # Cross-backend matrix (acceptance criterion)
 # ---------------------------------------------------------------------- #
-#: Kernels in the scenario cross-backend identity matrix.  The vectorized
-#: kernel participates in its bit-exact mode.
+#: Kernels in the scenario cross-backend identity matrix.
 MATRIX_BACKENDS = ["reference", "optimized", "vectorized"]
 
 #: One scenario per registered event kind.  The completeness check below
@@ -256,9 +255,7 @@ class TestCrossBackendMatrix:
         spec = _spec(policy=policy, scenario=scenario)
         reference = run_experiment(spec.with_(backend="reference"))
         for backend in MATRIX_BACKENDS[1:]:
-            other = run_experiment(
-                spec.with_(backend=backend, bit_exact=(backend == "vectorized"))
-            )
+            other = run_experiment(spec.with_(backend=backend))
             assert _full_comparison(reference) == _full_comparison(other), backend
         # The scenario actually produced phase windows (baseline + events).
         assert len(reference.stats.phases) == len(scenario.events) + 1
@@ -275,9 +272,7 @@ class TestCrossBackendMatrix:
         spec = _spec(policy="adele", scenario=scenario)
         reference = run_experiment(spec.with_(backend="reference"))
         for backend in MATRIX_BACKENDS[1:]:
-            other = run_experiment(
-                spec.with_(backend=backend, bit_exact=(backend == "vectorized"))
-            )
+            other = run_experiment(spec.with_(backend=backend))
             assert _full_comparison(reference) == _full_comparison(other), backend
 
     def test_fault_excludes_elevator_from_new_assignments(self):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 import sqlite3
+import threading
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -274,3 +275,29 @@ class TestMultiProcessStress:
             assert conn.execute("PRAGMA user_version").fetchone()[0] == SCHEMA_VERSION
         finally:
             conn.close()
+
+    def test_first_open_waits_out_a_held_write_lock(self, tmp_path):
+        """The switch into WAL waits for another writer instead of failing.
+
+        SQLite skips the busy handler when that switch upgrades its read
+        lock, so without a retry a first-opener racing another one fails
+        at once with ``database is locked``.
+        """
+        path = str(tmp_path / "held.sqlite3")
+        writer = sqlite3.connect(
+            path, isolation_level=None, check_same_thread=False
+        )
+        writer.execute("CREATE TABLE other(x)")  # a rollback-journal file
+        writer.execute("BEGIN IMMEDIATE")
+        release = threading.Timer(0.3, writer.rollback)
+        release.start()
+        try:
+            store = SqliteStore(path)
+            try:
+                assert store.query("PRAGMA journal_mode")[0][0] == "wal"
+                assert store.query("PRAGMA user_version")[0][0] == SCHEMA_VERSION
+            finally:
+                store.close()
+        finally:
+            release.join()
+            writer.close()
