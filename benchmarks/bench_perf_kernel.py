@@ -4,18 +4,17 @@ Unlike the ``bench_fig*`` files (which reproduce paper figures through
 pytest), this is a standalone script establishing the repository's
 performance trajectory.  Two sections:
 
-*Low load* (4x4x3 mesh, rates at or below 0.006): times the ``reference``,
-``optimized`` and ``vectorized`` kernels and checks the active-set
-contract (``optimized`` >= 2x ``reference`` in the region where most
-routers are empty).
+*Low load* (4x4x3 mesh, rates at or below 0.006): times the ``reference``
+and ``optimized`` kernels and checks the active-set contract
+(``optimized`` >= 2x ``reference`` in the region where most routers are
+empty).
 
-*High load* (saturated 8x8x4 mesh): the regime the flat-array layout of
-the ``vectorized`` kernel targets -- the active set degenerates to the
-whole mesh.  Records ``vectorized_speedup_vs_optimized``.
+*High load* (saturated 8x8x4 mesh): the regime where the active set
+degenerates to the whole mesh.
 
-Every kernel is bit-identical to ``reference``, and every timed cell is
-checked against the ``reference`` cell of its section bit for bit, so
-each speed ratio compares exact kernels with each other.
+Both kernels are bit-identical, and every timed cell is checked against
+the ``reference`` cell of its section bit for bit, so each speed ratio
+compares exact kernels with each other.
 
 Everything lands in ``benchmarks/results/BENCH_perf_kernel.json``.
 
@@ -47,7 +46,7 @@ RESULT_FILE = os.path.join(RESULTS_DIR, "BENCH_perf_kernel.json")
 MESH = (4, 4, 3)
 ELEVATOR_COLUMNS = ((0, 0), (3, 3))
 #: Kernels timed in both sections; ``reference`` is the oracle.
-BACKENDS = ("reference", "optimized", "vectorized")
+BACKENDS = ("reference", "optimized")
 
 HIGHLOAD_MESH = (8, 8, 4)
 HIGHLOAD_COLUMNS = ((0, 0), (7, 0), (0, 7), (7, 7), (3, 3), (4, 4))
@@ -128,15 +127,14 @@ def run_lowload(args: argparse.Namespace) -> Dict:
             for b in BACKENDS
         }
         check_identity(cells, f"at rate {rate}")
-        ref, opt, vec = cells["reference"], cells["optimized"], cells["vectorized"]
+        ref, opt = cells["reference"], cells["optimized"]
         speedup = ref["seconds"] / opt["seconds"] if opt["seconds"] > 0 else float("inf")
         speedups[f"{rate:g}"] = speedup
         rows.extend(cells.values())
         print(
             f"rate={rate:<8g} reference {ref['cycles_per_second']:>10.0f} cyc/s   "
             f"optimized {opt['cycles_per_second']:>10.0f} cyc/s   "
-            f"speedup {speedup:.2f}x   "
-            f"vectorized {vec['cycles_per_second']:>10.0f} cyc/s"
+            f"speedup {speedup:.2f}x"
         )
     return {
         "mesh": list(MESH),
@@ -151,7 +149,7 @@ def run_lowload(args: argparse.Namespace) -> Dict:
 
 
 def run_highload(args: argparse.Namespace) -> Dict:
-    """Saturated-mesh section: where the vectorized kernel earns its keep."""
+    """Saturated-mesh section: every router busy, no idle cycles to skip."""
     window = dict(
         mesh=HIGHLOAD_MESH,
         columns=HIGHLOAD_COLUMNS,
@@ -170,8 +168,6 @@ def run_highload(args: argparse.Namespace) -> Dict:
         b: time_spec(make_spec(b, rate, **window), args.repeats) for b in BACKENDS
     }
     check_identity(cells, "on the saturated mesh")
-    ref, opt, vec = cells["reference"], cells["optimized"], cells["vectorized"]
-    speedup = opt["seconds"] / vec["seconds"] if vec["seconds"] > 0 else float("inf")
     record: Dict = {
         "mesh": list(HIGHLOAD_MESH),
         "elevator_columns": [list(c) for c in HIGHLOAD_COLUMNS],
@@ -180,15 +176,13 @@ def run_highload(args: argparse.Namespace) -> Dict:
         "measurement_cycles": args.highload_measure,
         "drain_cycles": args.highload_drain,
         "results": list(cells.values()),
-        "saturated": ref["summary"]["delivery_ratio"] < 0.5,
-        "vectorized_speedup_vs_optimized": speedup,
+        "saturated": cells["reference"]["summary"]["delivery_ratio"] < 0.5,
     }
     for backend, cell in cells.items():
         print(
             f"high-load {backend:<11s} {cell['cycles_per_second']:>10.0f} cyc/s   "
             f"({cell['seconds']:.2f}s)"
         )
-    print(f"high-load vectorized speedup over optimized: {speedup:.2f}x")
     return record
 
 

@@ -5,14 +5,14 @@ point as ``python -m repro`` (the parallel experiment engine CLI:
 ``repro sweep`` / ``repro compare``).
 
 The only third-party runtime dependency is numpy, which powers the
-``vectorized`` simulation kernel and the array-based objective evaluation.
+array-based objective evaluation.
 """
 
 from setuptools import find_packages, setup
 
 setup(
     name="repro-adele",
-    version="1.12.0",
+    version="1.13.0",
     description=(
         "Reproduction of AdEle: adaptive congestion- and energy-aware "
         "elevator selection for partially connected 3D NoCs (DAC 2021)"

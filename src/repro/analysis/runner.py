@@ -155,11 +155,6 @@ def _traffic_matrix_digest(traffic_matrix) -> str:
 # ---------------------------------------------------------------------- #
 # Building blocks
 # ---------------------------------------------------------------------- #
-def resolve_placement(spec: ExperimentSpec) -> ElevatorPlacement:
-    """Resolve the placement object of an experiment."""
-    return spec.placement.resolve()
-
-
 def build_traffic(spec: ExperimentSpec, placement: ElevatorPlacement) -> TrafficPattern:
     """Build the traffic pattern named by an experiment."""
     return spec.traffic.build(placement, seed=spec.sim.seed)
@@ -421,11 +416,11 @@ def build_network(
 ) -> Network:
     """Build the network for an experiment.
 
-    ``route_computation`` lets warm workers and replica groups share one
-    precomputed route-table object across networks of the same mesh (the
-    tables are immutable and depend only on the mesh shape).
+    ``route_computation`` lets warm workers share one precomputed
+    route-table object across networks of the same mesh (the tables are
+    immutable and depend only on the mesh shape).
     """
-    placement = placement if placement is not None else resolve_placement(spec)
+    placement = placement if placement is not None else spec.placement.resolve()
     if policy is None:
         policy = build_policy(spec, placement, design_cache=design_cache)
     return Network(
@@ -474,7 +469,7 @@ def run_experiment(
     seeds or summaries (see :mod:`repro.obs`).
     """
     placement = (
-        network.placement if network is not None else resolve_placement(spec)
+        network.placement if network is not None else spec.placement.resolve()
     )
     if network is None:
         network = build_network(spec, placement=placement)

@@ -94,7 +94,6 @@ from repro.exec.cache import (
     derive_seed,
     open_caches,
     spec_from_canonical,
-    structural_key,
 )
 from repro.exec.shard import ShardSpec, parse_shard, shard_of
 from repro.obs.metrics import (
@@ -285,7 +284,6 @@ def run_specs(
     cache_backend: str = "json",
     shard: Optional[ShardSpec] = None,
     chunk_size: Optional[int] = None,
-    replica_batch: Optional[int] = None,
     probe: Optional[ProbeSpec] = None,
     metrics: Optional[MetricsRegistry] = None,
 ) -> List[ExperimentOutcome]:
@@ -312,11 +310,6 @@ def run_specs(
             together with :func:`merge_results`.
         chunk_size: Flush results to the cache (plus a resumable manifest
             when ``cache_dir`` is set) every this many completed specs.
-        replica_batch: When >= 2, coalesce specs differing only in seed
-            (on the flat-array kernel family) into replica groups of at
-            most this many, each run as one batched kernel pass; results
-            and cache bytes are unchanged, only wall-clock is.  See
-            :class:`~repro.exec.batch.ExperimentBatch`.
         probe: Optional kernel probe attached to every *executed* task;
             the sampled series land in the batch's ``last_probes`` (keyed
             by cache key) and never enter cache keys, derived seeds or
@@ -341,7 +334,6 @@ def run_specs(
         shard=shard,
         chunk_size=chunk_size,
         manifest_dir=cache_dir,
-        replica_batch=replica_batch,
         probe=probe,
         metrics=metrics,
     )
@@ -449,7 +441,6 @@ __all__ = [
     "canonical_config",
     "config_key",
     "derive_seed",
-    "structural_key",
     "load_spec",
     "save_spec",
     # registries

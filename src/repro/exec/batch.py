@@ -23,20 +23,6 @@ Caching
     through the injectable design cache -- and shipped to workers as plain
     per-router subsets, so worker processes never re-run AMOSA.
 
-Replica batching
-    With ``replica_batch=N``, tasks that share a *structural key*
-    (:func:`~repro.exec.cache.structural_key`: canonical spec minus seed)
-    and run on the flat-array kernel family (``vectorized`` / ``batched``
-    backends) are coalesced -- up to N seed-replicas execute through one
-    replica-batched kernel pass
-    (:func:`repro.sim.backends.batched.run_replica_group`) instead of N
-    solo runs.  Grouping changes *only* wall-clock: each replica keeps its
-    own ``config_key``, summary row and cache entry, and the grouped cache
-    is byte-identical to an ungrouped run of the same grid (pinned by
-    tests and the ``BENCH_perf_replicas`` gate).  Groups never span chunk
-    boundaries, so ``--shard`` partitioning, checkpoint manifests and
-    ``run_streaming`` aggregation behave exactly as before.
-
 Warm-worker memoization
     Workers keep small per-process LRUs of expensive setup objects:
     constructed :class:`~repro.sim.network.Network`\\ s (reused across
@@ -71,19 +57,17 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 from repro.analysis.runner import (
-    _DEFAULT_ENERGY_MODEL,
     DesignCache,
     adele_design_for,
     build_network,
-    build_packet_source,
     design_for_placement,
-    resolve_placement,
     run_experiment,
 )
+# Unused here; ``benchmarks/e2e/e2e_layers.py`` wraps it under this module.
+from repro.analysis.runner import build_packet_source  # noqa: F401
 from repro.energy.model import EnergyModel
 from repro.exec.cache import (
     ResultCache,
@@ -91,16 +75,13 @@ from repro.exec.cache import (
     canonical_config,
     config_key,
     derive_seed,
-    structural_key,
 )
 from repro.exec.shard import ShardSpec
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, MetricsRegistry
 from repro.obs.probes import ProbeSpec
 from repro.obs.tracing import span
-from repro.registry import UnknownComponentError
 from repro.routing.adele import AdElePolicy, AdEleRoundRobinPolicy
 from repro.routing.base import RouteComputation
-from repro.sim.backends import BACKEND_REGISTRY, FLAT_ARRAY_BACKENDS
 from repro.spec import (
     DEFAULT_ADELE_LOW_TRAFFIC_THRESHOLD,
     DEFAULT_ADELE_MAX_SUBSET_SIZE,
@@ -152,37 +133,6 @@ class _Task:
     energy_model: Optional[EnergyModel] = None
     plugins: Tuple[str, ...] = ()
     probe: Optional[ProbeSpec] = None
-
-
-@dataclass(frozen=True)
-class _TaskGroup:
-    """A replica group: tasks sharing one structural key, run in one pass.
-
-    All members simulate the same mesh/placement/policy/traffic/cycles and
-    differ only in seed, so they execute through
-    :func:`repro.sim.backends.batched.run_replica_group` as one kernel
-    invocation while keeping per-task keys, summaries and cache entries.
-    """
-
-    tasks: Tuple[_Task, ...]
-
-
-#: Simulation backends whose specs may be coalesced into replica groups:
-#: the flat-array kernel family, the only kernels with a replica axis.
-#: Specs naming another kernel run on it solo, so the kernel that ran is
-#: always the one the spec asked for.
-_GROUPABLE_BACKENDS = FLAT_ARRAY_BACKENDS
-
-
-def _groupable_spec(spec: ExperimentSpec) -> bool:
-    """Whether a spec may join a replica group (kernel-family check)."""
-    try:
-        canonical = BACKEND_REGISTRY.entry(spec.sim.backend).name
-    except UnknownComponentError:
-        # Leave the spec a solo task; execution will surface the error
-        # with the registry's own message.
-        return False
-    return canonical in _GROUPABLE_BACKENDS
 
 
 # ---------------------------------------------------------------------- #
@@ -320,7 +270,7 @@ def _build_task_network(task: _Task) -> Tuple[Any, bool]:
     Returns ``(network, route_tables_were_memo_hit)``.
     """
     spec = task.spec
-    placement = resolve_placement(spec)
+    placement = spec.placement.resolve()
     routes, routes_hit = _memo_route_tables(placement.mesh)
     if task.subsets is not None:
         policy = _policy_from_subsets(spec, placement, task.subsets)
@@ -332,12 +282,6 @@ def _build_task_network(task: _Task) -> Tuple[Any, bool]:
             spec, placement=placement, route_computation=routes
         )
     return network, routes_hit
-
-
-def _execute_task(task: _Task) -> Tuple[str, Dict[str, float]]:
-    """Run one experiment end to end (module-level so it pickles)."""
-    key, summary, _meta = _execute_task_timed(task)
-    return key, summary
 
 
 def _execute_task_timed(
@@ -395,85 +339,6 @@ def _execute_task_timed(
     return task.key, result.summary(), meta
 
 
-def _execute_group(
-    group: _TaskGroup,
-) -> List[Tuple[str, Dict[str, float], Dict[str, Any]]]:
-    """Run one replica group through a single batched kernel pass.
-
-    Every member gets its own freshly built network / packet source /
-    placement (scenario fault events mutate placements, and replicas run
-    interleaved, so nothing may be shared except the immutable route
-    tables) -- construction order is group order, matching the solo path's
-    per-task construction exactly.  Timings are attributed per task as an
-    even split of the group's setup and kernel time.
-    """
-    from repro.sim.backends.batched import ReplicaRun, run_replica_group
-
-    hits = 0
-    misses = 0
-    setup_start = time.perf_counter()
-    with span("setup.network", replicas=len(group.tasks)):
-        replicas = []
-        for task in group.tasks:
-            for module in task.plugins:
-                importlib.import_module(module)
-            spec = task.spec
-            network, routes_hit = _build_task_network(task)
-            if routes_hit:
-                hits += 1
-            else:
-                misses += 1
-            source = build_packet_source(spec, network.placement)
-            replicas.append(
-                ReplicaRun(
-                    network=network,
-                    packet_source=source,
-                    scenario=spec.scenario,
-                    scenario_seed=spec.sim.seed,
-                    energy_model=(
-                        task.energy_model
-                        if task.energy_model is not None
-                        else _DEFAULT_ENERGY_MODEL
-                    ),
-                )
-            )
-    setup_s = time.perf_counter() - setup_start
-    sim = group.tasks[0].spec.sim
-    kernel_start = time.perf_counter()
-    with span("group.run", replicas=len(group.tasks)):
-        results = run_replica_group(
-            replicas,
-            warmup_cycles=sim.warmup_cycles,
-            measurement_cycles=sim.measurement_cycles,
-            drain_cycles=sim.drain_cycles,
-            probe=group.tasks[0].probe,
-        )
-    kernel_s = time.perf_counter() - kernel_start
-    share = len(group.tasks)
-    rows = []
-    for task, result in zip(group.tasks, results):
-        meta: Dict[str, Any] = {
-            "setup_s": setup_s / share,
-            "kernel_s": kernel_s / share,
-            "memo_hits": hits if task is group.tasks[0] else 0,
-            "memo_misses": misses if task is group.tasks[0] else 0,
-            "replicas": share,
-        }
-        if result.probe is not None:
-            meta["probe"] = result.probe
-        rows.append((task.key, result.summary(), meta))
-    return rows
-
-
-def _execute_unit(
-    unit: Union[_Task, _TaskGroup],
-) -> List[Tuple[str, Dict[str, float], Dict[str, Any]]]:
-    """Run one work unit -- a solo task or a replica group (picklable)."""
-    if isinstance(unit, _TaskGroup):
-        return _execute_group(unit)
-    return [_execute_task_timed(unit)]
-
-
 class ExperimentBatch:
     """Run a list of experiments, in parallel and cached.
 
@@ -514,12 +379,8 @@ class ExperimentBatch:
             is the resume source of truth -- rerunning the same grid skips
             every flushed row; the manifest is the inspectable progress
             record.
-        replica_batch: When >= 2, coalesce pending tasks that share a
-            structural key (canonical spec minus seed) and run on the
-            flat-array kernel family into replica groups of at most this
-            many, each executed as one batched kernel pass (see the module
-            docstring).  Results and cache bytes are unchanged; only
-            wall-clock is.  ``None``/1 keeps solo execution.
+        replica_batch: Accepted and validated because the benchmark of
+            record still passes it; it has no effect.
         probe: Optional :class:`~repro.obs.probes.ProbeSpec` attached to
             every *executed* task (cache hits skip simulation, so they
             yield no series).  A run argument, never a spec field: it does
@@ -567,7 +428,6 @@ class ExperimentBatch:
         self.shard = shard
         self.chunk_size = chunk_size
         self.manifest_dir = manifest_dir
-        self.replica_batch = replica_batch
         self.probe = probe
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: Probe series sampled by the last ``run()``, keyed by config key
@@ -587,7 +447,7 @@ class ExperimentBatch:
         #: chunk size, which is what lets :meth:`run_streaming` aggregate a
         #: mega-grid in O(chunk) memory.
         self.last_peak_rows = 0
-        #: Number of replica groups coalesced by the last ``run()``.
+        #: Always 0 (no task is grouped); read by the benchmark of record.
         self.last_replica_groups = 0
         #: Seconds the last ``run()`` spent in per-task setup (placement /
         #: policy / network construction, memo traffic included), summed
@@ -616,7 +476,7 @@ class ExperimentBatch:
     def _make_task(self, spec: ExperimentSpec, key: str) -> _Task:
         subsets = None
         if spec.policy.needs_design:
-            placement = resolve_placement(spec)
+            placement = spec.placement.resolve()
             if spec.design is not None:
                 design = design_for_placement(
                     placement, spec.design, cache=self.design_cache
@@ -697,51 +557,6 @@ class ExperimentBatch:
         ).hexdigest()[:16]
         return os.path.join(directory, f"manifest-{grid_id}.json")
 
-    def _plan_units(
-        self, chunk_tasks: Sequence[_Task]
-    ) -> List[Union[_Task, _TaskGroup]]:
-        """Coalesce a chunk's tasks into work units (replica grouping).
-
-        Tasks sharing a structural key -- and running on the flat-array
-        kernel family -- merge into :class:`_TaskGroup` units of at most
-        ``replica_batch`` members; everything else stays a solo task.  A
-        group is emitted at its first member's position, so unit order
-        follows task order and grouping never reorders cache flushes
-        across chunks.  With ``replica_batch`` unset (or 1) the chunk
-        passes through unchanged.
-        """
-        limit = self.replica_batch
-        if limit is None or limit < 2:
-            return list(chunk_tasks)
-        extra = self._key_extra()
-        buckets: Dict[str, List[_Task]] = {}
-        bucket_of: Dict[int, Optional[str]] = {}
-        for task in chunk_tasks:
-            skey: Optional[str] = None
-            if _groupable_spec(task.spec):
-                skey = structural_key(task.spec, extra=extra)
-                buckets.setdefault(skey, []).append(task)
-            bucket_of[id(task)] = skey
-        units: List[Union[_Task, _TaskGroup]] = []
-        emitted: set = set()
-        for task in chunk_tasks:
-            skey = bucket_of[id(task)]
-            if skey is None or len(buckets[skey]) < 2:
-                units.append(task)
-                continue
-            if skey in emitted:
-                continue
-            emitted.add(skey)
-            members = buckets[skey]
-            for start in range(0, len(members), limit):
-                sub = members[start:start + limit]
-                if len(sub) == 1:
-                    units.append(sub[0])
-                else:
-                    units.append(_TaskGroup(tasks=tuple(sub)))
-                    self.last_replica_groups += 1
-        return units
-
     def _execute_pending(
         self,
         pending: Dict[str, _Task],
@@ -757,14 +572,8 @@ class ExperimentBatch:
         var (:data:`ABORT_AFTER_CHUNKS_ENV`) raises :class:`ChunkAbort`
         after N chunk flushes while work remains, simulating that kill at a
         deterministic boundary.
-
-        With ``replica_batch`` set, each chunk's tasks are first planned
-        into work units (:meth:`_plan_units`); rows still flush to the
-        cache in the chunk's original task order, so grouping changes
-        nothing about what a resumed or streamed run observes.
         """
         self.last_chunks = 0
-        self.last_replica_groups = 0
         self.last_setup_s = 0.0
         self.last_kernel_s = 0.0
         self.last_memo_hits = 0
@@ -799,29 +608,21 @@ class ExperimentBatch:
             completed = 0
             for start in range(0, len(tasks), chunk):
                 chunk_tasks = tasks[start:start + chunk]
-                units = self._plan_units(chunk_tasks)
-                if pool is not None and len(units) > 1:
-                    unit_rows = list(pool.map(_execute_unit, units))
+                if pool is not None and len(chunk_tasks) > 1:
+                    rows = list(pool.map(_execute_task_timed, chunk_tasks))
                 else:
-                    unit_rows = [_execute_unit(unit) for unit in units]
-                rows_by_key: Dict[str, Dict[str, float]] = {}
-                for rows in unit_rows:
-                    for key, summary, meta in rows:
-                        rows_by_key[key] = summary
-                        self.last_setup_s += meta["setup_s"]
-                        self.last_kernel_s += meta["kernel_s"]
-                        self.last_memo_hits += meta["memo_hits"]
-                        self.last_memo_misses += meta["memo_misses"]
-                        setup_hist.observe(meta["setup_s"])
-                        kernel_hist.observe(meta["kernel_s"])
-                        if "probe" in meta:
-                            self.last_probes[key] = meta["probe"]
-                # Emit in the chunk's original task order regardless of
-                # grouping, so cache flush order -- and therefore stream
-                # emission order -- is identical with and without it.
-                finished = [
-                    (task.key, rows_by_key[task.key]) for task in chunk_tasks
-                ]
+                    rows = [_execute_task_timed(task) for task in chunk_tasks]
+                finished = []
+                for key, summary, meta in rows:
+                    finished.append((key, summary))
+                    self.last_setup_s += meta["setup_s"]
+                    self.last_kernel_s += meta["kernel_s"]
+                    self.last_memo_hits += meta["memo_hits"]
+                    self.last_memo_misses += meta["memo_misses"]
+                    setup_hist.observe(meta["setup_s"])
+                    kernel_hist.observe(meta["kernel_s"])
+                    if "probe" in meta:
+                        self.last_probes[key] = meta["probe"]
                 self.last_peak_rows = max(self.last_peak_rows, len(finished))
                 with span("chunk.flush", rows=len(finished)):
                     for key, summary in finished:
@@ -880,10 +681,6 @@ class ExperimentBatch:
             "repro_chunks_flushed_total",
             help="Chunk flushes performed by batches.",
         ).inc(self.last_chunks)
-        metrics.counter(
-            "repro_replica_groups_total",
-            help="Replica groups coalesced by batches.",
-        ).inc(self.last_replica_groups)
         metrics.counter(
             "repro_memo_hits_total",
             help="Warm-worker setup memo hits.",
@@ -1019,7 +816,6 @@ def run_batch(
     plugins: Sequence[str] = (),
     shard: Optional[ShardSpec] = None,
     chunk_size: Optional[int] = None,
-    replica_batch: Optional[int] = None,
     probe: Optional[ProbeSpec] = None,
 ) -> List[ExperimentOutcome]:
     """Convenience wrapper: build an :class:`ExperimentBatch` and run it."""
@@ -1033,7 +829,6 @@ def run_batch(
         plugins=plugins,
         shard=shard,
         chunk_size=chunk_size,
-        replica_batch=replica_batch,
         probe=probe,
     )
     return batch.run()

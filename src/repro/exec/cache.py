@@ -43,7 +43,7 @@ from repro.core.subset_search import ElevatorSubsetProblem, SubsetSolution
 from repro.obs.tracing import span
 from repro.registry import Registry
 from repro.routing.base import POLICY_REGISTRY
-from repro.sim.backends import BACKEND_REGISTRY, DEFAULT_BACKEND, FLAT_ARRAY_BACKENDS
+from repro.sim.backends import BACKEND_REGISTRY, DEFAULT_BACKEND
 from repro.spec import ADELE_POLICY_NAMES, DesignSpec, ExperimentSpec
 from repro.topology.elevators import PLACEMENT_REGISTRY, ElevatorPlacement
 from repro.topology.mesh3d import Mesh3D
@@ -120,14 +120,9 @@ def canonical_config(config: ExperimentSpec) -> Dict[str, Any]:
             del data["sim"]["backend"]
         else:
             data["sim"]["backend"] = canonical_backend
-    # ``bit_exact`` selects nothing, but flat-array keys carried it back
-    # when those kernels had an inexact default mode.  So the key holds the
-    # flag exactly when the kernel is one of them, whatever the field says:
-    # their exact-mode keys stay byte-identical, and other kernels' keys
-    # collapse onto the flag-free form.
+    # ``bit_exact`` selects nothing (every kernel is exact), so it never
+    # splits the cache.
     data["sim"].pop("bit_exact", None)
-    if data["sim"].get("backend") in FLAT_ARRAY_BACKENDS:
-        data["sim"]["bit_exact"] = True
     # A nested design spec (present only when explicitly set) normalizes its
     # optimizer name/options and traffic label the same way: aliases and
     # explicitly spelled defaults never split the cache.
@@ -217,37 +212,6 @@ def config_key(config: ExperimentSpec, extra: Optional[Dict[str, Any]] = None) -
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def structural_config(config: ExperimentSpec) -> Dict[str, Any]:
-    """The canonical dictionary of an experiment *minus its seed*.
-
-    Two experiments with the same structural configuration simulate the
-    same mesh, placement, policy, traffic shape, cycles and scenario --
-    they differ only in which RNG streams they draw.  Such seed-replicas
-    can share one replica-batched kernel pass (see
-    :mod:`repro.sim.backends.batched`); everything else about them (their
-    ``config_key``, derived seed, cache entry) stays per-spec.
-    """
-    payload = canonical_config(config)
-    payload["sim"] = dict(payload["sim"])
-    payload["sim"].pop("seed", None)
-    return payload
-
-
-def structural_key(config: ExperimentSpec, extra: Optional[Dict[str, Any]] = None) -> str:
-    """Content hash of :func:`structural_config` -- the replica-group key.
-
-    ``extra`` is mixed in exactly as in :func:`config_key`, so specs whose
-    results depend on different out-of-spec inputs (e.g. energy-model
-    parameters) never land in the same replica group.
-    """
-    blob = json.dumps(
-        structural_config(config), sort_keys=True, separators=(",", ":")
-    )
-    if extra:
-        blob += json.dumps(extra, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
 def spec_from_canonical(data: Dict[str, Any]) -> ExperimentSpec:
     """Rebuild a typed spec from its canonical dictionary."""
     return ExperimentSpec.from_dict(data)
@@ -260,15 +224,13 @@ def derive_seed(config: ExperimentSpec, base_seed: int = 0) -> int:
     before hashing, so the derived seed depends only on *what* is simulated
     plus the batch-level base seed -- two batches with the same base seed
     assign identical seeds to identical tasks regardless of process, worker
-    count or submission order.  The simulation *backend* (and the
-    ``bit_exact`` flag flat-array keys carry) is excluded for the same
-    reason: backends are result-equivalent, so the same experiment run on
-    different kernels must draw the same traffic.
+    count or submission order.  The simulation *backend* is excluded for
+    the same reason: backends are result-equivalent, so the same experiment
+    run on different kernels must draw the same traffic.
     """
     payload = canonical_config(config)
     payload["sim"] = dict(payload["sim"], seed=int(base_seed))
     payload["sim"].pop("backend", None)
-    payload["sim"].pop("bit_exact", None)
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(blob.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") % SEED_SPACE

@@ -359,12 +359,6 @@ def _add_shard_arguments(parser: argparse.ArgumentParser) -> None:
         help="flush results to the cache every C completed specs (chunked "
              "checkpointing; a killed run resumes from its last chunk)",
     )
-    scale.add_argument(
-        "--replica-batch", type=int, default=None, metavar="R",
-        help="coalesce up to R structurally identical specs (differing only "
-             "in seed) into one multi-replica kernel pass; cache contents "
-             "stay byte-identical to ungrouped execution",
-    )
 
 
 def _parse_shard_argument(args: argparse.Namespace) -> Optional[ShardSpec]:
@@ -549,11 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
              "owns (N daemons split every job deterministically)",
     )
     serve.add_argument(
-        "--replica-batch", type=int, default=None, metavar="R",
-        help="forward a replica-batch width to every worker's batch engine "
-             "(see the sweep/run flag of the same name)",
-    )
-    serve.add_argument(
         "--verbose", action="store_true",
         help="DEBUG-level service logging on stderr (structured access-log "
              "events show at the default INFO level already)",
@@ -734,7 +723,6 @@ def _make_batch(
         shard=_parse_shard_argument(args),
         chunk_size=getattr(args, "chunk_size", None),
         manifest_dir=args.cache_dir,
-        replica_batch=getattr(args, "replica_batch", None),
         probe=_parse_probe_argument(args),
     )
 
@@ -750,11 +738,6 @@ def _report_engine(batch: ExperimentBatch) -> None:
         print(
             f"[repro.exec] shard {shard}: {batch.last_skipped} spec(s) "
             "owned by other shards skipped"
-        )
-    if getattr(batch, "replica_batch", None) is not None:
-        print(
-            f"[repro.exec] replica batching: {batch.last_replica_groups} "
-            f"group(s) of width <= {batch.replica_batch}"
         )
     if batch.last_executed:
         print(
@@ -792,7 +775,7 @@ def _engine_document(batch) -> Dict[str, Any]:
         "memo_hits": batch.last_memo_hits,
         "memo_misses": batch.last_memo_misses,
     }
-    # Shard/chunk/replica keys appear only when the features are in play,
+    # Shard/chunk keys appear only when the features are in play,
     # keeping plain documents (and everything pinned on them) unchanged.
     shard = getattr(batch, "shard", None)
     if shard is not None:
@@ -800,9 +783,6 @@ def _engine_document(batch) -> Dict[str, Any]:
         document["skipped"] = batch.last_skipped
     if getattr(batch, "chunk_size", None) is not None:
         document["chunks"] = batch.last_chunks
-    if getattr(batch, "replica_batch", None) is not None:
-        document["replica_batch"] = batch.replica_batch
-        document["replica_groups"] = batch.last_replica_groups
     return document
 
 
@@ -1261,7 +1241,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         max_attempts=args.max_attempts,
         plugins=tuple(getattr(args, "plugin", [])),
         shard=_parse_shard_argument(args),
-        replica_batch=getattr(args, "replica_batch", None),
         verbose=getattr(args, "verbose", False),
     )
 

@@ -17,7 +17,7 @@ Three pillars, one hard invariant:
 * **Kernel probes** (:mod:`repro.obs.probes`) -- an opt-in
   :class:`ProbeSpec` (sample interval + channel selection, passed as a
   *run argument*, never a spec field) sampling per-cycle congestion
-  gauges from every backend family into a bounded :class:`ProbeSeries`.
+  gauges from every backend into a bounded :class:`ProbeSeries`.
 
 The invariant: **observability never perturbs results**.  Nothing in this
 package enters :class:`~repro.spec.ExperimentSpec` canonical

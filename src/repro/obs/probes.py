@@ -13,11 +13,9 @@ Channel                Meaning at the sampled cycle
 ``layer_occupancy``    per-layer list of buffered flits (TSV pressure)
 ====================== ==================================================
 
-Every backend family fills the same channels -- the reference kernel by
-scanning the :class:`~repro.sim.network.Network`, the active-set kernel
-from its own incremental counters, and the flat-array kernel with O(1)
-numpy reductions per sampled cycle (one series *per replica* under the
-batched backend).
+Both kernels fill the same channels -- the reference kernel by scanning
+the :class:`~repro.sim.network.Network`, the active-set kernel from its
+own incremental counters.
 
 A probe is a **run argument**, never a spec field: it is threaded through
 ``Simulator(probe=...)`` / ``run_experiment(probe=...)`` to the backend,
@@ -89,7 +87,7 @@ class ProbeSpec:
 
 @dataclass
 class ProbeSeries:
-    """One run's sampled time-series (one instance per replica)."""
+    """One run's sampled time-series."""
 
     spec: ProbeSpec
     cycles: List[int] = field(default_factory=list)
@@ -135,7 +133,7 @@ class ProbeSeries:
 
 
 def series_document(series: Sequence[ProbeSeries]) -> Dict[str, Any]:
-    """The ``--json`` probe block: one entry per replica series."""
+    """The ``--json`` probe block: one entry per series."""
     return {
         "series": [s.to_dict() for s in series],
     }
@@ -146,7 +144,7 @@ def network_reading(network: Any) -> Dict[str, Any]:
 
     One pass over the over-approximating active-router set (read-only: no
     pruning, no state change), used by the ``reference`` kernel; the
-    active-set and flat-array kernels sample their own counters instead.
+    active-set kernel samples its own counters instead.
     """
     mesh = network.mesh
     nodes_per_layer = mesh.nodes_per_layer

@@ -354,7 +354,6 @@ def serve(
     install_signal_handlers: bool = True,
     ready: Optional[threading.Event] = None,
     shard: Optional[ShardSpec] = None,
-    replica_batch: Optional[int] = None,
     verbose: bool = False,
 ) -> int:
     """Run the daemon until SIGINT/SIGTERM: recover, serve, drain, close.
@@ -393,7 +392,6 @@ def serve(
         workers=workers,
         queue=queue,
         plugins=plugins,
-        replica_batch=replica_batch,
     )
     context = ServiceContext(store, queue, pool)
     server = make_server(context, host=host, port=port)

@@ -41,7 +41,6 @@ def execute_claimed_task(
     result_cache: SqliteResultCache,
     design_cache: SqliteDesignCache,
     plugins: Sequence[str] = (),
-    replica_batch: Optional[int] = None,
     metrics: Optional[MetricsRegistry] = None,
 ) -> bool:
     """Execute one claimed task and report its outcome to the queue.
@@ -49,12 +48,9 @@ def execute_claimed_task(
     Shared by the in-process worker threads and the out-of-process worker
     entry point (tests exercise crash-resume by running this in a killable
     subprocess).  Returns ``True`` on completion, ``False`` on failure.
-    ``replica_batch`` is forwarded to the batch engine (tasks are claimed
-    one at a time today, so its effect here is enabling the engine's
-    replica-aware path for future multi-spec tasks; the warm-worker setup
-    memo is per-process and always active).  ``metrics`` is handed to the
-    batch engine, so a pool-wide registry aggregates engine counters
-    across every task (the ``GET /metrics`` source).
+    ``metrics`` is handed to the batch engine, so a pool-wide registry
+    aggregates engine counters across every task (the ``GET /metrics``
+    source).
     """
     try:
         batch = ExperimentBatch(
@@ -63,7 +59,6 @@ def execute_claimed_task(
             result_cache=result_cache,
             design_cache=design_cache,
             plugins=tuple(plugins),
-            replica_batch=replica_batch,
             metrics=metrics,
         )
         outcome = batch.run()[0]
@@ -96,9 +91,6 @@ class WorkerPool:
             to the shard's deterministic slice of every job (``repro
             serve --shard K/N``).  Ignored when an explicit ``queue`` is
             given -- configure that queue's shard directly.
-        replica_batch: Forwarded to every task execution's batch engine
-            (``repro serve --replica-batch N``); see
-            :func:`execute_claimed_task`.
     """
 
     def __init__(
@@ -110,7 +102,6 @@ class WorkerPool:
         lease_seconds: float = DEFAULT_LEASE_SECONDS,
         plugins: Sequence[str] = (),
         shard: Optional[ShardSpec] = None,
-        replica_batch: Optional[int] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if workers < 1:
@@ -121,7 +112,6 @@ class WorkerPool:
         self.poll_interval = poll_interval
         self.lease_seconds = lease_seconds
         self.plugins: Tuple[str, ...] = tuple(plugins)
-        self.replica_batch = replica_batch
         self.result_cache = SqliteResultCache(store)
         self.design_cache = SqliteDesignCache(store)
         self._stop = threading.Event()
@@ -218,7 +208,6 @@ class WorkerPool:
                 self.result_cache,
                 self.design_cache,
                 plugins=self.plugins,
-                replica_batch=self.replica_batch,
                 metrics=self.metrics,
             )
             task_hist.observe(time.perf_counter() - started)

@@ -3,7 +3,7 @@
 The :class:`~repro.sim.engine.Simulator` no longer owns the cycle loop: it
 delegates to a :class:`SimulatorBackend` looked up by name in
 :data:`BACKEND_REGISTRY`, mirroring the policy / traffic / placement
-registries.  Four kernels ship with the repository:
+registries.  Two kernels ship with the repository:
 
 ``reference``
     The original loop: every router evaluates route computation, switch
@@ -17,13 +17,6 @@ registries.  Four kernels ship with the repository:
     tables of :class:`repro.routing.base.PrecomputedRoutes`.  At low
     injection rates, where most of the mesh is empty most of the time, this
     cuts per-cycle work from O(routers) to O(active routers).
-
-``vectorized`` and ``batched``
-    A flat-array kernel: flit/channel/credit/occupancy state lives in numpy
-    arrays keyed by router index, with a batched per-cycle route lookup
-    and commit around the reference allocation discipline.  ``batched``
-    drives its replica axis, running seed replicas of one structural spec
-    through one numpy pass (:mod:`repro.sim.backends.batched`).
 
 **Equivalence contract**: every backend must produce *bit-identical*
 :class:`~repro.sim.engine.SimulationResult` data (statistics counters,
@@ -67,11 +60,6 @@ register_backend = BACKEND_REGISTRY.register
 #: cache keys (and cached results) predating the backend field stay valid.
 DEFAULT_BACKEND = "optimized"
 
-#: Canonical names of the flat-array kernel family: the kernels with a
-#: replica axis, whose seed-only-differing specs the batch engine may
-#: group into one pass.
-FLAT_ARRAY_BACKENDS = frozenset({"vectorized", "batched"})
-
 
 class SimulatorBackend:
     """Base class for simulation kernels.
@@ -90,9 +78,8 @@ class SimulatorBackend:
             :class:`~repro.sim.engine.Simulator`, never part of the spec
             or any cache key -- and, by contract, **read-only**: sampling
             must not perturb results.
-        last_probe: One :class:`~repro.obs.probes.ProbeSeries` per replica
-            (solo kernels: a one-element list) from the most recent
-            ``execute`` call when ``probe`` was set, else ``None``.
+        last_probe: The :class:`~repro.obs.probes.ProbeSeries` of the most
+            recent ``execute`` call when ``probe`` was set, else ``None``.
     """
 
     name = "base"
@@ -105,9 +92,8 @@ class SimulatorBackend:
         spec = self.probe
         if spec is None:
             return None
-        series = spec.series()
-        self.last_probe = [series]
-        return series
+        self.last_probe = spec.series()
+        return self.last_probe
 
     def execute(
         self,
@@ -162,13 +148,10 @@ def available_backends() -> list:
 # themselves on import, so they are usable by name everywhere.
 from repro.sim.backends import optimized as _optimized  # noqa: E402,F401
 from repro.sim.backends import reference as _reference  # noqa: E402,F401
-from repro.sim.backends import vectorized as _vectorized  # noqa: E402,F401
-from repro.sim.backends import batched as _batched  # noqa: E402,F401
 
 __all__ = [
     "BACKEND_REGISTRY",
     "DEFAULT_BACKEND",
-    "FLAT_ARRAY_BACKENDS",
     "SimulatorBackend",
     "available_backends",
     "register_backend",

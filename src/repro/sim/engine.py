@@ -210,10 +210,9 @@ class Simulator:
                 runtime.finalize(injection_end + drain_used)
 
         stats = network.stats
-        last_probe = getattr(self.backend, "last_probe", None)
         result = SimulationResult(
             stats=stats,
-            probe=last_probe[0] if last_probe else None,
+            probe=self.backend.last_probe,
             warmup_cycles=self.warmup_cycles,
             measurement_cycles=self.measurement_cycles,
             drain_cycles_used=drain_used,

@@ -42,9 +42,9 @@ class Network:
         stats: Optional pre-built statistics collector.
         route_computation: Optional prebuilt route tables to share.  The
             tables are immutable and depend only on the mesh shape, so warm
-            workers and replica groups pass one object to every network of
-            the same mesh instead of recomputing it per construction; the
-            mesh must match this network's.
+            workers pass one object to every network of the same mesh
+            instead of recomputing it per construction; the mesh must match
+            this network's.
     """
 
     def __init__(
@@ -126,12 +126,6 @@ class Network:
         self._severed_elevators: Set[int] = set()
         self._topology_listeners: List[Callable[[Iterable[int]], None]] = []
 
-        # Optional occupancy override installed by simulation kernels that
-        # keep buffer state outside the FlitBuffer objects (the vectorized
-        # backend), so occupancy-driven policies (CDA) keep seeing live
-        # counts mid-run.
-        self._occupancy_provider: Optional[Callable[[int], int]] = None
-
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
@@ -180,21 +174,7 @@ class Network:
 
     def buffer_occupancy(self, node_id: int) -> int:
         """Total visible flits buffered in a router (used by CDA)."""
-        provider = self._occupancy_provider
-        if provider is not None:
-            return provider(node_id)
         return self.routers[node_id].buffer_occupancy()
-
-    def set_occupancy_provider(
-        self, provider: Optional[Callable[[int], int]]
-    ) -> None:
-        """Install (or clear, with ``None``) a buffer-occupancy override.
-
-        Kernels holding flit state outside the router FlitBuffers install a
-        provider for the duration of a run and must clear it when they sync
-        state back, so idle-time queries read the routers again.
-        """
-        self._occupancy_provider = provider
 
     @property
     def in_flight_packets(self) -> int:
@@ -464,7 +444,6 @@ class Network:
         self._in_flight = 0
         self._active_routers.clear()
         self._live_queues.clear()
-        self._occupancy_provider = None
         self.policy.reset()
         self.stats = SimulationStats()
 

@@ -229,7 +229,9 @@ class ApplicationTraffic(TrafficPattern):
     def _build_matrix(self, seed: int) -> TrafficMatrix:
         spec = self.spec
         mesh = self.mesh
-        graph_rng = random.Random((seed, spec.name, "graph").__hash__())
+        # A string seed hashes with SHA-512, so the graph is the same in
+        # every process; Python salts ``hash()`` of strings per process.
+        graph_rng = random.Random(f"{seed}:{spec.name}:graph")
         n = mesh.num_nodes
 
         hotspots = self._pick_hotspots(graph_rng)

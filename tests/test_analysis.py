@@ -16,7 +16,6 @@ from repro.analysis.runner import (
     build_packet_source,
     build_policy,
     build_traffic,
-    resolve_placement,
     run_experiment,
 )
 from repro.analysis.sweep import LatencyCurve, latency_sweep, saturation_rate, zero_load_latency
@@ -62,13 +61,13 @@ def tiny_spec():
 class TestRunnerBuilders:
     def test_resolve_placement_by_name(self):
         spec = ExperimentSpec().with_(placement="PS2")
-        assert resolve_placement(spec).num_elevators == 4
+        assert spec.placement.resolve().num_elevators == 4
 
     def test_resolve_placement_object_override(self, tiny_spec):
-        assert resolve_placement(tiny_spec).name == "TINY"
+        assert tiny_spec.placement.resolve().name == "TINY"
 
     def test_build_traffic_patterns(self, tiny_spec):
-        placement = resolve_placement(tiny_spec)
+        placement = tiny_spec.placement.resolve()
         assert isinstance(build_traffic(tiny_spec, placement), UniformTraffic)
         assert isinstance(
             build_traffic(tiny_spec.with_(traffic="shuffle"), placement), ShuffleTraffic
@@ -88,27 +87,27 @@ class TestRunnerBuilders:
         ],
     )
     def test_build_policy_baselines(self, tiny_spec, policy, cls):
-        placement = resolve_placement(tiny_spec)
+        placement = tiny_spec.placement.resolve()
         assert isinstance(build_policy(tiny_spec.with_(policy=policy), placement), cls)
 
     def test_build_policy_adele_uses_offline_design(self, tiny_spec, monkeypatch):
         from repro.analysis import runner
 
         monkeypatch.setattr(runner, "DEFAULT_OFFLINE_AMOSA", TINY_AMOSA)
-        placement = resolve_placement(tiny_spec)
+        placement = tiny_spec.placement.resolve()
         policy = build_policy(tiny_spec.with_(policy="adele"), placement)
         assert isinstance(policy, AdElePolicy)
         rr = build_policy(tiny_spec.with_(policy="adele_rr"), placement)
         assert isinstance(rr, AdEleRoundRobinPolicy)
 
     def test_adele_design_cache(self, tiny_spec):
-        placement = resolve_placement(tiny_spec)
+        placement = tiny_spec.placement.resolve()
         first = adele_design_for(placement, max_subset_size=2, amosa_config=TINY_AMOSA)
         second = adele_design_for(placement, max_subset_size=2, amosa_config=TINY_AMOSA)
         assert first is second
 
     def test_build_network_and_source(self, tiny_spec):
-        placement = resolve_placement(tiny_spec)
+        placement = tiny_spec.placement.resolve()
         network = build_network(tiny_spec, placement=placement)
         assert network.mesh is placement.mesh
         source = build_packet_source(tiny_spec, placement)
@@ -129,7 +128,7 @@ class TestRunExperiment:
         assert result.policy_name == "elevator_first"
 
     def test_network_reuse_resets_state(self, tiny_spec):
-        placement = resolve_placement(tiny_spec)
+        placement = tiny_spec.placement.resolve()
         network = build_network(tiny_spec, placement=placement)
         first = run_experiment(tiny_spec, network=network)
         second = run_experiment(tiny_spec, network=network)
@@ -191,7 +190,7 @@ class TestSweep:
 
 class TestLoadDistribution:
     def test_elevator_load_distribution(self, tiny_spec):
-        placement = resolve_placement(tiny_spec)
+        placement = tiny_spec.placement.resolve()
         network = build_network(tiny_spec, placement=placement)
         result = run_experiment(tiny_spec, network=network)
         distribution = elevator_load_distribution(network, result)

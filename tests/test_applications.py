@@ -1,7 +1,14 @@
 """Unit tests for the synthetic application traffic (SPLASH-2/PARSEC stand-in)."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+import repro
 from repro.topology.mesh3d import Mesh3D
 from repro.traffic.applications import (
     APPLICATION_NAMES,
@@ -111,3 +118,39 @@ class TestApplicationTraffic:
     def test_load_factor_exposed(self, mesh):
         traffic = make_application_traffic("lu", mesh, seed=0)
         assert traffic.load_factor == application_spec("lu").load_factor
+
+
+#: Prints the traffic-matrix digest of every registered application.
+_DIGEST_SCRIPT = textwrap.dedent(
+    """
+    import hashlib, json
+    from repro.topology.mesh3d import Mesh3D
+    from repro.traffic.applications import (
+        available_applications, make_application_traffic,
+    )
+
+    digests = {}
+    for name in available_applications():
+        traffic = make_application_traffic(name, Mesh3D(4, 4, 4), seed=1)
+        blob = repr(sorted(traffic.traffic_matrix().items())).encode()
+        digests[name] = hashlib.sha256(blob).hexdigest()
+    print(json.dumps(digests))
+    """
+)
+
+
+class TestCrossProcessDeterminism:
+    def test_graph_does_not_depend_on_the_hash_seed(self):
+        """Python salts ``hash()`` of strings per process; the graph of a
+        seeded application must be the same in every process."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        runs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+            result = subprocess.run(
+                [sys.executable, "-c", _DIGEST_SCRIPT],
+                env=env, capture_output=True, text=True, check=True, timeout=120,
+            )
+            runs.append(json.loads(result.stdout))
+        assert sorted(runs[0]) == sorted(APPLICATION_NAMES)
+        assert runs[0] == runs[1]

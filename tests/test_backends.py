@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.runner import run_experiment
+from repro.exec.cache import config_key
 from repro.registry import UnknownComponentError
 from repro.routing import make_policy
 from repro.routing.base import PrecomputedRoutes, compute_output_port
@@ -27,7 +28,6 @@ from repro.sim.backends import (
 )
 from repro.sim.backends.optimized import OptimizedBackend
 from repro.sim.backends.reference import ReferenceBackend
-from repro.sim.backends.vectorized import VectorizedBackend
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.sim.stats import SimulationStats
@@ -38,9 +38,8 @@ from repro.traffic.generator import BernoulliPacketSource, TracePacketSource
 from repro.traffic.patterns import UniformTraffic
 from repro.traffic.trace import TraceEvent, TrafficTrace
 
-#: Backends under the bit-identity contract (``batched`` with one replica
-#: IS the vectorized path).
-ALL_BACKENDS = ["reference", "optimized", "vectorized", "batched"]
+#: Backends under the bit-identity contract.
+ALL_BACKENDS = ["reference", "optimized"]
 
 
 def _placement(shape=(3, 3, 2), columns=((0, 0), (2, 2))) -> ElevatorPlacement:
@@ -88,23 +87,12 @@ class TestRegistry:
     def test_bundled_backends_registered(self):
         assert "reference" in BACKEND_REGISTRY
         assert "optimized" in BACKEND_REGISTRY
-        expected = ["batched", "optimized", "reference", "vectorized"]
-        assert available_backends() == expected
+        assert available_backends() == ["optimized", "reference"]
 
-    def test_vectorized_aliases_resolve(self):
-        assert isinstance(resolve_backend("vectorized"), VectorizedBackend)
-        assert isinstance(resolve_backend("numpy"), VectorizedBackend)
-        assert isinstance(resolve_backend("flat-array"), VectorizedBackend)
-
-    def test_batched_aliases_resolve(self):
-        from repro.sim.backends.batched import BatchedBackend
-
-        assert isinstance(resolve_backend("batched"), BatchedBackend)
-        assert isinstance(resolve_backend("replica"), BatchedBackend)
-        assert isinstance(resolve_backend("multi-seed"), BatchedBackend)
-        # BatchedBackend subclasses VectorizedBackend: a solo spec routed
-        # through "batched" takes the identical single-replica kernel path.
-        assert isinstance(resolve_backend("batched"), VectorizedBackend)
+    def test_vectorized_spelling_is_the_default_kernel(self):
+        spec = _spec("vectorized")
+        assert run_experiment(spec).backend_name == "optimized"
+        assert config_key(spec) == config_key(spec.with_(backend=DEFAULT_BACKEND))
 
     def test_default_is_optimized(self):
         assert DEFAULT_BACKEND == "optimized"
@@ -174,9 +162,8 @@ class TestPrecomputedRoutes:
 
 
 class TestCrossBackendEquivalence:
-    """reference == optimized == vectorized == batched, bit for bit,
-    over a policy x traffic x rate matrix that spans empty, flowing and
-    saturated networks."""
+    """reference == optimized, bit for bit, over a policy x traffic x rate
+    matrix that spans empty, flowing and saturated networks."""
 
     @pytest.mark.parametrize("policy", ["elevator_first", "cda", "minimal"])
     @pytest.mark.parametrize("rate", [0.0, 0.01, 0.08])
@@ -229,10 +216,9 @@ class TestCrossBackendEquivalence:
             assert results[0].drain_cycles_used == other.drain_cycles_used
 
     def test_second_run_on_saturated_network_identical(self):
-        """The optimized and vectorized kernels sync allocation state back
-        into the routers, so re-running a network left mid-wormhole
-        (saturated, drain exhausted) behaves exactly like the reference
-        kernel."""
+        """The optimized kernel syncs allocation state back into the
+        routers, so re-running a network left mid-wormhole (saturated,
+        drain exhausted) behaves exactly like the reference kernel."""
         results = {}
         for backend in ALL_BACKENDS:
             placement = _placement()
@@ -250,17 +236,6 @@ class TestCrossBackendEquivalence:
             assert _full_stats_fields(ref.stats) == (
                 _full_stats_fields(results[backend].stats)
             ), backend
-
-    def test_vectorized_without_flag_is_exact_under_contention(self):
-        """One contract for the flat-array kernel: a spec that never sets
-        ``bit_exact`` still matches ``reference`` bit for bit on a
-        contended mesh, where any allocation-order divergence shows."""
-        spec = _spec("reference", injection_rate=0.08)
-        assert spec.sim.bit_exact is False
-        ref = run_experiment(spec)
-        other = run_experiment(spec.with_(backend="vectorized"))
-        assert ref.summary() == other.summary()
-        assert _full_stats_fields(ref.stats) == _full_stats_fields(other.stats)
 
     def test_adele_policy_identical(self, tiny_amosa):
         spec = _spec(

@@ -8,7 +8,7 @@ changes the system" -- cache splits, irreproducible sweeps, and metrics
 nobody can compare against cached history.
 
 Hypothesis drives random (policy, rate, seed, probe shape) points through
-every registered backend family and compares instrumented vs plain runs;
+every registered backend and compares instrumented vs plain runs;
 a batch-level test pins the same invariant through the caching engine.
 """
 
@@ -31,7 +31,7 @@ from repro.obs.tracing import (
 )
 from repro.spec import ExperimentSpec, PlacementSpec, PolicySpec, SimSpec, TrafficSpec
 
-ALL_BACKENDS = ["reference", "optimized", "vectorized", "batched"]
+ALL_BACKENDS = ["reference", "optimized"]
 
 
 def _spec(backend: str, policy: str, rate: float, seed: int) -> ExperimentSpec:

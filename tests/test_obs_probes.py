@@ -1,9 +1,8 @@
 """Kernel probes: validation, bounding, and per-backend channel filling.
 
-Every backend family must fill the same channels with plausible values --
-the reference kernel by scanning the network, the active-set kernel from
-its incremental counters, the flat-array kernel with numpy reductions
-(one series per replica under the batched backend).  Neutrality (probed
+Both kernels must fill the same channels with plausible values -- the
+reference kernel by scanning the network, the active-set kernel from its
+incremental counters.  Neutrality (probed
 == unprobed, bit for bit) is pinned in ``test_obs_neutrality.py``; this
 file covers the probe machinery itself.
 """
@@ -13,7 +12,6 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.runner import run_experiment
-from repro.exec.batch import ExperimentBatch
 from repro.obs.probes import (
     PROBE_CHANNELS,
     ProbeSeries,
@@ -22,7 +20,7 @@ from repro.obs.probes import (
 )
 from repro.spec import ExperimentSpec, PlacementSpec, PolicySpec, SimSpec, TrafficSpec
 
-ALL_BACKENDS = ["reference", "optimized", "vectorized", "batched"]
+ALL_BACKENDS = ["reference", "optimized"]
 
 NUM_LAYERS = 2
 
@@ -137,18 +135,3 @@ class TestBackendsFillChannels:
 
     def test_unprobed_run_has_no_series(self):
         assert run_experiment(_spec("optimized")).probe is None
-
-
-class TestReplicaGroupProbes:
-    def test_one_series_per_replica(self):
-        specs = [_spec("batched", seed=seed) for seed in (1, 2, 3)]
-        batch = ExperimentBatch(
-            specs, replica_batch=3, probe=ProbeSpec(interval=50)
-        )
-        outcomes = batch.run()
-        assert batch.last_replica_groups == 1
-        assert sorted(batch.last_probes) == sorted(o.key for o in outcomes)
-        lengths = {
-            len(series.cycles) for series in batch.last_probes.values()
-        }
-        assert all(length > 0 for length in lengths)

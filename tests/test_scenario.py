@@ -198,7 +198,7 @@ class TestKeyStability:
 # Cross-backend matrix (acceptance criterion)
 # ---------------------------------------------------------------------- #
 #: Kernels in the scenario cross-backend identity matrix.
-MATRIX_BACKENDS = ["reference", "optimized", "vectorized"]
+MATRIX_BACKENDS = ["reference", "optimized"]
 
 #: One scenario per registered event kind.  The completeness check below
 #: fails if a new kind is registered without a matrix entry.
