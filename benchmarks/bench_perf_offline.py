@@ -1,14 +1,23 @@
-"""AMOSA iterations/second micro-benchmark: full vs incremental evaluation.
+"""Offline-stage micro-benchmark: AMOSA evaluation modes and table build.
 
-The companion of ``bench_perf_kernel.py`` for the *offline* stage: it runs
-the same AMOSA search twice on the 4x4x3 benchmark mesh -- once with the
-full-recompute :class:`~repro.core.objectives.ObjectiveEvaluator` (each
-candidate pays O(N * |A|)) and once with the incremental
-:class:`~repro.core.objectives.DeltaObjectiveEvaluator` (each perturbation
-pays O(changed-router + E)) -- verifies that the two runs produce
-**bit-identical Pareto archives** (the evaluators' exactly-rounded-sum
-contract means the annealing trajectories cannot diverge), and writes the
-timings to ``benchmarks/results/BENCH_perf_offline.json``.
+The companion of ``bench_perf_kernel.py`` for the *offline* stage, in two
+sections:
+
+* AMOSA iterations/second: the same search runs twice on the 4x4x3
+  benchmark mesh -- once with the full-recompute
+  :class:`~repro.core.objectives.ObjectiveEvaluator` (each candidate pays
+  O(N * |A|)) and once with the incremental
+  :class:`~repro.core.objectives.DeltaObjectiveEvaluator` (each
+  perturbation pays O(changed-router + E)).  The two runs must produce
+  **bit-identical Pareto archives** (the evaluators' exactly-rounded-sum
+  contract means the annealing trajectories cannot diverge).
+* Distance-table build: best-of-N ``ObjectiveEvaluator`` construction on
+  the paper's ``PM`` placement (8x8x4, 8 elevators), unweighted and
+  traffic-weighted.  The tables must equal, bit for bit, those of the
+  scalar ``distance_via`` loop, which is timed once beside them.
+
+The record, with the host's ``cpu_count`` and Python and numpy versions,
+goes to ``benchmarks/results/BENCH_perf_offline.json``.
 
 Run it directly (tiny schedule for a CI smoke, defaults for a real number)::
 
@@ -18,7 +27,9 @@ Run it directly (tiny schedule for a CI smoke, defaults for a real number)::
 
 Expected shape: the incremental evaluator yields >= 5x AMOSA iteration
 throughput at the default settings (the gap grows with mesh size, since the
-full evaluator scales with router count and the incremental one does not).
+full evaluator scales with router count and the incremental one does not),
+and the PM tables build in well under 0.1 s, against seconds for the
+scalar loop.
 """
 
 from __future__ import annotations
@@ -26,12 +37,16 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import time
 from typing import Dict
 
+import numpy
+
 from repro.core.amosa import AmosaConfig, AmosaOptimizer
+from repro.core.objectives import ObjectiveEvaluator
 from repro.core.subset_search import ElevatorSubsetProblem
-from repro.topology.elevators import ElevatorPlacement
+from repro.topology.elevators import ElevatorPlacement, standard_placement
 from repro.topology.mesh3d import Mesh3D
 from repro.traffic.patterns import UniformTraffic
 
@@ -46,6 +61,9 @@ MESH = (4, 4, 3)
 ELEVATOR_COLUMNS = ((0, 0), (3, 3), (0, 3), (3, 0))
 MAX_SUBSET_SIZE = 4
 MODES = ("full", "incremental")
+#: Placement of the table-build section, and its two Eq. 5 weightings.
+TABLE_PLACEMENT = "PM"
+TABLE_MODES = (("unweighted", False), ("traffic_weighted", True))
 
 
 def make_config(args: argparse.Namespace) -> AmosaConfig:
@@ -126,6 +144,79 @@ def time_modes(config: AmosaConfig, args: argparse.Namespace) -> Dict[str, Dict]
     }
 
 
+def brute_force_tables(placement, traffic, weighted):
+    """The Eq. 4/5 tables from one scalar ``distance_via`` call per
+    (source, destination, elevator): the result the numpy build must match."""
+    mesh = placement.mesh
+    distance_sum = {}
+    distance_weight = {}
+    for src in mesh.nodes():
+        sums = [0.0] * placement.num_elevators
+        weight_total = 0.0
+        for dst in mesh.nodes():
+            if dst == src or mesh.same_layer(src, dst):
+                continue
+            weight = 1.0
+            if weighted:
+                weight = traffic.get((src, dst), 0.0)
+                if weight == 0.0:
+                    continue
+            weight_total += weight
+            for elevator in placement.elevators:
+                sums[elevator.index] += weight * placement.distance_via(
+                    src, dst, elevator
+                )
+        distance_sum[src] = sums
+        distance_weight[src] = weight_total
+    return distance_sum, distance_weight
+
+
+def time_table_build(args: argparse.Namespace) -> Dict:
+    """Best-of-N evaluator construction on PM, checked against the scalar loop.
+
+    The check compares ``repr`` strings, which pins every float's bits and
+    its Python ``float`` type.
+    """
+    placement = standard_placement(TABLE_PLACEMENT)
+    traffic = UniformTraffic(placement.mesh).traffic_matrix()
+    cells = []
+    for mode, weighted in TABLE_MODES:
+        best = float("inf")
+        for _ in range(args.repeats):
+            start = time.perf_counter()
+            evaluator = ObjectiveEvaluator(
+                placement, traffic, weight_distance_by_traffic=weighted
+            )
+            best = min(best, time.perf_counter() - start)
+        start = time.perf_counter()
+        expected = brute_force_tables(placement, traffic, weighted)
+        loop_seconds = time.perf_counter() - start
+        if repr((evaluator.distance_sum, evaluator._distance_weight)) != repr(expected):
+            raise SystemExit(
+                f"{mode} distance tables differ from the scalar distance_via loop"
+            )
+        cells.append(
+            {
+                "mode": mode,
+                "seconds": best,
+                "scalar_loop_seconds": loop_seconds,
+                "speedup_vs_scalar_loop": loop_seconds / best if best > 0 else float("inf"),
+            }
+        )
+        print(
+            f"tables {mode:<16} {best:.4f}s   (scalar loop {loop_seconds:.3f}s, "
+            f"{cells[-1]['speedup_vs_scalar_loop']:.1f}x, bit-identical)"
+        )
+    return {
+        "placement": TABLE_PLACEMENT,
+        "mesh": list(placement.mesh.shape),
+        "num_elevators": placement.num_elevators,
+        "repeats": args.repeats,
+        "results": cells,
+        "tables_bit_identical": True,
+    }
+
+
 def run_benchmark(args: argparse.Namespace) -> Dict:
     config = make_config(args)
     cells = time_modes(config, args)
@@ -153,8 +244,13 @@ def run_benchmark(args: argparse.Namespace) -> Dict:
         f"   ({incremental['seconds']:.3f}s, archive {incremental['archive_size']})"
     )
     print(f"speedup {speedup:.2f}x (bit-identical archives)")
+    table_build = time_table_build(args)
     return {
         "benchmark": "perf_offline",
+        "cpu_count": os.cpu_count() or 1,
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "table_build": table_build,
         "mesh": list(MESH),
         "elevator_columns": [list(c) for c in ELEVATOR_COLUMNS],
         "max_subset_size": MAX_SUBSET_SIZE,

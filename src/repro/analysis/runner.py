@@ -37,6 +37,7 @@ from repro.core.optimizers import (
 from repro.core.pipeline import AdEleDesign, OfflineConfig, optimize_elevator_subsets
 from repro.core.selection import select_by_strategy, spread_selection
 from repro.energy.model import EnergyModel
+from repro.obs.tracing import span
 from repro.routing import make_policy
 from repro.routing.base import ElevatorSelectionPolicy, RouteComputation
 from repro.sim.engine import SimulationResult, Simulator
@@ -226,43 +227,48 @@ def adele_design_for(
         optimizer_options=options,
         weight_distance_by_traffic=weight_distance_by_traffic,
     )
-    design = cache.get(key)
-    if design is None:
-        if traffic_matrix is None:
-            traffic_matrix = UniformTraffic(placement.mesh).traffic_matrix()
-        offline = OfflineConfig(
-            amosa=amosa,
-            max_subset_size=max_subset_size,
-            weight_distance_by_traffic=weight_distance_by_traffic,
-            num_representatives=num_representatives,
-            optimizer=canonical,
-            optimizer_options={} if canonical == "amosa" and optimizer_options is None
-            else dict(optimizer_options or {}),
-            selection=selection,
-        )
-        design = optimize_elevator_subsets(
-            placement, traffic_matrix, offline, on_iteration=on_iteration
-        )
-        cache.put(key, design)
-    else:
-        # Cache entries are shared across selection strategies and
-        # representative counts.  When this call's strategy picks a
-        # different archive entry (or asks for a different number of
-        # representatives), hand back a shallow copy carrying them instead
-        # of mutating the shared cached design underneath earlier callers.
-        chosen = select_by_strategy(selection, design.result.archive)
-        representatives = design.representatives
-        if num_representatives != len(representatives):
-            # The stored count can legitimately undershoot the request when
-            # the archive is small (spread_selection returns every entry);
-            # only hand back a copy when the spread actually changes.
-            recomputed = spread_selection(design.result.archive, num_representatives)
-            if recomputed != representatives:
-                representatives = recomputed
-        if chosen is not design.selected or representatives is not design.representatives:
-            design = dataclasses.replace(
-                design, selected=chosen, representatives=representatives
+    with span(
+        "offline.design", placement=placement.name, optimizer=canonical
+    ) as record_span:
+        design = cache.get(key)
+        if record_span is not None:
+            record_span.args["hit"] = design is not None
+        if design is None:
+            if traffic_matrix is None:
+                traffic_matrix = UniformTraffic(placement.mesh).traffic_matrix()
+            offline = OfflineConfig(
+                amosa=amosa,
+                max_subset_size=max_subset_size,
+                weight_distance_by_traffic=weight_distance_by_traffic,
+                num_representatives=num_representatives,
+                optimizer=canonical,
+                optimizer_options={} if canonical == "amosa" and optimizer_options is None
+                else dict(optimizer_options or {}),
+                selection=selection,
             )
+            design = optimize_elevator_subsets(
+                placement, traffic_matrix, offline, on_iteration=on_iteration
+            )
+            cache.put(key, design)
+        else:
+            # Cache entries are shared across selection strategies and
+            # representative counts.  When this call's strategy picks a
+            # different archive entry (or asks for a different number of
+            # representatives), hand back a shallow copy carrying them instead
+            # of mutating the shared cached design underneath earlier callers.
+            chosen = select_by_strategy(selection, design.result.archive)
+            representatives = design.representatives
+            if num_representatives != len(representatives):
+                # The stored count can legitimately undershoot the request when
+                # the archive is small (spread_selection returns every entry);
+                # only hand back a copy when the spread actually changes.
+                recomputed = spread_selection(design.result.archive, num_representatives)
+                if recomputed != representatives:
+                    representatives = recomputed
+            if chosen is not design.selected or representatives is not design.representatives:
+                design = dataclasses.replace(
+                    design, selected=chosen, representatives=representatives
+                )
     return design
 
 

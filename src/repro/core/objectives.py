@@ -33,7 +33,9 @@ Every order-sensitive aggregation in both evaluators is *exactly rounded*
 accumulator in the incremental one).  An exactly rounded sum depends only on
 the multiset of addends, never on their order or on the add/remove history,
 which is what makes the two evaluators **bit-identical by construction**
-(property-tested in ``tests/test_delta_objectives.py``).
+(property-tested in ``tests/test_delta_objectives.py``).  The per-router
+tables they both read are built once, as running sums in a fixed order
+(see :class:`ObjectiveEvaluator`).
 """
 
 from __future__ import annotations
@@ -236,9 +238,21 @@ class ObjectiveEvaluator:
     * the Eq. 5 normalization constant.
 
     Evaluating a candidate assignment then only iterates over routers and
-    their subsets.  All aggregations are exactly rounded (``math.fsum``), so
-    the result depends only on the assignment -- never on router iteration
-    order -- and agrees bit-for-bit with :class:`DeltaObjectiveEvaluator`.
+    their subsets.  The evaluation-time aggregations are exactly rounded
+    (``math.fsum``), so the result depends only on the assignment -- never
+    on router iteration order -- and agrees bit-for-bit with
+    :class:`DeltaObjectiveEvaluator`, which reads the same tables.
+
+    The tables are not exactly rounded: they are running sums.  For each
+    source, ``distance_sum[i][e]`` adds ``w_ij * D^e_ij`` and the Eq. 5
+    weight adds ``w_ij`` one IEEE addition at a time, in ascending
+    destination order, with ``w_ij`` = ``1.0`` or ``f_ij`` over the
+    inter-layer destinations (pairs with ``f_ij == 0`` add nothing).  They
+    are built with numpy one source row at a time (O(N * E) memory), from
+    every router's hop count to every elevator column; the sequential
+    ``np.add.accumulate`` keeps that order, where a pairwise ``np.sum``
+    would round traffic-weighted rows differently.  Entries are Python
+    floats stored at ``elevator.index``.
 
     Args:
         placement: Elevator placement.
@@ -268,25 +282,40 @@ class ObjectiveEvaluator:
 
     def _precompute_distances(self) -> None:
         mesh = self.mesh
-        placement = self.placement
-        for src in mesh.nodes():
+        elevators = self.placement.elevators
+        node_ids = _np.arange(mesh.num_nodes)
+        x = node_ids % mesh.size_x
+        y = node_ids // mesh.size_x % mesh.size_y
+        layer = node_ids // mesh.nodes_per_layer
+        column_x = _np.array([elevator.x for elevator in elevators], dtype=_np.int64)
+        column_y = _np.array([elevator.y for elevator in elevators], dtype=_np.int64)
+        # to_column[n, e]: intra-layer hops from router n to elevator e's column.
+        to_column = (
+            _np.abs(x[:, None] - column_x[None, :])
+            + _np.abs(y[:, None] - column_y[None, :])
+        )
+        for src in range(mesh.num_nodes):
+            layers_crossed = _np.abs(layer - layer[src])
+            if self.weight_distance_by_traffic:
+                weights = _np.array(
+                    [
+                        self.traffic.get((src, dst), 0.0) if crossed else 0.0
+                        for dst, crossed in enumerate(layers_crossed.tolist())
+                    ],
+                    dtype=_np.float64,
+                )
+            else:
+                weights = (layers_crossed != 0).astype(_np.float64)
+            # D[dst, e] of Eq. 4; same-layer rows carry weight 0.
+            distance = to_column[src] + layers_crossed[:, None] + to_column
+            # Running sums in ascending destination order, as a scalar
+            # ``+=`` loop would form them; a zero-weight term adds nothing.
+            totals = _np.add.accumulate(weights[:, None] * distance, axis=0)[-1]
             sums = [0.0] * self.num_elevators
-            weight_total = 0.0
-            for dst in mesh.nodes():
-                if dst == src or mesh.same_layer(src, dst):
-                    continue
-                weight = 1.0
-                if self.weight_distance_by_traffic:
-                    weight = self.traffic.get((src, dst), 0.0)
-                    if weight == 0.0:
-                        continue
-                weight_total += weight
-                for elevator in placement.elevators:
-                    sums[elevator.index] += weight * placement.distance_via(
-                        src, dst, elevator
-                    )
+            for elevator, total in zip(elevators, totals.tolist()):
+                sums[elevator.index] = total
             self.distance_sum[src] = sums
-            self._distance_weight[src] = weight_total
+            self._distance_weight[src] = _np.add.accumulate(weights)[-1].item()
 
     # ------------------------------------------------------------------ #
     # Evaluation

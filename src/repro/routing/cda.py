@@ -15,6 +15,11 @@ destination side of the path is *not* part of CDA's cost -- the scheme is
 driven by source-to-elevator congestion -- so under zero load CDA degrades
 to the nearest-elevator choice of Elevator-First and spreads traffic to
 farther elevators only when the near ones congest.
+
+In the instantaneous mode (``update_period == 1``) a selection therefore
+reads only the routers on the source's paths to the healthy elevators.
+With ``update_period > 1`` the policy snapshots the whole mesh once per
+period, and every selection until the next refresh reads that snapshot.
 """
 
 from __future__ import annotations
@@ -81,8 +86,8 @@ class CDAPolicy(ElevatorSelectionPolicy):
         network: Optional["Network"],
         cycle: int,
     ) -> Elevator:
-        occupancy = self._occupancy_view(network, cycle)
         candidates = self.placement.healthy_elevators()
+        occupancy = self._occupancy_view(network, source, candidates, cycle)
         best: Optional[Elevator] = None
         best_cost = float("inf")
         for elevator in candidates:
@@ -94,16 +99,28 @@ class CDAPolicy(ElevatorSelectionPolicy):
         return best
 
     def _occupancy_view(
-        self, network: Optional["Network"], cycle: int
+        self,
+        network: Optional["Network"],
+        source: int,
+        candidates: List[Elevator],
+        cycle: int,
     ) -> Dict[int, int]:
-        """The buffer-occupancy snapshot visible to the routers this cycle."""
+        """The buffer occupancy the source's selection sees this cycle.
+
+        The instantaneous view reads only the routers on the candidate
+        paths, which are all :meth:`_cost` looks up.  A stale view is one
+        whole-mesh snapshot, because every source selecting before the
+        next refresh reads it.
+        """
         if network is None or self.congestion_weight == 0:
             return {}
         if self.update_period == 1:
-            return {
-                node: network.buffer_occupancy(node)
-                for node in self.mesh.nodes()
-            }
+            occupancy: Dict[int, int] = {}
+            for elevator in candidates:
+                for node in self._path_to_elevator(source, elevator):
+                    if node not in occupancy:
+                        occupancy[node] = network.buffer_occupancy(node)
+            return occupancy
         due = (
             self._snapshot_cycle is None
             or cycle - self._snapshot_cycle >= self.update_period

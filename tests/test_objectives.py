@@ -1,6 +1,10 @@
 """Unit tests for the offline optimization objectives (Eq. 1-5)."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.objectives import (
     ObjectiveEvaluator,
@@ -8,9 +12,10 @@ from repro.core.objectives import (
     elevator_utilization,
     utilization_variance,
 )
-from repro.topology.elevators import ElevatorPlacement
+from repro.topology.elevators import ElevatorPlacement, standard_placement
 from repro.topology.mesh3d import Mesh3D
 from repro.traffic.patterns import UniformTraffic
+from test_delta_objectives import _placement, _random_traffic
 
 
 @pytest.fixture
@@ -154,3 +159,76 @@ class TestObjectiveEvaluator:
         assert evaluator.average_distance(subsets) == pytest.approx(
             average_distance(subsets, placement), rel=1e-9
         )
+
+
+# --------------------------------------------------------------------- #
+# The Eq. 4/5 tables against the scalar loop
+# --------------------------------------------------------------------- #
+def brute_force_tables(placement, traffic, weight_distance_by_traffic):
+    """The oracle: one scalar ``distance_via`` call per (source,
+    destination, elevator), summed with ``+=`` in ascending destination
+    order."""
+    mesh = placement.mesh
+    distance_sum = {}
+    distance_weight = {}
+    for src in mesh.nodes():
+        sums = [0.0] * placement.num_elevators
+        weight_total = 0.0
+        for dst in mesh.nodes():
+            if dst == src or mesh.same_layer(src, dst):
+                continue
+            weight = 1.0
+            if weight_distance_by_traffic:
+                weight = traffic.get((src, dst), 0.0)
+                if weight == 0.0:
+                    continue
+            weight_total += weight
+            for elevator in placement.elevators:
+                sums[elevator.index] += weight * placement.distance_via(
+                    src, dst, elevator
+                )
+        distance_sum[src] = sums
+        distance_weight[src] = weight_total
+    return distance_sum, distance_weight
+
+
+def assert_tables_match_oracle(placement, traffic, weighted):
+    evaluator = ObjectiveEvaluator(
+        placement, traffic, weight_distance_by_traffic=weighted
+    )
+    expected_sums, expected_weights = brute_force_tables(placement, traffic, weighted)
+    assert evaluator.distance_sum == expected_sums
+    assert evaluator._distance_weight == expected_weights
+    for src in placement.mesh.nodes():
+        assert all(type(value) is float for value in evaluator.distance_sum[src])
+        assert type(evaluator._distance_weight[src]) is float
+
+
+#: Non-dyadic weights from subnormal to near-overflow, so that a sum in any
+#: other order than the oracle's rounds differently.
+EXTREME_MAGNITUDES = (5e-324, 1e-300, 5e-17, 1e-3, 1.0, 7e120, 1e300)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(
+        [(2, 2, 1), (4, 3, 1), (2, 2, 2), (3, 2, 2), (3, 3, 3), (4, 2, 3), (2, 3, 4)]
+    ),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=2**30),
+    st.booleans(),
+)
+def test_tables_bit_identical_to_brute_force_loop(mesh_dims, column_count, seed, weighted):
+    placement = _placement(mesh_dims, column_count, seed)
+    traffic = _random_traffic(placement.mesh, seed + 1, magnitudes=EXTREME_MAGNITUDES)
+    rng = random.Random(seed + 2)
+    for pair in rng.sample(sorted(traffic), len(traffic) // 10):
+        traffic[pair] = 0.0  # explicit zeros are skipped like absent pairs
+    assert_tables_match_oracle(placement, traffic, weighted)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_pm_tables_bit_identical_to_brute_force_loop(weighted):
+    placement = standard_placement("PM")
+    traffic = UniformTraffic(placement.mesh).traffic_matrix()
+    assert_tables_match_oracle(placement, traffic, weighted)

@@ -19,7 +19,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.runner import run_experiment
+from repro.analysis.runner import DesignCache, run_experiment
 from repro.exec.batch import ExperimentBatch
 from repro.exec.cache import config_key, derive_seed
 from repro.obs.probes import PROBE_CHANNELS, ProbeSpec
@@ -114,3 +114,29 @@ def test_batch_rows_identical_with_probe_and_tracer():
     )
     # One series per executed spec, keyed by the (unchanged) cache key.
     assert sorted(batch.last_probes) == sorted(o.key for o in probed)
+
+
+def test_cold_design_cache_rows_identical_with_tracer():
+    """An AdEle spec whose offline design is computed, then fetched, traced."""
+    specs = [_spec("optimized", "adele", 0.01, 3)]
+    plain = ExperimentBatch(specs, design_cache=DesignCache()).run()
+
+    recorder = RingRecorder()
+    install_tracer(Tracer(recorder))
+    try:
+        design_cache = DesignCache()
+        cold = ExperimentBatch(specs, design_cache=design_cache).run()
+        warm = ExperimentBatch(specs, design_cache=design_cache).run()
+    finally:
+        uninstall_tracer()
+
+    for traced in (cold, warm):
+        assert [o.key for o in traced] == [o.key for o in plain]
+        assert json.dumps([o.summary for o in traced], sort_keys=True) == json.dumps(
+            [o.summary for o in plain], sort_keys=True
+        )
+    designs = [r.args for r in recorder.spans() if r.name == "offline.design"]
+    assert designs == [
+        {"placement": "obs-tiny", "optimizer": "amosa", "hit": False},
+        {"placement": "obs-tiny", "optimizer": "amosa", "hit": True},
+    ]

@@ -1,10 +1,14 @@
 """Unit tests for the elevator-selection policies."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.routing import make_policy
 from repro.routing.adele import AdElePolicy, AdEleRoundRobinPolicy, AdEleRouterState
-from repro.routing.base import ElevatorSelectionPolicy
+from repro.routing.base import ElevatorSelectionPolicy, path_nodes
 from repro.routing.cda import CDAPolicy
 from repro.routing.elevator_first import ElevatorFirstPolicy
 from repro.routing.minimal import MinimalPathPolicy
@@ -169,6 +173,75 @@ class TestCDAPolicy:
         policy.select_elevator(0, placement.mesh.num_nodes - 1, network=network, cycle=0)
         policy.reset()
         assert policy._snapshot == {}
+
+    def test_instantaneous_view_reads_only_candidate_paths(self, placement):
+        mesh = placement.mesh
+        placement.mark_faulty(2)
+        policy = CDAPolicy(placement)
+        network = Network(placement, policy)
+        read = []
+        occupancy_of = network.buffer_occupancy
+
+        def counting_occupancy(node):
+            read.append(node)
+            return occupancy_of(node)
+
+        network.buffer_occupancy = counting_occupancy
+        for src in mesh.nodes():
+            layer = mesh.coordinate(src).z
+            dst = mesh.node_id_xyz(0, 0, 1 - layer)
+            on_paths = set()
+            for elevator in placement.healthy_elevators():
+                elevator_node = placement.elevator_node(elevator, layer)
+                on_paths.update(path_nodes(mesh, src, elevator_node, elevator.column))
+            read.clear()
+            policy.select_elevator(src, dst, network=network)
+            assert src in read
+            assert set(read) <= on_paths
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**30),
+        congestion_weight=st.sampled_from([0.25, 1.0, 3.0]),
+    )
+    def test_selection_matches_full_mesh_oracle(self, seed, congestion_weight):
+        rng = random.Random(seed)
+        mesh = Mesh3D(4, 4, 4)
+        cells = [(x, y) for x in range(4) for y in range(4)]
+        placement = ElevatorPlacement(mesh, rng.sample(cells, rng.randint(1, 6)))
+        if placement.num_elevators > 1 and rng.random() < 0.3:
+            placement.mark_faulty(rng.randrange(placement.num_elevators))
+        policy = CDAPolicy(placement, congestion_weight=congestion_weight)
+        network = Network(placement, policy)
+        for node in mesh.nodes():
+            for buffer in network.router(node).input_buffers.values():
+                if rng.random() < 0.3:
+                    filler = Packet(
+                        source=node,
+                        destination=(node + 1) % mesh.num_nodes,
+                        length=rng.randint(1, buffer.depth),
+                        creation_cycle=0,
+                    )
+                    for flit in filler.make_flits():
+                        buffer.stage(flit)
+                    buffer.commit()
+        full = {node: network.buffer_occupancy(node) for node in mesh.nodes()}
+
+        def oracle_cost(src, elevator):
+            coord = mesh.coordinate(src)
+            elevator_node = placement.elevator_node(elevator, coord.z)
+            path = path_nodes(mesh, src, elevator_node, elevator.column)
+            distance = abs(coord.x - elevator.x) + abs(coord.y - elevator.y)
+            return distance + congestion_weight * sum(full[node] for node in path)
+
+        for _ in range(40):
+            src, dst = rng.sample(range(mesh.num_nodes), 2)
+            if mesh.same_layer(src, dst):
+                continue
+            expected = min(
+                placement.healthy_elevators(), key=lambda e: oracle_cost(src, e)
+            )
+            assert policy.select_elevator(src, dst, network=network) == expected
 
 
 class TestAdEleRouterState:
