@@ -71,13 +71,6 @@ from repro.core.optimizers import (
 )
 from repro.core.pipeline import AdEleDesign
 from repro.energy.model import EnergyModel
-from repro.exec.aggregate import (
-    MergeConflict,
-    MergeReport,
-    ParetoFront,
-    StreamingAggregator,
-    merge_results,
-)
 from repro.exec.batch import (
     ChunkAbort,
     ExperimentBatch,
@@ -95,7 +88,6 @@ from repro.exec.cache import (
     open_caches,
     spec_from_canonical,
 )
-from repro.exec.shard import ShardSpec, parse_shard, shard_of
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     Counter,
@@ -282,7 +274,6 @@ def run_specs(
     energy_model: Optional[EnergyModel] = None,
     plugins: Iterable[str] = (),
     cache_backend: str = "json",
-    shard: Optional[ShardSpec] = None,
     chunk_size: Optional[int] = None,
     probe: Optional[ProbeSpec] = None,
     metrics: Optional[MetricsRegistry] = None,
@@ -304,10 +295,6 @@ def run_specs(
         cache_backend: Layout under ``cache_dir`` -- ``"json"`` (one file
             per entry) or ``"sqlite"`` (the concurrent-safe service store);
             both key by the same canonical hashes.
-        shard: Optional :class:`~repro.exec.shard.ShardSpec` restricting
-            this call to its deterministic slice of the grid (the outcomes
-            list then only covers owned specs); merge N shards' caches back
-            together with :func:`merge_results`.
         chunk_size: Flush results to the cache (plus a resumable manifest
             when ``cache_dir`` is set) every this many completed specs.
         probe: Optional kernel probe attached to every *executed* task;
@@ -331,7 +318,6 @@ def run_specs(
         base_seed=base_seed,
         energy_model=energy_model,
         plugins=tuple(plugins),
-        shard=shard,
         chunk_size=chunk_size,
         manifest_dir=cache_dir,
         probe=probe,
@@ -499,16 +485,7 @@ __all__ = [
     "open_caches",
     "EnergyModel",
     "SimulationResult",
-    # sharding + streaming aggregation
-    "ShardSpec",
-    "parse_shard",
-    "shard_of",
     "ChunkAbort",
-    "StreamingAggregator",
-    "ParetoFront",
-    "MergeReport",
-    "MergeConflict",
-    "merge_results",
     # experiment service
     "DEFAULT_SERVICE_URL",
     "ServiceClient",

@@ -15,27 +15,21 @@ results -- in parallel, deterministically, and with disk-backed caching:
   :class:`~repro.exec.cache.DiskDesignCache` (AdEle offline designs) and
   the pluggable :func:`~repro.exec.cache.open_caches` backend registry
   (``json`` files or the service's SQLite store);
-* :mod:`repro.exec.shard` partitions grids deterministically by canonical
-  key hash (``--shard K/N``), :mod:`repro.exec.aggregate` folds outcomes
-  into bounded streaming aggregates and merges shard outputs back into one
-  bit-identical result set (``repro merge``);
+* chunked checkpoints (``chunk_size`` / ``--chunk-size``) flush rows to
+  the result cache as each chunk completes, with a ``manifest-*.json``
+  progress record, so a killed run resumes from its last chunk
+  (:class:`~repro.exec.batch.ChunkAbort` is the deterministic kill
+  injected by ``REPRO_EXEC_ABORT_AFTER_CHUNKS``);
 * :mod:`repro.exec.cli` is the ``python -m repro`` front end (``sweep`` /
   ``compare`` / ``run --spec`` / ``list`` subcommands with ``--workers``,
   ``--cache-dir``, ``--seed`` and ``--plugin``).
 
 Determinism guarantee: identical configuration + seed produce bit-identical
 ``SimulationResult.summary()`` rows whether a batch runs serially, with N
-workers, or replays from a warm cache directory.
+workers, resumes after a killed chunked run, or replays from a warm cache
+directory.
 """
 
-from repro.exec.aggregate import (
-    MergeConflict,
-    MergeReport,
-    ParetoFront,
-    ParetoPoint,
-    StreamingAggregator,
-    merge_results,
-)
 from repro.exec.batch import (
     ChunkAbort,
     ExperimentBatch,
@@ -64,14 +58,6 @@ from repro.exec.designs import (
     derive_design_seed,
     run_design_batch,
 )
-from repro.exec.shard import (
-    ShardSpec,
-    parse_shard,
-    partition,
-    shard_cache_dir,
-    shard_counts,
-    shard_of,
-)
 
 __all__ = [
     "ExperimentBatch",
@@ -96,16 +82,4 @@ __all__ = [
     "spec_from_canonical",
     "config_key",
     "derive_seed",
-    "ShardSpec",
-    "parse_shard",
-    "partition",
-    "shard_cache_dir",
-    "shard_counts",
-    "shard_of",
-    "StreamingAggregator",
-    "ParetoFront",
-    "ParetoPoint",
-    "MergeReport",
-    "MergeConflict",
-    "merge_results",
 ]

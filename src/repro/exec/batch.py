@@ -48,16 +48,7 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.runner import (
     DesignCache,
@@ -76,7 +67,6 @@ from repro.exec.cache import (
     config_key,
     derive_seed,
 )
-from repro.exec.shard import ShardSpec
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, MetricsRegistry
 from repro.obs.probes import ProbeSpec
 from repro.obs.tracing import span
@@ -92,7 +82,7 @@ from repro.spec import (
 
 #: Environment variable: abort a chunked run after this many completed
 #: chunk flushes when work remains.  Deterministic kill injection -- the
-#: resume tests and the CI shard-smoke job use it to kill a sweep mid-grid
+#: resume tests and the CI resume-smoke job use it to kill a sweep mid-grid
 #: at a reproducible point and then prove the rerun picks up exactly where
 #: the checkpointed cache left off.
 ABORT_AFTER_CHUNKS_ENV = "REPRO_EXEC_ABORT_AFTER_CHUNKS"
@@ -361,15 +351,9 @@ class ExperimentBatch:
             time stay available under the ``spawn``/``forkserver`` start
             methods.  (Components registered by modules already imported in
             the parent are inherited automatically under ``fork``.)
-        shard: Optional :class:`~repro.exec.shard.ShardSpec` restricting the
-            batch to the specs whose canonical keys it owns; everything else
-            is skipped entirely (no cache probe, no outcome).  N batches
-            over the same grid with shards ``1/N .. N/N`` partition it
-            exactly, and their merged caches are bit-identical to one
-            unsharded run -- see :mod:`repro.exec.shard`.
         chunk_size: When given, execute pending tasks in chunks of this many
             and flush each chunk's rows to the result cache (plus a resume
-            manifest) as it completes, so a killed mega-sweep loses at most
+            manifest) as it completes, so a killed sweep loses at most
             one chunk instead of everything.  ``None`` keeps the historical
             single-flush behaviour.  Chunking never changes results -- only
             when they reach the cache.
@@ -405,7 +389,6 @@ class ExperimentBatch:
         base_seed: Optional[int] = None,
         energy_model: Optional[EnergyModel] = None,
         plugins: Sequence[str] = (),
-        shard: Optional[ShardSpec] = None,
         chunk_size: Optional[int] = None,
         manifest_dir: Optional[str] = None,
         replica_batch: Optional[int] = None,
@@ -425,7 +408,6 @@ class ExperimentBatch:
         self.base_seed = base_seed
         self.energy_model = energy_model
         self.plugins: Tuple[str, ...] = tuple(plugins)
-        self.shard = shard
         self.chunk_size = chunk_size
         self.manifest_dir = manifest_dir
         self.probe = probe
@@ -437,16 +419,8 @@ class ExperimentBatch:
         self.last_executed = 0
         #: Number of outcomes served from cache by the last ``run()``.
         self.last_cached = 0
-        #: Number of specs skipped by the last ``run()`` (owned by another
-        #: shard).
-        self.last_skipped = 0
         #: Number of chunk flushes performed by the last ``run()``.
         self.last_chunks = 0
-        #: Largest number of freshly executed summary rows resident at once
-        #: during the last ``run()``'s execution phase -- bounded by the
-        #: chunk size, which is what lets :meth:`run_streaming` aggregate a
-        #: mega-grid in O(chunk) memory.
-        self.last_peak_rows = 0
         #: Always 0 (no task is grouped); read by the benchmark of record.
         self.last_replica_groups = 0
         #: Seconds the last ``run()`` spent in per-task setup (placement /
@@ -501,31 +475,18 @@ class ExperimentBatch:
 
     # ------------------------------------------------------------------ #
     def _scan(self):
-        """Classify every spec: cache hit, pending work, or other-shard skip.
+        """Classify every spec: cache hit or pending work.
 
-        Returns ``(specs, keys, owned_keys, hits, pending)`` where ``hits``
-        maps input indices to cached summaries, ``pending`` maps keys to
-        tasks (insertion order = execution order, unchanged by chunking),
-        and ``owned_keys`` is the ordered unique key set this batch is
-        responsible for (the manifest's denominator).  Skipped indices
-        appear nowhere; ``last_skipped`` counts them.
+        Returns ``(specs, keys, hits, pending)`` where ``hits`` maps input
+        indices to cached summaries and ``pending`` maps keys to tasks
+        (insertion order = execution order, unchanged by chunking).
         """
         specs = self.effective_specs()
         extra = self._key_extra()
         keys = [config_key(spec, extra=extra) for spec in specs]
-        self.last_skipped = 0
-        self.last_peak_rows = 0
-        owned_keys: List[str] = []
-        seen: set = set()
         hits: Dict[int, Dict[str, float]] = {}
         pending: Dict[str, _Task] = {}
         for index, (spec, key) in enumerate(zip(specs, keys)):
-            if self.shard is not None and not self.shard.owns(key):
-                self.last_skipped += 1
-                continue
-            if key not in seen:
-                seen.add(key)
-                owned_keys.append(key)
             if key in pending:
                 continue  # deduplicated: same canonical spec already queued
             cached = self.result_cache.get(key)
@@ -533,17 +494,16 @@ class ExperimentBatch:
                 hits[index] = cached
             else:
                 pending[key] = self._make_task(spec, key)
-        return specs, keys, owned_keys, hits, pending
+        return specs, keys, hits, pending
 
-    def _manifest_path(self, owned_keys: Sequence[str]) -> Optional[str]:
-        """Checkpoint file path for this grid slice (``None`` = don't write).
+    def _manifest_path(self, grid_keys: Set[str]) -> Optional[str]:
+        """Checkpoint file path for this grid (``None`` = don't write).
 
-        The file name hashes the *owned key set*, so reruns and resumes of
-        the same grid/shard overwrite one manifest while different slices
-        never collide.  Content is a deterministic function of progress --
-        a completed run's manifest has identical bytes whether it ran
-        straight through or resumed, which is why byte-identity checks only
-        need to exclude ``manifest-*`` for *partial* shards.
+        The file name hashes the grid's key set, so reruns and resumes of
+        the same grid overwrite one manifest while different grids never
+        collide.  Content is a deterministic function of progress -- a
+        completed run's manifest has identical bytes whether it ran
+        straight through or resumed.
         """
         directory = self.manifest_dir
         if directory is None:
@@ -553,24 +513,22 @@ class ExperimentBatch:
         if directory is None:
             return None
         grid_id = hashlib.sha256(
-            "\n".join(sorted(owned_keys)).encode("utf-8")
+            "\n".join(sorted(grid_keys)).encode("utf-8")
         ).hexdigest()[:16]
         return os.path.join(directory, f"manifest-{grid_id}.json")
 
     def _execute_pending(
-        self,
-        pending: Dict[str, _Task],
-        owned_keys: Sequence[str],
-        on_result: Callable[[str, Dict[str, float]], None],
-    ) -> None:
+        self, pending: Dict[str, _Task], grid_keys: Set[str]
+    ) -> Dict[str, Dict[str, float]]:
         """Run pending tasks (chunked when configured), flushing as we go.
 
-        Every finished row reaches the result cache *before* ``on_result``
-        sees it, and the manifest is rewritten after each chunk -- so a kill
-        at any point loses at most the in-flight chunk, and a rerun of the
-        same grid resumes from the flushed rows.  The abort-injection env
-        var (:data:`ABORT_AFTER_CHUNKS_ENV`) raises :class:`ChunkAbort`
-        after N chunk flushes while work remains, simulating that kill at a
+        Returns the executed summary rows by key.  Every finished row
+        reaches the result cache as its chunk completes, and the manifest
+        is rewritten after each chunk -- so a kill at any point loses at
+        most the in-flight chunk, and a rerun of the same grid resumes from
+        the flushed rows.  The abort-injection env var
+        (:data:`ABORT_AFTER_CHUNKS_ENV`) raises :class:`ChunkAbort` after N
+        chunk flushes while work remains, simulating that kill at a
         deterministic boundary.
         """
         self.last_chunks = 0
@@ -579,8 +537,9 @@ class ExperimentBatch:
         self.last_memo_hits = 0
         self.last_memo_misses = 0
         self.last_probes = {}
+        executed: Dict[str, Dict[str, float]] = {}
         if not pending:
-            return
+            return executed
         setup_hist = self.metrics.histogram(
             "repro_task_setup_seconds",
             buckets=DEFAULT_LATENCY_BUCKETS,
@@ -594,11 +553,11 @@ class ExperimentBatch:
         tasks = list(pending.values())
         chunk = self.chunk_size if self.chunk_size is not None else len(tasks)
         manifest_path = (
-            self._manifest_path(owned_keys) if self.chunk_size is not None else None
+            self._manifest_path(grid_keys) if self.chunk_size is not None else None
         )
         abort_raw = os.environ.get(ABORT_AFTER_CHUNKS_ENV)
         abort_after = int(abort_raw) if abort_raw else None
-        done_offset = len(owned_keys) - len(tasks)
+        done_offset = len(grid_keys) - len(tasks)
         pool: Optional[ProcessPoolExecutor] = None
         try:
             if self.workers > 1 and len(tasks) > 1:
@@ -623,13 +582,12 @@ class ExperimentBatch:
                     kernel_hist.observe(meta["kernel_s"])
                     if "probe" in meta:
                         self.last_probes[key] = meta["probe"]
-                self.last_peak_rows = max(self.last_peak_rows, len(finished))
                 with span("chunk.flush", rows=len(finished)):
                     for key, summary in finished:
                         self.result_cache.put(
                             key, canonical_config(pending[key].spec), summary
                         )
-                        on_result(key, summary)
+                        executed[key] = summary
                 completed += len(finished)
                 self.last_chunks += 1
                 if manifest_path is not None:
@@ -638,8 +596,7 @@ class ExperimentBatch:
                         {
                             "chunk_size": chunk,
                             "done": done_offset + completed,
-                            "shard": None if self.shard is None else str(self.shard),
-                            "total": len(owned_keys),
+                            "total": len(grid_keys),
                         },
                     )
                 if (
@@ -655,6 +612,7 @@ class ExperimentBatch:
         finally:
             if pool is not None:
                 pool.shutdown()
+        return executed
 
     def _record_run_metrics(self) -> None:
         """Fold the finished run's ``last_*`` view into :attr:`metrics`.
@@ -674,10 +632,6 @@ class ExperimentBatch:
             help="Batch outcomes served from the result cache.",
         ).inc(self.last_cached)
         metrics.counter(
-            "repro_tasks_skipped_total",
-            help="Specs skipped because another shard owns them.",
-        ).inc(self.last_skipped)
-        metrics.counter(
             "repro_chunks_flushed_total",
             help="Chunk flushes performed by batches.",
         ).inc(self.last_chunks)
@@ -691,119 +645,34 @@ class ExperimentBatch:
         ).inc(self.last_memo_misses)
 
     def run(self) -> List[ExperimentOutcome]:
-        """Execute the batch and return outcomes in input order.
-
-        With a shard configured, outcomes cover only the owned specs (the
-        skipped ones are counted in :attr:`last_skipped`); order among the
-        survivors is still input order.
-        """
-        specs, keys, owned_keys, hits, pending = self._scan()
-        outcomes: List[Optional[ExperimentOutcome]] = [None] * len(specs)
-        for index, summary in hits.items():
-            outcomes[index] = ExperimentOutcome(
-                spec=specs[index], key=keys[index], summary=summary, from_cache=True
-            )
-
-        executed: Dict[str, Dict[str, float]] = {}
-
-        def _collect(key: str, summary: Dict[str, float]) -> None:
-            executed[key] = summary
-
-        self._execute_pending(pending, owned_keys, _collect)
-
+        """Execute the batch and return outcomes in input order."""
+        specs, keys, hits, pending = self._scan()
+        executed = self._execute_pending(pending, set(keys))
         self.last_executed = len(executed)
-        self.last_cached = 0
+        self.last_cached = len(specs) - len(executed)
+        outcomes: List[ExperimentOutcome] = []
         freshly_reported: set = set()
         for index, (spec, key) in enumerate(zip(specs, keys)):
-            if self.shard is not None and not self.shard.owns(key):
-                continue
-            if outcomes[index] is not None:
-                self.last_cached += 1
-                continue
-            if key in executed and key not in freshly_reported:
+            if index in hits:
+                summary, from_cache = hits[index], True
+            elif key in executed and key not in freshly_reported:
                 # The one occurrence a simulation actually ran for.
                 freshly_reported.add(key)
-                outcomes[index] = ExperimentOutcome(
-                    spec=spec,
-                    key=key,
-                    summary=dict(executed[key]),
-                    from_cache=False,
-                )
+                summary, from_cache = dict(executed[key]), False
             else:
                 # Duplicate of an earlier spec: the first occurrence was
                 # served from cache or executed; either way the row is in
                 # the cache now and no simulation ran for *this* outcome.
                 summary = self.result_cache.get(key)
                 assert summary is not None
-                outcomes[index] = ExperimentOutcome(
-                    spec=spec, key=key, summary=summary, from_cache=True
+                from_cache = True
+            outcomes.append(
+                ExperimentOutcome(
+                    spec=spec, key=key, summary=summary, from_cache=from_cache
                 )
-                self.last_cached += 1
+            )
         self._record_run_metrics()
-        return [outcome for outcome in outcomes if outcome is not None]
-
-    def run_streaming(
-        self, consumer: Callable[[ExperimentOutcome], None]
-    ) -> int:
-        """Execute the batch, handing each outcome to ``consumer`` as it
-        lands instead of materializing the result list.
-
-        Cache hits are emitted during the initial scan; fresh rows are
-        emitted chunk by chunk as they flush (duplicates of a fresh key
-        follow it immediately, marked ``from_cache=True`` like :meth:`run`
-        marks them).  Emission order is completion order, not input order --
-        a consumer that needs input order should use :meth:`run` instead.
-        Peak resident fresh rows are bounded by the chunk size
-        (:attr:`last_peak_rows`), which is what makes
-        :class:`~repro.exec.aggregate.StreamingAggregator` over a mega-grid
-        O(chunk) instead of O(grid).
-
-        Returns:
-            Number of outcomes emitted.
-        """
-        specs, keys, owned_keys, hits, pending = self._scan()
-        followers: Dict[str, List[ExperimentSpec]] = {key: [] for key in pending}
-        emitted = 0
-        cached_served = 0
-        for index, (spec, key) in enumerate(zip(specs, keys)):
-            if self.shard is not None and not self.shard.owns(key):
-                continue
-            if index in hits:
-                cached_served += 1
-                emitted += 1
-                consumer(
-                    ExperimentOutcome(
-                        spec=spec, key=key, summary=hits[index], from_cache=True
-                    )
-                )
-            elif key in followers:
-                followers[key].append(spec)
-        executed_count = 0
-        # The first follower of each pending key is the spec the simulation
-        # actually runs for; the rest are deduplicated repeats.
-        def _emit(key: str, summary: Dict[str, float]) -> None:
-            nonlocal emitted, executed_count, cached_served
-            for position, spec in enumerate(followers[key]):
-                fresh = position == 0
-                if fresh:
-                    executed_count += 1
-                else:
-                    cached_served += 1
-                emitted += 1
-                consumer(
-                    ExperimentOutcome(
-                        spec=spec,
-                        key=key,
-                        summary=dict(summary),
-                        from_cache=not fresh,
-                    )
-                )
-
-        self._execute_pending(pending, owned_keys, _emit)
-        self.last_executed = executed_count
-        self.last_cached = cached_served
-        self._record_run_metrics()
-        return emitted
+        return outcomes
 
 
 def run_batch(
@@ -814,7 +683,6 @@ def run_batch(
     base_seed: Optional[int] = None,
     energy_model: Optional[EnergyModel] = None,
     plugins: Sequence[str] = (),
-    shard: Optional[ShardSpec] = None,
     chunk_size: Optional[int] = None,
     probe: Optional[ProbeSpec] = None,
 ) -> List[ExperimentOutcome]:
@@ -827,7 +695,6 @@ def run_batch(
         base_seed=base_seed,
         energy_model=energy_model,
         plugins=plugins,
-        shard=shard,
         chunk_size=chunk_size,
         probe=probe,
     )

@@ -270,8 +270,8 @@ def iter_json_cache_entries(
 
     Yields ``(key, record)`` pairs in sorted-filename order, skipping
     unreadable or non-dict files (same tolerance as the cache readers).
-    Used by the SQLite migration and the shard-merge path, which both need
-    to enumerate a cache directory rather than probe known keys.
+    The SQLite migration (``repro cache migrate``) walks it to enumerate a
+    cache directory rather than probe known keys.
     """
     if not os.path.isdir(cache_dir):
         return

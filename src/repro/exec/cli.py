@@ -41,22 +41,14 @@ every figure of the paper is built from, plus the component registries:
     interrupted sweeps resume, and results are bit-identical to direct
     ``repro run`` invocations of the same specs.
 
-``merge``
-    Fold the outputs of N sharded runs -- cache directories (JSON or
-    SQLite) and/or ``--json`` output documents -- into one destination
-    cache, verifying that overlapping keys carry identical rows.  The
-    merged set is bit-identical to an unsharded run of the same grid (the
-    invariant the shard tests pin) and immediately servable via
-    ``--cache-dir``.
-
 ``cache migrate``
     Carry a warm JSON cache directory (``result-*.json`` /
     ``design-*.json``) into the SQLite store under unchanged keys, so
     existing caches keep hitting after switching backends.
 
 ``cache stats``
-    Entry counts and bytes of a cache directory (either backend) --
-    shard-cache health at a glance before/after ``repro merge``.
+    Entry counts and bytes of a cache directory (either backend); a JSON
+    directory also reports how many ``manifest-*.json`` checkpoints it holds.
 
 ``trace export`` / ``trace report``
     Inspect a span log written by ``--trace FILE``: ``export`` converts
@@ -130,20 +122,13 @@ observability flags:
     cycles; the sampled series ride in the ``--json`` document under
     ``probes`` (keyed by cache key).  Results stay bit-identical.
 
-``sweep``/``run``/``scenario`` additionally accept the horizontal-scale
-flags:
-
-``--shard K/N``
-    Run only the grid slice shard K of N owns (deterministic partition by
-    canonical spec hash; see :mod:`repro.exec.shard`).  N invocations with
-    shards ``1/N .. N/N`` -- on any hosts, each with its own
-    ``--cache-dir`` -- cover the grid exactly once; ``repro merge`` folds
-    their caches into the bit-identical unsharded result set.
+``sweep``/``run``/``scenario`` additionally accept the checkpoint flag:
 
 ``--chunk-size C``
     Flush results to the cache (and a ``manifest-*.json`` checkpoint)
-    every C completed specs, so a killed mega-sweep resumes from its last
-    chunk instead of restarting.
+    every C completed specs, so a killed sweep resumes from its last chunk
+    instead of restarting: rerunning the same command serves the flushed
+    rows from cache and simulates only the rest.
 
 The sweep/compare target is either a named placement (``--placement PS1``)
 or an ad-hoc one (``--mesh X Y Z --elevators "x,y;x,y"``), which keeps CI
@@ -164,11 +149,9 @@ from repro.analysis.runner import design_for, design_key_for, run_experiment
 from repro.analysis.sweep import LatencyCurve, saturation_rate
 from repro.core.optimizers import OPTIMIZER_REGISTRY
 from repro.core.selection import SELECTION_STRATEGIES
-from repro.exec.aggregate import MergeConflict, StreamingAggregator, merge_results
 from repro.exec.batch import ExperimentBatch, summaries_by_policy
 from repro.exec.cache import available_cache_backends, cache_stats, open_caches
 from repro.exec.designs import DesignBatch
-from repro.exec.shard import ShardSpec, parse_shard
 from repro.obs.probes import PROBE_CHANNELS, ProbeSpec
 from repro.obs.tracing import (
     JsonlRecorder,
@@ -347,28 +330,12 @@ def _install_cli_tracer(args: argparse.Namespace) -> None:
     install_tracer(Tracer(recorder))
 
 
-def _add_shard_arguments(parser: argparse.ArgumentParser) -> None:
-    scale = parser.add_argument_group("horizontal scale")
-    scale.add_argument(
-        "--shard", default=None, metavar="K/N",
-        help="run only shard K of an N-way deterministic grid partition "
-             "(merge the shard caches afterwards with `repro merge`)",
-    )
-    scale.add_argument(
+def _add_checkpoint_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument_group("checkpoints").add_argument(
         "--chunk-size", type=int, default=None, metavar="C",
         help="flush results to the cache every C completed specs (chunked "
              "checkpointing; a killed run resumes from its last chunk)",
     )
-
-
-def _parse_shard_argument(args: argparse.Namespace) -> Optional[ShardSpec]:
-    text = getattr(args, "shard", None)
-    if text is None:
-        return None
-    try:
-        return parse_shard(text)
-    except ValueError as error:
-        raise SystemExit(f"--shard: {error}")
 
 
 def _add_cache_backend_argument(target) -> None:
@@ -391,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="latency-vs-injection-rate sweep (Fig. 4 style)"
     )
     _add_common_arguments(sweep)
-    _add_shard_arguments(sweep)
+    _add_checkpoint_argument(sweep)
     sweep.add_argument(
         "--rates", default="0.001,0.003,0.005",
         help="comma-separated packet injection rates",
@@ -418,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_backend_argument(run)
     _add_engine_arguments(run)
-    _add_shard_arguments(run)
+    _add_checkpoint_argument(run)
 
     scenario = subparsers.add_parser(
         "scenario",
@@ -432,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_backend_argument(scenario)
     _add_engine_arguments(scenario)
-    _add_shard_arguments(scenario)
+    _add_checkpoint_argument(scenario)
 
     optimize = subparsers.add_parser(
         "optimize",
@@ -538,36 +505,11 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: 3)",
     )
     serve.add_argument(
-        "--shard", default=None, metavar="K/N",
-        help="this daemon's worker pool only claims tasks shard K of N "
-             "owns (N daemons split every job deterministically)",
-    )
-    serve.add_argument(
         "--verbose", action="store_true",
         help="DEBUG-level service logging on stderr (structured access-log "
              "events show at the default INFO level already)",
     )
     _add_trace_argument(serve)
-
-    merge = subparsers.add_parser(
-        "merge",
-        help="fold sharded caches / --json documents into one result set",
-    )
-    merge.add_argument(
-        "inputs", nargs="+", metavar="INPUT",
-        help="shard outputs to fold: cache directories (JSON or SQLite), "
-             "*.sqlite3 store files, or --json output documents",
-    )
-    merge.add_argument(
-        "--into", required=True, metavar="DIR",
-        help="destination cache directory (created if missing; may already "
-             "hold rows, e.g. merging shards incrementally)",
-    )
-    _add_cache_backend_argument(merge)
-    merge.add_argument(
-        "--json", action="store_true", dest="json_output",
-        help="print the merge report (and streaming aggregate) as JSON",
-    )
 
     cache = subparsers.add_parser(
         "cache", help="cache maintenance (migration, stats)"
@@ -720,7 +662,6 @@ def _make_batch(
         # Re-imported inside worker processes, so --plugin components exist
         # by name under any multiprocessing start method (not just fork).
         plugins=tuple(getattr(args, "plugin", [])),
-        shard=_parse_shard_argument(args),
         chunk_size=getattr(args, "chunk_size", None),
         manifest_dir=args.cache_dir,
         probe=_parse_probe_argument(args),
@@ -733,12 +674,6 @@ def _report_engine(batch: ExperimentBatch) -> None:
         f"{batch.last_cached} served from cache "
         f"({batch.workers} worker{'s' if batch.workers != 1 else ''})"
     )
-    shard = getattr(batch, "shard", None)
-    if shard is not None:
-        print(
-            f"[repro.exec] shard {shard}: {batch.last_skipped} spec(s) "
-            "owned by other shards skipped"
-        )
     if batch.last_executed:
         print(
             f"[repro.exec] setup {batch.last_setup_s:.3f}s "
@@ -775,12 +710,8 @@ def _engine_document(batch) -> Dict[str, Any]:
         "memo_hits": batch.last_memo_hits,
         "memo_misses": batch.last_memo_misses,
     }
-    # Shard/chunk keys appear only when the features are in play,
-    # keeping plain documents (and everything pinned on them) unchanged.
-    shard = getattr(batch, "shard", None)
-    if shard is not None:
-        document["shard"] = str(shard)
-        document["skipped"] = batch.last_skipped
+    # The chunk key appears only when chunking is in play, keeping plain
+    # documents (and everything pinned on them) unchanged.
     if getattr(batch, "chunk_size", None) is not None:
         document["chunks"] = batch.last_chunks
     return document
@@ -833,17 +764,11 @@ def _run_sweep(args: argparse.Namespace) -> int:
                         {"injection_rate": rate, "average_latency": latency}
                         for rate, latency in curves[policy].points
                     ],
-                    # A sharded slice may leave a curve empty; None rather
-                    # than a crash (merge the shards for the real number).
-                    "saturation_rate": (
-                        saturation_rate(curves[policy])
-                        if curves[policy].points else None
-                    ),
+                    "saturation_rate": saturation_rate(curves[policy]),
                 }
                 for policy in policies
             ],
-            # Same per-spec rows as `run --json`, so sharded sweep documents
-            # feed `repro merge` directly.
+            # Same per-spec rows as `run --json`.
             "outcomes": [_outcome_document(outcome) for outcome in outcomes],
         }
         # The probes block appears only when a probe was attached, keeping
@@ -856,9 +781,6 @@ def _run_sweep(args: argparse.Namespace) -> int:
     print(f"placement={base.placement.name} traffic={base.traffic.pattern}")
     for policy in policies:
         curve = curves[policy]
-        if not curve.points:
-            print(f"{policy:15s} (no points in this shard)")
-            continue
         points = "  ".join(
             f"{rate:.4f}:{latency:9.2f}" for rate, latency in curve.points
         )
@@ -1240,50 +1162,8 @@ def _run_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         max_attempts=args.max_attempts,
         plugins=tuple(getattr(args, "plugin", [])),
-        shard=_parse_shard_argument(args),
         verbose=getattr(args, "verbose", False),
     )
-
-
-def _run_merge(args: argparse.Namespace) -> int:
-    aggregator = StreamingAggregator()
-
-    def on_progress(source: str, rows: int) -> None:
-        print(f"[repro.merge] {source}: {rows} row(s) read", file=sys.stderr)
-
-    try:
-        report = merge_results(
-            args.inputs,
-            args.into,
-            backend=getattr(args, "cache_backend", "json"),
-            aggregator=aggregator,
-            on_progress=None if args.json_output else on_progress,
-        )
-    except MergeConflict as error:
-        # Two shards produced different rows for one key: the bit-identity
-        # invariant is broken, so refuse to write a merged set at all.
-        raise SystemExit(f"merge conflict: {error}")
-    except ValueError as error:
-        raise SystemExit(str(error))
-    if args.json_output:
-        _print_json({
-            "command": "merge",
-            "into": args.into,
-            "report": report.to_summary(),
-            "aggregate": aggregator.summary(),
-        })
-        return 0
-    print(
-        f"[repro.merge] {report.results} result(s) and {report.designs} "
-        f"design(s) merged into {args.into} from {len(report.sources)} "
-        f"source(s) ({report.result_duplicates} duplicate row(s))"
-    )
-    front = aggregator.summary()["pareto"]
-    print(
-        f"[repro.merge] streaming aggregate: {aggregator.rows} row(s), "
-        f"pareto front size {front['size']}"
-    )
-    return 0
 
 
 def _run_cache_stats(args: argparse.Namespace) -> int:
@@ -1516,8 +1396,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _run_optimize(args)
     if args.command == "serve":
         return _run_serve(args)
-    if args.command == "merge":
-        return _run_merge(args)
     if args.command == "cache":
         if args.cache_command == "migrate":
             return _run_cache_migrate(args)

@@ -5,8 +5,8 @@ Three instrument kinds, mirroring the Prometheus data model:
 * :class:`Counter` -- monotonically increasing total.
 * :class:`Gauge` -- a point-in-time level (``set``), *or* an additive
   level (``inc``/``dec``) -- merges **add**, which keeps folding registries
-  from shards/workers associative and order-independent (a "current queue
-  depth across the fleet" is the sum of per-member depths).
+  from workers associative and order-independent (a "current queue depth
+  across the pool" is the sum of per-worker depths).
 * :class:`Histogram` -- fixed, immutable bucket boundaries chosen at
   construction, so merging two histograms is element-wise addition of
   bucket counts.  No dynamic rebucketing, ever: that is what makes merges
@@ -123,7 +123,7 @@ class Gauge:
 
     def merge(self, other: "Gauge") -> None:
         # Addition (not last-write-wins) keeps registry folds associative
-        # and order-independent; a fleet-level gauge is the member sum.
+        # and order-independent; a pool-level gauge is the member sum.
         with self._lock:
             self.value += other.value
 
@@ -187,7 +187,7 @@ Instrument = Union[Counter, Gauge, Histogram]
 
 
 class MetricsRegistry:
-    """All instruments of one process (or one merged fleet view).
+    """All instruments of one process (or one merged pool view).
 
     Series are keyed ``(name, sorted-label-items)``; the first caller of a
     name fixes its kind (and, for histograms, its bucket bounds) -- a

@@ -50,7 +50,6 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple, Union
 
-from repro.exec.shard import ShardSpec
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, MetricsRegistry
 from repro.obs.tracing import span
 from repro.service.queue import JobQueue
@@ -233,11 +232,9 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     # Handlers
     # ------------------------------------------------------------------ #
     def _health(self) -> Tuple[int, Dict[str, Any]]:
-        shard = self.context.queue.shard
         return 200, {
             "status": "ok",
             "workers": self.context.pool.workers,
-            "shard": None if shard is None else str(shard),
             "tasks": self.context.queue.counts(),
             "cache": self._cache_stats(),
         }
@@ -353,7 +350,6 @@ def serve(
     plugins: Tuple[str, ...] = (),
     install_signal_handlers: bool = True,
     ready: Optional[threading.Event] = None,
-    shard: Optional[ShardSpec] = None,
     verbose: bool = False,
 ) -> int:
     """Run the daemon until SIGINT/SIGTERM: recover, serve, drain, close.
@@ -361,15 +357,6 @@ def serve(
     Startup re-queues tasks left ``running`` by a previous process
     (:meth:`JobQueue.recover_running`), which is what makes interrupted
     sweeps resume without re-running completed tasks.
-
-    A ``shard`` restricts this daemon's worker pool to its deterministic
-    slice of every job -- N daemons sharing one database (or merging their
-    caches afterwards) split submissions exactly like ``repro sweep
-    --shard`` splits a grid, through the same :class:`JobQueue` claim
-    path the CLI-less pool uses.  A sharded daemon skips startup recovery
-    of other shards' tasks only in the sense that it never claims them;
-    ``recover_running`` itself is shard-agnostic (an orphaned row must be
-    re-queued no matter which shard owns it).
 
     ``verbose`` attaches a DEBUG-level stderr handler to the
     ``repro.service`` logger (``repro serve --verbose``): structured
@@ -379,9 +366,9 @@ def serve(
     """
     configure_service_logging(verbose=verbose)
     queue = (
-        JobQueue(store, max_attempts=max_attempts, shard=shard)
+        JobQueue(store, max_attempts=max_attempts)
         if max_attempts is not None
-        else JobQueue(store, shard=shard)
+        else JobQueue(store)
     )
     recovered = queue.recover_running()
     if recovered:
@@ -410,10 +397,9 @@ def serve(
     )
     thread.start()
     bound = server.server_address
-    shard_note = "" if shard is None else f", shard {shard}"
     print(f"[repro.serve] listening on http://{bound[0]}:{bound[1]} "
           f"({workers} worker{'s' if workers != 1 else ''}, "
-          f"db {store.path}{shard_note})")
+          f"db {store.path})")
     if ready is not None:
         ready.set()
     try:

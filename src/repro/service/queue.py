@@ -44,7 +44,6 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.exec.batch import key_extra_for
 from repro.exec.cache import config_key, derive_seed
-from repro.exec.shard import ShardSpec
 from repro.obs.tracing import span
 from repro.service.store import SqliteStore, _dumps
 from repro.spec import ExperimentSpec, as_spec
@@ -61,12 +60,6 @@ TERMINAL_STATES = (DONE, FAILED, CANCELLED)
 
 #: Default cap on claim attempts per task (first run + two retries).
 DEFAULT_MAX_ATTEMPTS = 3
-
-#: Queued-task page size while scanning for a shard-owned claim.  Shard
-#: membership is a Python-side hash of the key (SQLite cannot take a
-#: 256-bit modulus), so a sharded claim walks candidates in pages instead
-#: of ``LIMIT 1``.
-_CLAIM_PAGE = 64
 
 
 @dataclass(frozen=True)
@@ -137,25 +130,15 @@ class JobQueue:
         store: The service database (jobs/tasks/results tables).
         max_attempts: Claim-count limit per task; a task failing (or being
             crash-recovered) this many times fails permanently.
-        shard: Optional :class:`~repro.exec.shard.ShardSpec`; a sharded
-            queue only *claims* tasks whose canonical keys it owns (the
-            same deterministic partition ``repro sweep --shard`` uses, so
-            N daemons over copies of one database -- or one shared
-            database -- split a job without coordinating).  Submission,
-            status and results are unaffected: every shard sees every job.
     """
 
     def __init__(
-        self,
-        store: SqliteStore,
-        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        shard: Optional[ShardSpec] = None,
+        self, store: SqliteStore, max_attempts: int = DEFAULT_MAX_ATTEMPTS
     ) -> None:
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         self.store = store
         self.max_attempts = max_attempts
-        self.shard = shard
 
     # ------------------------------------------------------------------ #
     # Submission
@@ -232,8 +215,7 @@ class JobQueue:
         Tasks are handed out in ``(job_id, idx)`` order.  Queued tasks
         whose key was completed meanwhile (by an overlapping job) are
         absorbed as ``done`` instead of claimed, and queued tasks that
-        exhausted their attempts are failed in place.  A sharded queue
-        skips (never touches) tasks owned by other shards.
+        exhausted their attempts are failed in place.
         """
         with span("queue.claim", worker=worker) as record_span:
             task = self._claim(worker)
@@ -252,56 +234,41 @@ class JobQueue:
             ).rowcount
             if absorbed:
                 self._finalize_jobs_of_absorbed(conn)
-            offset = 0
             while True:
-                rows = conn.execute(
+                row = conn.execute(
                     "SELECT t.job_id, t.idx, t.key, t.spec, t.attempts "
                     "FROM tasks t JOIN jobs j ON j.id = t.job_id "
                     "WHERE t.state=? AND j.state NOT IN (?,?) "
-                    "ORDER BY t.job_id, t.idx LIMIT ? OFFSET ?",
-                    (QUEUED, CANCELLED, FAILED, _CLAIM_PAGE, offset),
-                ).fetchall()
-                if not rows:
+                    "ORDER BY t.job_id, t.idx LIMIT 1",
+                    (QUEUED, CANCELLED, FAILED),
+                ).fetchone()
+                if row is None:
                     return None
-                mutated = False
-                for row in rows:
-                    if self.shard is not None and not self.shard.owns(row["key"]):
-                        continue
-                    if row["attempts"] >= self.max_attempts:
-                        conn.execute(
-                            "UPDATE tasks SET state=?, error=? "
-                            "WHERE job_id=? AND idx=?",
-                            (FAILED, "attempt limit exhausted",
-                             row["job_id"], row["idx"]),
-                        )
-                        self._finalize_job(conn, row["job_id"])
-                        # The queued set changed; restart the scan so the
-                        # page offsets stay consistent.
-                        mutated = True
-                        break
-                    conn.execute(
-                        "UPDATE tasks SET state=?, attempts=attempts+1, "
-                        "worker=?, claimed_at=? WHERE job_id=? AND idx=?",
-                        (RUNNING, worker, time.time(), row["job_id"], row["idx"]),
-                    )
-                    conn.execute(
-                        "UPDATE jobs SET state=? WHERE id=? AND state=?",
-                        (RUNNING, row["job_id"], QUEUED),
-                    )
-                    return TaskRecord(
-                        job_id=row["job_id"],
-                        index=row["idx"],
-                        key=row["key"],
-                        spec=ExperimentSpec.from_dict(json.loads(row["spec"])),
-                        state=RUNNING,
-                        attempts=row["attempts"] + 1,
-                    )
-                if mutated:
-                    offset = 0
-                elif len(rows) < _CLAIM_PAGE:
-                    return None  # walked every queued task; none ours
-                else:
-                    offset += _CLAIM_PAGE
+                if row["attempts"] < self.max_attempts:
+                    break
+                # Attempts used up: fail it in place and read the next row.
+                conn.execute(
+                    "UPDATE tasks SET state=?, error=? WHERE job_id=? AND idx=?",
+                    (FAILED, "attempt limit exhausted", row["job_id"], row["idx"]),
+                )
+                self._finalize_job(conn, row["job_id"])
+            conn.execute(
+                "UPDATE tasks SET state=?, attempts=attempts+1, "
+                "worker=?, claimed_at=? WHERE job_id=? AND idx=?",
+                (RUNNING, worker, time.time(), row["job_id"], row["idx"]),
+            )
+            conn.execute(
+                "UPDATE jobs SET state=? WHERE id=? AND state=?",
+                (RUNNING, row["job_id"], QUEUED),
+            )
+            return TaskRecord(
+                job_id=row["job_id"],
+                index=row["idx"],
+                key=row["key"],
+                spec=ExperimentSpec.from_dict(json.loads(row["spec"])),
+                state=RUNNING,
+                attempts=row["attempts"] + 1,
+            )
 
     def complete(
         self,

@@ -35,7 +35,7 @@ import os
 import sqlite3
 import threading
 import time
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.runner import DesignCache, DesignKey
 from repro.core.pipeline import AdEleDesign
@@ -247,20 +247,6 @@ class SqliteStore:
     def result_count(self) -> int:
         return self.query("SELECT COUNT(*) AS n FROM results")[0]["n"]
 
-    def iter_results(
-        self,
-    ) -> Iterator[Tuple[str, Optional[Dict[str, Any]], Dict[str, float]]]:
-        """Every result row as ``(key, config, summary)``, key-ordered.
-
-        The merge path (:func:`repro.exec.aggregate.merge_results`) walks
-        this to fold a SQLite shard into another backend.
-        """
-        for row in self.query(
-            "SELECT key, config, summary FROM results ORDER BY key"
-        ):
-            config = None if row["config"] is None else json.loads(row["config"])
-            yield row["key"], config, json.loads(row["summary"])
-
     def clear_results(self) -> None:
         self.execute("DELETE FROM results")
 
@@ -283,13 +269,6 @@ class SqliteStore:
 
     def design_count(self) -> int:
         return self.query("SELECT COUNT(*) AS n FROM designs")[0]["n"]
-
-    def iter_design_records(self) -> Iterator[Tuple[str, Dict[str, Any]]]:
-        """Every design row as ``(key_hash, record)``, hash-ordered."""
-        for row in self.query(
-            "SELECT key_hash, record FROM designs ORDER BY key_hash"
-        ):
-            yield row["key_hash"], json.loads(row["record"])
 
     def clear_designs(self) -> None:
         self.execute("DELETE FROM designs")
@@ -425,11 +404,6 @@ def _design_persistable(key: DesignKey) -> bool:
 # ---------------------------------------------------------------------- #
 # JSON -> SQLite migration
 # ---------------------------------------------------------------------- #
-#: Backward-compatible alias; the helper now lives in repro.exec.cache so
-#: the merge path can use it without importing the service layer.
-_iter_json_entries = iter_json_cache_entries
-
-
 def migrate_json_cache(cache_dir: str, store: SqliteStore) -> Dict[str, int]:
     """Carry a warm JSON cache directory into a SQLite store.
 
@@ -444,7 +418,7 @@ def migrate_json_cache(cache_dir: str, store: SqliteStore) -> Dict[str, int]:
         ``{"results": n, "designs": n, "skipped": n}`` migration counts.
     """
     migrated = {"results": 0, "designs": 0, "skipped": 0}
-    for key, record in _iter_json_entries(cache_dir, "result-"):
+    for key, record in iter_json_cache_entries(cache_dir, "result-"):
         summary = record.get("summary")
         if not isinstance(summary, dict):
             migrated["skipped"] += 1
@@ -452,7 +426,7 @@ def migrate_json_cache(cache_dir: str, store: SqliteStore) -> Dict[str, int]:
         if store.get_result(key) is None:
             store.put_result(key, record.get("config"), summary)
             migrated["results"] += 1
-    for key_hash, record in _iter_json_entries(cache_dir, "design-"):
+    for key_hash, record in iter_json_cache_entries(cache_dir, "design-"):
         if record.get("format") != 2:
             migrated["skipped"] += 1
             continue

@@ -26,7 +26,6 @@ import traceback
 from typing import Optional, Sequence, Tuple
 
 from repro.exec.batch import ExperimentBatch
-from repro.exec.shard import ShardSpec
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, MetricsRegistry
 from repro.service.queue import JobQueue, TaskRecord
 from repro.service.store import SqliteDesignCache, SqliteResultCache, SqliteStore
@@ -86,11 +85,6 @@ class WorkerPool:
             ``running`` task (orphan recovery).
         plugins: Module names imported before specs resolve, mirroring the
             batch engine's ``--plugin`` behaviour.
-        shard: Optional :class:`~repro.exec.shard.ShardSpec` forwarded to
-            the pool's default :class:`JobQueue`, restricting its claims
-            to the shard's deterministic slice of every job (``repro
-            serve --shard K/N``).  Ignored when an explicit ``queue`` is
-            given -- configure that queue's shard directly.
     """
 
     def __init__(
@@ -101,13 +95,12 @@ class WorkerPool:
         poll_interval: float = 0.1,
         lease_seconds: float = DEFAULT_LEASE_SECONDS,
         plugins: Sequence[str] = (),
-        shard: Optional[ShardSpec] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.store = store
-        self.queue = queue if queue is not None else JobQueue(store, shard=shard)
+        self.queue = queue if queue is not None else JobQueue(store)
         self.workers = workers
         self.poll_interval = poll_interval
         self.lease_seconds = lease_seconds

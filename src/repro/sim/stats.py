@@ -102,97 +102,6 @@ def _latency_percentile(stats, percentile: float) -> float:
 
 
 @dataclass
-class LatencyReservoir:
-    """A standalone bounded latency sketch (Algorithm R, fixed seed).
-
-    The incremental face of the reservoir discipline shared by
-    :class:`SimulationStats` and :class:`PhaseStats`: the same
-    ``_reservoir_observe`` / ``_reservoir_merge`` / ``_latency_percentile``
-    helpers, packaged so streaming consumers (the batch engine's
-    :class:`~repro.exec.aggregate.StreamingAggregator`) can maintain
-    percentile sketches over an unbounded result stream in O(capacity)
-    memory.  Observations arrive one at a time (:meth:`observe`) or as
-    another collector's already-bounded samples (:meth:`merge_samples` /
-    :meth:`merge_from`); totals (count, sum) are streamed exactly
-    regardless of down-sampling.
-    """
-
-    capacity: int = DEFAULT_LATENCY_RESERVOIR_SIZE
-    latencies: List[float] = field(default_factory=list)
-    latency_samples_seen: int = 0
-    total: float = 0.0
-    _reservoir_rng: random.Random = field(
-        default_factory=lambda: random.Random(_RESERVOIR_SEED),
-        repr=False,
-        compare=False,
-    )
-
-    @property
-    def latency_reservoir_size(self) -> int:
-        """Alias so the shared module helpers see the usual attribute name."""
-        return self.capacity
-
-    @property
-    def count(self) -> int:
-        """Observations offered so far (exact, not the stored sample count)."""
-        return self.latency_samples_seen
-
-    @property
-    def exact(self) -> bool:
-        """Whether every observation is still stored (no down-sampling yet)."""
-        return self.latency_samples_seen == len(self.latencies)
-
-    @property
-    def mean(self) -> float:
-        """Exact mean of all observations (inf when empty)."""
-        if self.latency_samples_seen == 0:
-            return float("inf")
-        return self.total / self.latency_samples_seen
-
-    def observe(self, value: float) -> None:
-        """Add one observation."""
-        self.total += value
-        _reservoir_observe(self, value)
-
-    def merge_samples(self, stored: List[float], samples_seen: int) -> None:
-        """Merge another collector's (possibly down-sampled) samples in.
-
-        ``stored``/``samples_seen`` follow the :func:`_reservoir_merge`
-        contract; the exact total is advanced by the stored samples only
-        (a down-sampled peer cannot contribute an exact sum), so prefer
-        :meth:`merge_from` when the peer tracks its own total.
-        """
-        self.total += sum(stored)
-        _reservoir_merge(self, stored, samples_seen)
-
-    def merge_from(self, other: "LatencyReservoir") -> None:
-        """Merge a peer reservoir, keeping exact counts and totals."""
-        self.total += other.total
-        _reservoir_merge(self, other.latencies, other.latency_samples_seen)
-
-    def percentile(self, percentile: float) -> float:
-        """Nearest-rank percentile over the stored samples.
-
-        Exact while :attr:`exact` holds; a uniform-reservoir estimate
-        afterwards.
-        """
-        return _latency_percentile(self, percentile)
-
-    def to_summary(self) -> Dict[str, object]:
-        """JSON-native sketch snapshot (count, mean, p50/p95/p99, exactness)."""
-        summary: Dict[str, object] = {
-            "count": self.latency_samples_seen,
-            "exact": self.exact,
-        }
-        if self.latency_samples_seen:
-            summary["mean"] = self.mean
-            summary["p50"] = self.percentile(50.0)
-            summary["p95"] = self.percentile(95.0)
-            summary["p99"] = self.percentile(99.0)
-        return summary
-
-
-@dataclass
 class PhaseStats:
     """Event counters of one scenario measurement window.
 

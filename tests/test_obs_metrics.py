@@ -1,7 +1,7 @@
 """Merge determinism of the metrics registry (property-based).
 
-The service merges registries from workers, shards and scrape-time
-snapshots in whatever order threads happen to finish, so the fold must be
+The service merges registries from workers and scrape-time snapshots
+in whatever order threads happen to finish, so the fold must be
 a pure function of the multiset of recorded events: associative,
 order-independent, and identical to recording everything into one
 registry directly.  Same approach as ``test_stats_merge_property.py``
@@ -50,7 +50,7 @@ def _apply(registry: MetricsRegistry, event) -> None:
     if kind == "counter":
         registry.counter(name, labels).inc(value)
     elif kind == "gauge":
-        # Additive gauge use: the merge semantics (sum) model "fleet
+        # Additive gauge use: the merge semantics (sum) model "pool
         # level = sum of member levels".
         registry.gauge(name, labels).inc(value)
     else:

@@ -172,6 +172,22 @@ class TestLifecycle:
         with pytest.raises(KeyError):
             queue.cancel(999)
 
+    def test_queue_drains_everything(self, queue):
+        specs = [
+            _spec(0.001 * (i + 1), policy)
+            for policy in ("elevator_first", "cda")
+            for i in range(2)
+        ]
+        queue.submit(specs)
+        seen = 0
+        while True:
+            task = queue.claim("w")
+            if task is None:
+                break
+            seen += 1
+            queue.complete(task, {"average_latency": 1.0})
+        assert seen == len(specs)
+
 
 # ---------------------------------------------------------------------- #
 # Crash resume
@@ -236,66 +252,18 @@ class TestCrashResume:
         assert queue.claim("w9") is None
         assert queue.job(receipt.job.id).state == FAILED
 
-
-# ---------------------------------------------------------------------- #
-# Sharded claims
-# ---------------------------------------------------------------------- #
-class TestShardedClaims:
-    def _grid(self, n: int = 8):
-        return [
-            _spec(0.001 * (i + 1), policy)
-            for policy in ("elevator_first", "cda")
-            for i in range(n // 2)
-        ]
-
-    def test_sharded_queues_split_a_job_disjointly(self, store):
-        from repro.exec.shard import ShardSpec
-
-        specs = self._grid()
-        JobQueue(store).submit(specs, base_seed=3)
-        claimed = {}
-        for index in range(1, 4):
-            shard = ShardSpec(index=index, count=3)
-            queue = JobQueue(store, shard=shard)
-            while True:
-                task = queue.claim(f"w{index}")
-                if task is None:
-                    break
-                assert shard.owns(task.key)
-                assert task.key not in claimed
-                claimed[task.key] = index
-                queue.complete(task, {"average_latency": 1.0})
-        extra = key_extra_for(None)
-        expected = {
-            config_key(spec.with_(seed=derive_seed(spec, 3)), extra=extra)
-            for spec in specs
-        }
-        assert set(claimed) == expected
-
-    def test_sharded_queue_leaves_foreign_tasks_queued(self, store):
-        from repro.exec.shard import ShardSpec
-
-        specs = self._grid()
-        receipt = JobQueue(store).submit(specs, base_seed=3)
-        shard = ShardSpec(index=1, count=3)
-        queue = JobQueue(store, shard=shard)
-        owned = 0
-        while queue.claim("w1") is not None:
-            owned += 1
-        assert 0 < owned < len(specs)
-        # Foreign tasks are untouched -- still claimable by the others.
-        counts = JobQueue(store).job(receipt.job.id).counts
-        assert counts[QUEUED] == len(specs) - owned
-
-    def test_unsharded_queue_drains_everything(self, store):
-        specs = self._grid(4)
-        JobQueue(store).submit(specs)
-        queue = JobQueue(store)
-        seen = 0
-        while True:
-            task = queue.claim("w")
-            if task is None:
-                break
-            seen += 1
-            queue.complete(task, {"average_latency": 1.0})
-        assert seen == len(specs)
+    def test_exhausted_task_is_failed_and_the_next_one_claimed(self, store):
+        queue = JobQueue(store, max_attempts=1)
+        receipt = queue.submit([_spec(0.001), _spec(0.002)])
+        assert queue.claim("w1").index == 0
+        # Restart: task 0 is queued again, its one attempt already used,
+        # ahead of the fresh task 1 in the same job.
+        assert queue.recover_running() == 1
+        task = queue.claim("w2")
+        assert task is not None and task.index == 1 and task.attempts == 1
+        first, second = queue.tasks(receipt.job.id)
+        assert first.state == FAILED and first.error == "attempt limit exhausted"
+        assert second.state == RUNNING
+        assert queue.job(receipt.job.id).state == RUNNING
+        queue.complete(task, {"average_latency": 1.0})
+        assert queue.job(receipt.job.id).state == FAILED

@@ -1,8 +1,8 @@
 """Property tests: stats merging is order-independent (hypothesis).
 
-``SimulationStats.merge`` / ``PhaseStats.merge`` are the streaming
-aggregation primitives -- shards fold their rows in whatever order they
-finish, so the fold must be a pure function of the *multiset* of inputs.
+``SimulationStats.merge`` / ``PhaseStats.merge`` fold collectors in
+whatever order a caller offers them, so the fold must be a pure function
+of the *multiset* of inputs.
 That holds exactly while reservoirs are under capacity (every test here
 stays under; past capacity only the bounded sample set is order-sensitive,
 never the exact totals -- pinned separately at the end).
