@@ -16,15 +16,13 @@ from __future__ import annotations
 
 from conftest import record_rows
 
-from repro.analysis.runner import DEFAULT_OFFLINE_AMOSA, adele_design_for
+from repro.analysis.runner import design_for
 from repro.core.pareto import dominates
-from repro.topology.elevators import standard_placement
+from repro.spec import DesignSpec, PlacementSpec
 
 
 def _run_fig3():
-    placement = standard_placement("PM")
-    design = adele_design_for(placement, max_subset_size=4,
-                              amosa_config=DEFAULT_OFFLINE_AMOSA)
+    design = design_for(DesignSpec(placement=PlacementSpec(name="PM")))
     rows = ["solution  util_variance  avg_distance  avg_subset_size"]
     ordered = sorted(design.representatives, key=lambda e: e.objectives[0])
     for index, entry in enumerate(ordered):

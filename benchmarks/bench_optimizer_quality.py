@@ -31,7 +31,9 @@ import json
 import os
 from typing import Dict, List, Sequence, Tuple
 
-from repro.analysis.runner import adele_design_for
+from repro.analysis.runner import design_for
+from repro.core.pipeline import AdEleDesign
+from repro.spec import DesignSpec
 from repro.topology.elevators import ElevatorPlacement
 from repro.topology.mesh3d import Mesh3D
 
@@ -89,35 +91,25 @@ def run_benchmark(args: argparse.Namespace) -> Dict:
     fronts: Dict[str, List[Point]] = {}
     evaluations: Dict[str, int] = {}
 
+    def run(optimizer: str, options: Dict) -> AdEleDesign:
+        spec = DesignSpec(
+            optimizer=optimizer, options=options, max_subset_size=args.max_subset_size
+        )
+        return design_for(spec, placement)
+
     # AMOSA first: its exact evaluation count becomes the shared budget.
-    amosa = adele_design_for(
-        placement,
-        max_subset_size=args.max_subset_size,
-        optimizer="amosa",
-        optimizer_options={
-            "iterations_per_temperature": args.iterations,
-            "seed": args.seed,
-        },
+    amosa = run(
+        "amosa", {"iterations_per_temperature": args.iterations, "seed": args.seed}
     )
     fronts["amosa"] = [tuple(p) for p in amosa.pareto_points()]
     evaluations["amosa"] = amosa.result.evaluations
     budget = amosa.result.evaluations
 
-    random_design = adele_design_for(
-        placement,
-        max_subset_size=args.max_subset_size,
-        optimizer="random-search",
-        optimizer_options={"evaluations": budget, "seed": args.seed},
-    )
+    random_design = run("random-search", {"evaluations": budget, "seed": args.seed})
     fronts["random-search"] = [tuple(p) for p in random_design.pareto_points()]
     evaluations["random-search"] = random_design.result.evaluations
 
-    greedy = adele_design_for(
-        placement,
-        max_subset_size=args.max_subset_size,
-        optimizer="greedy-swap",
-        optimizer_options={"seed": args.seed},
-    )
+    greedy = run("greedy-swap", {"seed": args.seed})
     fronts["greedy-swap"] = [tuple(p) for p in greedy.pareto_points()]
     evaluations["greedy-swap"] = greedy.result.evaluations
 

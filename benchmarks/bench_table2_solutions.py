@@ -15,15 +15,12 @@ from __future__ import annotations
 
 from conftest import LARGE_MESH_CYCLES, make_spec, record_rows
 
-from repro.analysis.runner import (
-    DEFAULT_OFFLINE_AMOSA,
-    adele_design_for,
-    build_packet_source,
-)
+from repro.analysis.runner import build_packet_source, design_for
 from repro.energy.model import EnergyModel
 from repro.routing.elevator_first import ElevatorFirstPolicy
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
+from repro.spec import DesignSpec
 from repro.topology.elevators import standard_placement
 
 #: Injection rate used to compare the selected solutions (moderate load on PM).
@@ -48,8 +45,7 @@ def _simulate(placement, policy, seed=0):
 
 def _run_table2():
     placement = standard_placement("PM")
-    design = adele_design_for(placement, max_subset_size=4,
-                              amosa_config=DEFAULT_OFFLINE_AMOSA)
+    design = design_for(DesignSpec(), placement)
     rows = ["solution   util_var  avg_dist  latency_cycles  energy_nj_per_flit"]
     results = {}
 

@@ -12,8 +12,7 @@ Run with:  python examples/custom_topology.py
 
 from __future__ import annotations
 
-from repro import ElevatorPlacement, Mesh3D, run_experiment
-from repro.analysis.runner import adele_design_for
+from repro import ElevatorPlacement, Mesh3D, optimize_elevator_subsets, run_experiment
 from repro.api import ExperimentSpec, PlacementSpec, SimSpec, TrafficSpec
 from repro.topology.elevators import average_distance_of_placement
 from repro.traffic.patterns import HotspotTraffic
@@ -38,10 +37,10 @@ def main() -> None:
     controllers = [mesh.node_id_xyz(0, 0, 0), mesh.node_id_xyz(5, 5, 0)]
     traffic = HotspotTraffic(mesh, hotspots=controllers, hotspot_fraction=0.3, seed=3)
 
-    # 4. Offline AdEle optimization against that traffic matrix.
-    design = adele_design_for(
-        placement, traffic_label="hotspot", traffic_matrix=traffic.traffic_matrix(),
-    )
+    # 4. Offline AdEle optimization against that traffic matrix.  An
+    #    explicit matrix goes to the uncached core (the default offline
+    #    stage, searched against this matrix instead of uniform traffic).
+    design = optimize_elevator_subsets(placement, traffic=traffic.traffic_matrix())
     print(f"AdEle offline design: {len(design.result.archive)} Pareto points, "
           f"selected variance={design.selected.objectives[0]:.3f}, "
           f"distance={design.selected.objectives[1]:.3f}")

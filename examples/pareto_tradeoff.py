@@ -14,8 +14,15 @@ from __future__ import annotations
 import sys
 
 from repro import standard_placement
-from repro.analysis.runner import adele_design_for, build_packet_source
-from repro.api import ExperimentSpec, PlacementSpec, SimSpec, TrafficSpec
+from repro.analysis.runner import build_packet_source
+from repro.api import (
+    DesignSpec,
+    ExperimentSpec,
+    PlacementSpec,
+    SimSpec,
+    TrafficSpec,
+    design_for,
+)
 from repro.energy.model import EnergyModel
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
@@ -43,7 +50,7 @@ def main() -> None:
     placement = standard_placement(name)
     print(f"Running AMOSA offline optimization for {name} "
           f"({placement.num_elevators} elevators) ...")
-    design = adele_design_for(placement)
+    design = design_for(DesignSpec(), placement)
 
     print("\nPareto front (utilization variance, average distance):")
     for variance, distance in sorted(design.pareto_points()):

@@ -15,8 +15,15 @@ from __future__ import annotations
 
 from repro import standard_placement
 from repro.analysis.comparison import format_table, policy_comparison_table
-from repro.analysis.runner import adele_design_for
-from repro.api import ExperimentSpec, PlacementSpec, SimSpec, TrafficSpec, run
+from repro.api import (
+    DesignSpec,
+    ExperimentSpec,
+    PlacementSpec,
+    SimSpec,
+    TrafficSpec,
+    design_for,
+    run,
+)
 
 
 def main() -> None:
@@ -25,8 +32,9 @@ def main() -> None:
           f"{placement.num_elevators} elevators at {placement.columns()}")
 
     # Offline stage: AMOSA finds per-router elevator subsets (cached for the
-    # AdEle runs below).  This is the paper's Fig. 1 offline box.
-    design = adele_design_for(placement)
+    # AdEle runs below, which resolve the same default DesignSpec).  This is
+    # the paper's Fig. 1 offline box.
+    design = design_for(DesignSpec(), placement)
     print(f"Offline optimization: {len(design.result.archive)} Pareto points, "
           f"selected solution objectives = "
           f"(variance={design.selected.objectives[0]:.3f}, "

@@ -65,12 +65,11 @@ from repro.core import (
     AdEleDesign,
     AmosaConfig,
     AmosaOptimizer,
-    OfflineConfig,
     optimize_elevator_subsets,
 )
 from repro.analysis import (
     DesignCache,
-    adele_design_for,
+    design_for,
     elevator_load_distribution,
     latency_sweep,
     run_experiment,
@@ -87,6 +86,7 @@ from repro.exec import (
 )
 from repro.registry import Registry, RegistryEntry, UnknownComponentError
 from repro.spec import (
+    DesignSpec,
     ExperimentSpec,
     PlacementSpec,
     PolicySpec,
@@ -95,7 +95,7 @@ from repro.spec import (
 )
 from repro import api
 
-__version__ = "1.15.0"
+__version__ = "1.16.0"
 
 __all__ = [
     "Coordinate",
@@ -121,7 +121,7 @@ __all__ = [
     "AdEleRoundRobinPolicy",
     "make_policy",
     "AdEleDesign",
-    "OfflineConfig",
+    "DesignSpec",
     "AmosaConfig",
     "AmosaOptimizer",
     "optimize_elevator_subsets",
@@ -138,7 +138,7 @@ __all__ = [
     "latency_sweep",
     "saturation_rate",
     "elevator_load_distribution",
-    "adele_design_for",
+    "design_for",
     "DesignCache",
     "ExperimentBatch",
     "ExperimentOutcome",

@@ -11,14 +11,14 @@ application traffic (Fig. 7).
 
 from repro.analysis.runner import (
     DesignCache,
-    adele_design_for,
+    build_adele_policy,
     build_network,
     build_packet_source,
     build_policy,
     clear_design_cache,
     design_for,
-    design_for_placement,
     design_key_for,
+    experiment_design_spec,
     get_design_cache,
     run_experiment,
     set_design_cache,
@@ -46,10 +46,10 @@ __all__ = [
     "build_policy",
     "build_packet_source",
     "run_experiment",
-    "adele_design_for",
+    "build_adele_policy",
     "design_for",
-    "design_for_placement",
     "design_key_for",
+    "experiment_design_spec",
     "clear_design_cache",
     "LatencyCurve",
     "latency_sweep",

@@ -12,9 +12,10 @@ assembled so every bench and example builds identical networks:
 * :func:`run_experiment` executes one configuration and returns the
   :class:`~repro.sim.engine.SimulationResult`.
 
-The AdEle offline design is cached in a :class:`DesignCache` so a latency
-sweep over ten injection rates runs AMOSA once, exactly like the paper runs
-the offline stage once per configuration.  The cache is an injectable,
+:func:`design_for` resolves a :class:`~repro.spec.DesignSpec` to an AdEle
+offline design, cached in a :class:`DesignCache` so a latency sweep over
+ten injection rates runs AMOSA once, exactly like the paper runs the
+offline stage once per configuration.  The cache is an injectable,
 clearable object (callers can pass their own, e.g. the disk-backed
 :class:`repro.exec.cache.DiskDesignCache`); a module-level default instance
 preserves the historical run-AMOSA-once-per-process behaviour.
@@ -23,103 +24,45 @@ preserves the historical run-AMOSA-once-per-process behaviour.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
-from dataclasses import asdict
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.core.amosa import AmosaConfig, ProgressCallback
-from repro.core.optimizers import (
-    DEFAULT_OFFLINE_AMOSA,
-    OPTIMIZER_REGISTRY,
-    canonical_optimizer_options,
-)
-from repro.core.pipeline import AdEleDesign, OfflineConfig, optimize_elevator_subsets
+from repro.core.amosa import ProgressCallback
+from repro.core.optimizers import OPTIMIZER_REGISTRY, canonical_optimizer_options
+from repro.core.pipeline import AdEleDesign, optimize_elevator_subsets
 from repro.core.selection import select_by_strategy, spread_selection
 from repro.energy.model import EnergyModel
 from repro.obs.tracing import span
 from repro.routing import make_policy
+from repro.routing.adele import AdElePolicy, AdEleRoundRobinPolicy
 from repro.routing.base import ElevatorSelectionPolicy, RouteComputation
 from repro.sim.engine import SimulationResult, Simulator
 from repro.sim.network import Network
 from repro.spec import (
     DEFAULT_ADELE_LOW_TRAFFIC_THRESHOLD,
     DEFAULT_ADELE_MAX_SUBSET_SIZE,
-    DEFAULT_NUM_REPRESENTATIVES,
     DesignSpec,
     ExperimentSpec,
 )
 from repro.topology.elevators import ElevatorPlacement
 from repro.traffic.generator import BernoulliPacketSource, PacketSource
-from repro.traffic.patterns import PATTERN_REGISTRY, TrafficPattern, UniformTraffic
+from repro.traffic.patterns import PATTERN_REGISTRY, TrafficPattern
 
-#: Key type of the offline-design cache (see :meth:`DesignCache.make_key`).
+#: Key type of the offline-design cache (see :func:`design_key_for`).
 DesignKey = Tuple
 
 
 class DesignCache:
     """In-memory cache of completed AdEle offline designs.
 
-    Keys capture everything the offline stage depends on -- the placement
-    *identity* (name, mesh shape and elevator columns, so two different
-    custom placements sharing a name never collide), the assumed traffic
-    label, the subset-size cap, the optimizer name and its fully resolved
-    (defaults-applied) options.  The selection strategy is deliberately
-    *not* part of the key: it only picks a point from the archive and is
-    re-applied after every cache fetch.  Instances are injectable into
-    :func:`adele_design_for` / :func:`build_policy` and clearable, so
-    sweeps with different offline settings cannot share stale designs and
-    tests can isolate themselves cheaply.
+    Keys come from :func:`design_key_for`.  Instances are injectable into
+    :func:`design_for` / :func:`build_policy` and clearable, so sweeps with
+    different offline settings cannot share stale designs and tests can
+    isolate themselves cheaply.
     """
 
     def __init__(self) -> None:
         self._designs: Dict[DesignKey, AdEleDesign] = {}
-
-    @staticmethod
-    def make_key(
-        placement: ElevatorPlacement,
-        traffic_label: str,
-        max_subset_size: Optional[int],
-        amosa_config: Optional[AmosaConfig] = None,
-        optimizer: str = "amosa",
-        optimizer_options: Optional[Mapping[str, Any]] = None,
-        weight_distance_by_traffic: bool = False,
-    ) -> DesignKey:
-        """The cache key of one offline-stage invocation.
-
-        ``optimizer_options`` should be the *fully resolved* options (see
-        :func:`repro.core.optimizers.canonical_optimizer_options`); when
-        omitted they are derived from ``amosa_config`` (legacy callers) or
-        the optimizer's defaults.  ``weight_distance_by_traffic`` extends
-        the key only when enabled, so every key minted before the knob
-        existed stays byte-identical.  ``num_representatives`` is
-        deliberately *not* part of the key: like the selection strategy it
-        only reads the archive and is re-applied after every cache fetch.
-        """
-        canonical = optimizer
-        if canonical in OPTIMIZER_REGISTRY:
-            canonical = OPTIMIZER_REGISTRY.entry(canonical).name
-        if optimizer_options is None:
-            if canonical == "amosa":
-                base = amosa_config if amosa_config is not None else DEFAULT_OFFLINE_AMOSA
-                optimizer_options = asdict(base)
-            else:
-                optimizer_options = canonical_optimizer_options(canonical, {})
-        options_blob = json.dumps(
-            dict(optimizer_options), sort_keys=True, separators=(",", ":")
-        )
-        key: DesignKey = (
-            placement.name,
-            tuple(placement.mesh.shape),
-            tuple(placement.columns()),
-            traffic_label,
-            max_subset_size,
-            canonical,
-            options_blob,
-        )
-        if weight_distance_by_traffic:
-            key += (("weight_distance_by_traffic", True),)
-        return key
 
     def get(self, key: DesignKey) -> Optional[AdEleDesign]:
         """The cached design for a key, or ``None``."""
@@ -142,15 +85,8 @@ class DesignCache:
 
 #: Default process-wide design cache (injectable replacements: see
 #: :func:`set_design_cache` and the ``cache`` parameter of
-#: :func:`adele_design_for`).
+#: :func:`design_for`).
 _default_design_cache = DesignCache()
-
-
-def _traffic_matrix_digest(traffic_matrix) -> str:
-    """Short content hash of an explicit traffic matrix (for cache keys)."""
-    items = sorted(traffic_matrix.items())
-    blob = repr(items).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------- #
@@ -161,136 +97,43 @@ def build_traffic(spec: ExperimentSpec, placement: ElevatorPlacement) -> Traffic
     return spec.traffic.build(placement, seed=spec.sim.seed)
 
 
-def adele_design_for(
-    placement: ElevatorPlacement,
-    traffic_label: str = "uniform",
-    traffic_matrix=None,
-    max_subset_size: Optional[int] = 4,
-    amosa_config: Optional[AmosaConfig] = None,
-    cache: Optional[DesignCache] = None,
-    optimizer: str = "amosa",
-    optimizer_options: Optional[Mapping[str, Any]] = None,
-    selection: str = "knee",
-    matrix_from_label: bool = False,
-    weight_distance_by_traffic: bool = False,
-    num_representatives: int = DEFAULT_NUM_REPRESENTATIVES,
-    on_iteration: Optional[ProgressCallback] = None,
-) -> AdEleDesign:
-    """Run (or fetch from cache) AdEle's offline optimization for a placement.
-
-    The paper runs the offline stage with uniform traffic ("the most
-    pessimistic assumption"), so by default the uniform matrix is used
-    regardless of the runtime traffic.
-
-    Args:
-        cache: Design cache to consult/populate; defaults to the process-wide
-            cache (see :func:`get_design_cache`).
-        optimizer: Registered optimizer name running the search.
-        optimizer_options: Optimizer options; for ``amosa`` they override
-            ``amosa_config`` (which defaults to the offline defaults).
-        selection: Archive-selection strategy (``knee``/``latency``/
-            ``energy``); applied after every cache fetch, so it never
-            splits the cache.
-        matrix_from_label: The supplied ``traffic_matrix`` was derived
-            deterministically from ``traffic_label`` (seed 0), so the label
-            alone identifies it -- the design stays disk-persistable.
-            Without this flag an explicit matrix is keyed by content hash
-            and kept memory-only.
-        weight_distance_by_traffic: Weight the distance objective by the
-            traffic matrix (enters the cache key only when enabled).
-        num_representatives: How many spread (S0...) solutions to expose;
-            like ``selection``, re-applied after every cache fetch.
-        on_iteration: Optional optimizer progress callback.
-
-    Raises:
-        repro.registry.UnknownComponentError: Unknown optimizer name.
-    """
-    canonical = OPTIMIZER_REGISTRY.entry(optimizer).name
-    amosa = amosa_config if amosa_config is not None else DEFAULT_OFFLINE_AMOSA
-    if canonical == "amosa":
-        options = {**asdict(amosa), **dict(optimizer_options or {})}
-        options = canonical_optimizer_options(canonical, options)
-    else:
-        options = canonical_optimizer_options(canonical, optimizer_options or {})
-    if cache is None:
-        cache = _default_design_cache
-    if traffic_matrix is not None and not matrix_from_label:
-        # An explicit matrix must never alias the label-only entry (nor be
-        # persisted as the canonical "uniform" design by disk caches): key
-        # it by content.
-        traffic_label = f"{traffic_label}#{_traffic_matrix_digest(traffic_matrix)}"
-    key = DesignCache.make_key(
-        placement,
-        traffic_label,
-        max_subset_size,
-        optimizer=canonical,
-        optimizer_options=options,
-        weight_distance_by_traffic=weight_distance_by_traffic,
-    )
-    with span(
-        "offline.design", placement=placement.name, optimizer=canonical
-    ) as record_span:
-        design = cache.get(key)
-        if record_span is not None:
-            record_span.args["hit"] = design is not None
-        if design is None:
-            if traffic_matrix is None:
-                traffic_matrix = UniformTraffic(placement.mesh).traffic_matrix()
-            offline = OfflineConfig(
-                amosa=amosa,
-                max_subset_size=max_subset_size,
-                weight_distance_by_traffic=weight_distance_by_traffic,
-                num_representatives=num_representatives,
-                optimizer=canonical,
-                optimizer_options={} if canonical == "amosa" and optimizer_options is None
-                else dict(optimizer_options or {}),
-                selection=selection,
-            )
-            design = optimize_elevator_subsets(
-                placement, traffic_matrix, offline, on_iteration=on_iteration
-            )
-            cache.put(key, design)
-        else:
-            # Cache entries are shared across selection strategies and
-            # representative counts.  When this call's strategy picks a
-            # different archive entry (or asks for a different number of
-            # representatives), hand back a shallow copy carrying them instead
-            # of mutating the shared cached design underneath earlier callers.
-            chosen = select_by_strategy(selection, design.result.archive)
-            representatives = design.representatives
-            if num_representatives != len(representatives):
-                # The stored count can legitimately undershoot the request when
-                # the archive is small (spread_selection returns every entry);
-                # only hand back a copy when the spread actually changes.
-                recomputed = spread_selection(design.result.archive, num_representatives)
-                if recomputed != representatives:
-                    representatives = recomputed
-            if chosen is not design.selected or representatives is not design.representatives:
-                design = dataclasses.replace(
-                    design, selected=chosen, representatives=representatives
-                )
-    return design
-
-
 def design_key_for(
     spec: DesignSpec, placement: Optional[ElevatorPlacement] = None
 ) -> DesignKey:
     """The design-cache key of a :class:`~repro.spec.DesignSpec`.
+
+    The key captures everything the search depends on: the placement
+    *identity* (name, mesh shape and elevator columns, so two custom
+    placements sharing a name never collide), the assumed traffic label,
+    the subset-size cap, the optimizer name and its fully resolved
+    (defaults-applied) options, plus ``weight_distance_by_traffic`` only
+    when enabled.  ``selection`` and ``num_representatives`` only read the
+    archive, so they stay out of the key and are re-applied after every
+    cache fetch.
+
+    Args:
+        placement: An already resolved placement, used in place of the
+            spec's own placement field.
 
     Raises:
         repro.registry.UnknownComponentError: Unknown optimizer name.
     """
     if placement is None:
         placement = spec.placement.resolve()
-    canonical = OPTIMIZER_REGISTRY.entry(spec.optimizer).name
-    return DesignCache.make_key(
-        placement,
+    optimizer = OPTIMIZER_REGISTRY.entry(spec.optimizer).name
+    options = canonical_optimizer_options(optimizer, spec.options)
+    key: DesignKey = (
+        placement.name,
+        tuple(placement.mesh.shape),
+        tuple(placement.columns()),
         _design_traffic_label(spec),
         spec.max_subset_size,
-        optimizer=canonical,
-        optimizer_options=canonical_optimizer_options(canonical, spec.options),
-        weight_distance_by_traffic=spec.weight_distance_by_traffic,
+        optimizer,
+        json.dumps(options, sort_keys=True, separators=(",", ":")),
     )
+    if spec.weight_distance_by_traffic:
+        key += (("weight_distance_by_traffic", True),)
+    return key
 
 
 def _design_traffic_label(spec: DesignSpec) -> str:
@@ -301,55 +144,109 @@ def _design_traffic_label(spec: DesignSpec) -> str:
     return name.lower()
 
 
-def design_for_placement(
-    placement: ElevatorPlacement,
-    spec: DesignSpec,
-    cache: Optional[DesignCache] = None,
-    on_iteration: Optional[ProgressCallback] = None,
-) -> AdEleDesign:
-    """Run (or fetch) the offline stage a :class:`DesignSpec` describes,
-    against an already resolved placement (the spec's own placement field
-    is ignored -- the nested-in-experiment semantics)."""
-    label = _design_traffic_label(spec)
-    if label == "uniform":
-        matrix = None
-        matrix_from_label = False
-    else:
-        pattern = PATTERN_REGISTRY.create(label, placement.mesh, seed=0)
-        matrix = pattern.traffic_matrix()
-        matrix_from_label = True
-    return adele_design_for(
-        placement,
-        traffic_label=label,
-        traffic_matrix=matrix,
-        max_subset_size=spec.max_subset_size,
-        cache=cache,
-        optimizer=spec.optimizer,
-        optimizer_options=spec.options,
-        selection=spec.selection,
-        matrix_from_label=matrix_from_label,
-        weight_distance_by_traffic=spec.weight_distance_by_traffic,
-        num_representatives=spec.num_representatives,
-        on_iteration=on_iteration,
-    )
-
-
 def design_for(
     spec: DesignSpec,
+    placement: Optional[ElevatorPlacement] = None,
     cache: Optional[DesignCache] = None,
     on_iteration: Optional[ProgressCallback] = None,
 ) -> AdEleDesign:
     """Run (or fetch from cache) the offline stage a :class:`DesignSpec`
-    fully describes -- the ``python -m repro optimize`` entry point.
+    describes -- the one cached entry point of the offline stage.
+
+    Args:
+        spec: The offline stage: assumed traffic, optimizer and options,
+            subset cap, selection and representative count.
+        placement: An already resolved placement, used in place of the
+            spec's own placement field (the nested-in-experiment
+            semantics).
+        cache: Design cache to consult and populate, keyed by
+            :func:`design_key_for`; defaults to the process-wide cache
+            (see :func:`get_design_cache`).
+        on_iteration: Optional optimizer progress callback (used only when
+            the search runs).
 
     Raises:
         repro.registry.UnknownComponentError: Unknown optimizer, pattern or
             placement names (all ``ValueError`` with did-you-mean hints).
     """
-    placement = spec.placement.resolve()
-    return design_for_placement(
-        placement, spec, cache=cache, on_iteration=on_iteration
+    if placement is None:
+        placement = spec.placement.resolve()
+    if cache is None:
+        cache = _default_design_cache
+    key = design_key_for(spec, placement)
+    optimizer = key[5]  # the canonical optimizer name
+    with span("offline.design", placement=placement.name, optimizer=optimizer) as record_span:
+        design = cache.get(key)
+        if record_span is not None:
+            record_span.args["hit"] = design is not None
+        if design is None:
+            design = optimize_elevator_subsets(placement, spec, on_iteration=on_iteration)
+            cache.put(key, design)
+        else:
+            # Cache entries are shared across selection strategies and
+            # representative counts.  When this call's strategy picks a
+            # different archive entry (or asks for a different number of
+            # representatives), hand back a shallow copy carrying them instead
+            # of mutating the shared cached design underneath earlier callers.
+            chosen = select_by_strategy(spec.selection, design.result.archive)
+            representatives = design.representatives
+            if spec.num_representatives != len(representatives):
+                # The stored count can legitimately undershoot the request when
+                # the archive is small (spread_selection returns every entry);
+                # only hand back a copy when the spread actually changes.
+                recomputed = spread_selection(
+                    design.result.archive, spec.num_representatives
+                )
+                if recomputed != representatives:
+                    representatives = recomputed
+            if chosen is not design.selected or representatives is not design.representatives:
+                design = dataclasses.replace(
+                    design, selected=chosen, representatives=representatives
+                )
+    return design
+
+
+def experiment_design_spec(spec: ExperimentSpec) -> DesignSpec:
+    """The offline stage an AdEle experiment deploys.
+
+    The nested :class:`~repro.spec.DesignSpec` when one is set (its cap
+    wins over the policy option); otherwise the default stage with the
+    policy's ``max_subset_size`` option (default 4) as its cap, so a
+    design-free experiment shares its design with that spec.
+    """
+    if spec.design is not None:
+        return spec.design
+    return DesignSpec(
+        max_subset_size=spec.policy.option(
+            "max_subset_size", DEFAULT_ADELE_MAX_SUBSET_SIZE
+        )
     )
+
+
+def build_adele_policy(
+    spec: ExperimentSpec,
+    placement: ElevatorPlacement,
+    subsets: Dict[int, Tuple[int, ...]],
+) -> ElevatorSelectionPolicy:
+    """The AdEle (or AdEle-RR) online policy of an experiment.
+
+    The in-process path (:func:`build_policy`) and the batch workers both
+    build their policy here, so their runs match bit for bit.
+
+    Args:
+        subsets: Per-router elevator subsets of the deployed offline
+            solution (``AdEleDesign.selected_subsets()``).
+    """
+    seed = spec.sim.seed
+    if spec.policy.name.lower() == "adele":
+        threshold = spec.policy.option(
+            "low_traffic_threshold", DEFAULT_ADELE_LOW_TRAFFIC_THRESHOLD
+        )
+        kwargs = {"subsets": subsets, "seed": seed}
+        if threshold is not None:
+            kwargs["low_traffic_threshold"] = threshold
+        return AdElePolicy(placement, **kwargs)
+    return AdEleRoundRobinPolicy(placement, subsets=subsets, seed=seed)
 
 
 def get_design_cache() -> DesignCache:
@@ -377,40 +274,19 @@ def build_policy(
 ) -> ElevatorSelectionPolicy:
     """Build the elevator-selection policy named by an experiment.
 
-    AdEle variants run (or fetch from cache) the offline optimization
-    first -- following the spec's nested :class:`~repro.spec.DesignSpec`
-    when one is set (optimizer, options, assumed traffic and selection),
-    the historical AMOSA defaults otherwise; every other registered policy
-    is constructed directly with the spec's policy options as keyword
-    arguments.
+    AdEle variants run (or fetch from cache) the offline stage of
+    :func:`experiment_design_spec` first; every other registered policy is
+    constructed directly with the spec's policy options as keyword
+    arguments.  The policy is bound to the *experiment's* placement object,
+    not the (possibly cache-shared) design's equal-but-distinct one, so
+    runtime fault state on the network's placement stays visible.
     """
-    name = spec.policy.name.lower()
     if spec.policy.needs_design:
-        if spec.design is not None:
-            design = design_for_placement(
-                placement, spec.design, cache=design_cache
-            )
-        else:
-            design = adele_design_for(
-                placement,
-                max_subset_size=spec.policy.option(
-                    "max_subset_size", DEFAULT_ADELE_MAX_SUBSET_SIZE
-                ),
-                cache=design_cache,
-            )
-        # Bind the policy to the *experiment's* placement object, not the
-        # (possibly cache-shared) design's equal-but-distinct one, so
-        # runtime fault state on the network's placement stays visible.
-        if name == "adele":
-            return design.to_policy(
-                low_traffic_threshold=spec.policy.option(
-                    "low_traffic_threshold", DEFAULT_ADELE_LOW_TRAFFIC_THRESHOLD
-                ),
-                seed=spec.sim.seed,
-                placement=placement,
-            )
-        return design.to_round_robin_policy(seed=spec.sim.seed, placement=placement)
-    return make_policy(name, placement, **spec.policy.options)
+        design = design_for(
+            experiment_design_spec(spec), placement, cache=design_cache
+        )
+        return build_adele_policy(spec, placement, design.selected_subsets())
+    return make_policy(spec.policy.name.lower(), placement, **spec.policy.options)
 
 
 def build_network(

@@ -50,7 +50,7 @@ from repro.core.selection import (
     select_latency_leaning,
     spread_selection,
 )
-from repro.core.pipeline import AdEleDesign, OfflineConfig, optimize_elevator_subsets
+from repro.core.pipeline import AdEleDesign, assumed_traffic_matrix, optimize_elevator_subsets
 
 __all__ = [
     "ObjectiveEvaluator",
@@ -87,6 +87,6 @@ __all__ = [
     "select_latency_leaning",
     "select_energy_leaning",
     "AdEleDesign",
-    "OfflineConfig",
+    "assumed_traffic_matrix",
     "optimize_elevator_subsets",
 ]

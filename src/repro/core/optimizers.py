@@ -64,8 +64,8 @@ register_optimizer = OPTIMIZER_REGISTRY.register
 
 #: AMOSA settings small enough for the pure-Python search to stay fast while
 #: still converging to a well-spread front on the 4x4x4 / 8x8x4 meshes.
-#: The default hyper-parameters of the offline stage (``amosa`` optimizer
-#: options resolve against these).
+#: The initial value of :attr:`AmosaSearch.config_defaults`, which is where
+#: ``amosa`` options resolve (patch that attribute, not this name).
 DEFAULT_OFFLINE_AMOSA = AmosaConfig(
     initial_temperature=50.0,
     final_temperature=0.05,
@@ -171,12 +171,9 @@ class AmosaSearch(SubsetOptimizer):
     """The reference optimizer: AMOSA over the subset-assignment problem."""
 
     config_type = AmosaConfig
+    #: The offline stage's one AMOSA default: options, cache keys and the
+    #: redundant-design check all resolve against this attribute.
     config_defaults = DEFAULT_OFFLINE_AMOSA
-
-    @classmethod
-    def from_config(cls, config: AmosaConfig) -> "AmosaSearch":
-        """Build directly from a full :class:`AmosaConfig`."""
-        return cls(**asdict(config))
 
     def search(
         self,

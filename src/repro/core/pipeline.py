@@ -1,7 +1,9 @@
 """End-to-end AdEle offline pipeline.
 
-``optimize_elevator_subsets`` glues the pieces together the way the paper's
-Fig. 1 describes the offline stage:
+A :class:`~repro.spec.DesignSpec` describes one run of the offline stage,
+and ``optimize_elevator_subsets`` runs it (uncached; the cached entry point
+is :func:`repro.analysis.runner.design_for`) the way the paper's Fig. 1
+describes it:
 
     elevator configuration + assumed traffic pattern
         -> multi-objective search over per-router elevator subsets
@@ -18,13 +20,12 @@ and benches can plot the front (Fig. 3), simulate several selected solutions
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
-from repro.core.amosa import AmosaConfig, AmosaResult, ArchiveEntry, ProgressCallback
-from repro.core.optimizers import OPTIMIZER_REGISTRY, AmosaSearch, make_optimizer
+from repro.core.amosa import AmosaResult, ArchiveEntry, ProgressCallback
+from repro.core.optimizers import make_optimizer
 from repro.core.selection import (
-    SELECTION_STRATEGIES,
     knee_point,
     select_by_strategy,
     select_energy_leaning,
@@ -33,54 +34,10 @@ from repro.core.selection import (
 )
 from repro.core.subset_search import ElevatorSubsetProblem, SubsetSolution
 from repro.routing.adele import AdElePolicy, AdEleRoundRobinPolicy
+from repro.spec import DesignSpec
 from repro.topology.elevators import ElevatorPlacement
-from repro.traffic.patterns import TrafficMatrix, UniformTraffic
-
-
-@dataclass(frozen=True)
-class OfflineConfig:
-    """Configuration of the offline optimization stage.
-
-    Attributes:
-        amosa: AMOSA hyper-parameters (the base configuration of the
-            default ``amosa`` optimizer; ``optimizer_options`` entries
-            override individual fields).
-        max_subset_size: Cap on each router's subset size (hardware budget of
-            the per-elevator cost registers); ``None`` = unlimited.
-        weight_distance_by_traffic: Weight the distance objective by the
-            traffic matrix instead of counting inter-layer pairs equally.
-        num_representatives: How many spread solutions to expose (S0-S5 in
-            the paper corresponds to 6).
-        optimizer: Registered optimizer name (see
-            :data:`repro.core.optimizers.OPTIMIZER_REGISTRY`).
-        optimizer_options: Options forwarded to the optimizer (for
-            ``amosa``: overrides applied over :attr:`amosa`).
-        selection: Archive-selection strategy for the deployed solution
-            (``knee`` -- the default balanced trade-off -- ``latency`` or
-            ``energy``).
-    """
-
-    amosa: AmosaConfig = field(default_factory=AmosaConfig)
-    max_subset_size: Optional[int] = None
-    weight_distance_by_traffic: bool = False
-    num_representatives: int = 6
-    optimizer: str = "amosa"
-    optimizer_options: Mapping[str, Any] = field(default_factory=dict)
-    selection: str = "knee"
-
-    def __post_init__(self) -> None:
-        if self.num_representatives < 1:
-            raise ValueError("num_representatives must be >= 1")
-        if not isinstance(self.optimizer, str) or not self.optimizer.strip():
-            raise ValueError(f"optimizer must be a non-empty string, got {self.optimizer!r}")
-        object.__setattr__(self, "optimizer", self.optimizer.strip().lower())
-        object.__setattr__(self, "optimizer_options", dict(self.optimizer_options))
-        if str(self.selection).lower() not in SELECTION_STRATEGIES:
-            raise ValueError(
-                f"unknown selection strategy {self.selection!r}; "
-                f"expected one of {sorted(SELECTION_STRATEGIES)}"
-            )
-        object.__setattr__(self, "selection", str(self.selection).lower())
+from repro.topology.mesh3d import Mesh3D
+from repro.traffic.patterns import PATTERN_REGISTRY, TrafficMatrix
 
 
 @dataclass
@@ -158,7 +115,6 @@ class AdEleDesign:
         entry: Optional[ArchiveEntry[SubsetSolution]] = None,
         low_traffic_threshold: Optional[float] = None,
         seed: int = 0,
-        placement: Optional[ElevatorPlacement] = None,
     ) -> AdElePolicy:
         """Build the AdEle online policy for an archive entry.
 
@@ -167,84 +123,79 @@ class AdEleDesign:
             low_traffic_threshold: Override of the minimal-path-override
                 threshold (the paper tunes it per configuration).
             seed: RNG seed of the online policy.
-            placement: Placement object to bind the policy to; defaults to
-                the design's own.  Callers simulating against a *different
-                but equal* placement object (cached designs are shared
-                across runs that each resolve a fresh placement) pass
-                theirs, so runtime fault state stays visible to the policy.
         """
         chosen = entry if entry is not None else self.selected
         kwargs = {"subsets": chosen.solution.subsets(), "seed": seed}
         if low_traffic_threshold is not None:
             kwargs["low_traffic_threshold"] = low_traffic_threshold
-        return AdElePolicy(
-            placement if placement is not None else self.placement, **kwargs
-        )
+        return AdElePolicy(self.placement, **kwargs)
 
     def to_round_robin_policy(
         self,
         entry: Optional[ArchiveEntry[SubsetSolution]] = None,
         seed: int = 0,
-        placement: Optional[ElevatorPlacement] = None,
     ) -> AdEleRoundRobinPolicy:
-        """Build the AdEle-RR ablation policy for an archive entry.
-
-        See :meth:`to_policy` for the ``placement`` parameter.
-        """
+        """Build the AdEle-RR ablation policy for an archive entry."""
         chosen = entry if entry is not None else self.selected
         return AdEleRoundRobinPolicy(
-            placement if placement is not None else self.placement,
-            subsets=chosen.solution.subsets(),
-            seed=seed,
+            self.placement, subsets=chosen.solution.subsets(), seed=seed
         )
+
+
+def assumed_traffic_matrix(label: str, mesh: Mesh3D) -> TrafficMatrix:
+    """The traffic matrix the offline objectives assume for a pattern name.
+
+    The registered pattern built with seed 0, so a design's traffic label
+    alone identifies its matrix: the search and every design rebuilt from
+    a cache record see the same numbers.
+
+    Raises:
+        repro.registry.UnknownComponentError: Unknown pattern name.
+    """
+    return PATTERN_REGISTRY.create(label, mesh, seed=0).traffic_matrix()
 
 
 def optimize_elevator_subsets(
     placement: ElevatorPlacement,
+    spec: Optional[DesignSpec] = None,
     traffic: Optional[TrafficMatrix] = None,
-    config: Optional[OfflineConfig] = None,
     on_iteration: Optional[ProgressCallback] = None,
 ) -> AdEleDesign:
-    """Run AdEle's offline optimization for a placement.
+    """Run AdEle's offline optimization for a placement (uncached).
 
     Args:
-        placement: Elevator placement of the target PC-3DNoC.
-        traffic: Traffic matrix assumed during optimization.  Defaults to the
-            uniform matrix -- the paper's "most pessimistic assumption".
-        config: Offline-stage configuration (including which registered
-            optimizer runs the search).
+        placement: Elevator placement of the target PC-3DNoC; the spec's
+            own placement field is ignored.
+        spec: The offline stage to run (optimizer and options, subset cap,
+            assumed traffic, selection); defaults to ``DesignSpec()``.
+        traffic: Explicit traffic matrix assumed during optimization, in
+            place of the matrix of ``spec.traffic``.  Designs searched
+            against an explicit matrix belong to no cache: call this
+            function directly rather than
+            :func:`repro.analysis.runner.design_for`.
         on_iteration: Optional progress callback forwarded to the optimizer
             (``on_iteration(stage, archive_size, best)``).
 
     Returns:
         An :class:`AdEleDesign` with the Pareto archive, representative
-        solutions and the configured (knee by default) selection.
+        solutions and the spec's (knee by default) selection.
 
     Raises:
-        repro.registry.UnknownComponentError: Unknown optimizer name (a
-            ``ValueError`` with registered names and close matches).
+        repro.registry.UnknownComponentError: Unknown optimizer or pattern
+            name (a ``ValueError`` with registered names and close matches).
     """
-    if config is None:
-        config = OfflineConfig()
+    if spec is None:
+        spec = DesignSpec()
     if traffic is None:
-        traffic = UniformTraffic(placement.mesh).traffic_matrix()
+        traffic = assumed_traffic_matrix(spec.traffic, placement.mesh)
 
     problem = ElevatorSubsetProblem(
         placement,
         traffic,
-        max_subset_size=config.max_subset_size,
-        weight_distance_by_traffic=config.weight_distance_by_traffic,
+        max_subset_size=spec.max_subset_size,
+        weight_distance_by_traffic=spec.weight_distance_by_traffic,
     )
-    canonical = OPTIMIZER_REGISTRY.entry(config.optimizer).name
-    if canonical == "amosa":
-        # The amosa optimizer resolves its options over config.amosa, so
-        # legacy OfflineConfig(amosa=...) callers keep exact behaviour and
-        # unknown option names raise a ValueError.
-        optimizer = AmosaSearch(
-            **{**asdict(config.amosa), **dict(config.optimizer_options)}
-        )
-    else:
-        optimizer = make_optimizer(canonical, config.optimizer_options)
+    optimizer = make_optimizer(spec.optimizer, spec.options)
     # Seed the search with the Elevator-First assignment, the maximally
     # redundant assignment and the nearest-k heuristics in between, so the
     # archive spans the whole trade-off even when the annealing budget is
@@ -254,10 +205,10 @@ def optimize_elevator_subsets(
         seeds.append(problem.nearest_k_solution(k))
     result = optimizer.search(problem, seeds=seeds, on_iteration=on_iteration)
     if not result.archive:
-        raise RuntimeError(f"optimizer {canonical!r} produced an empty archive")
+        raise RuntimeError(f"optimizer {spec.optimizer!r} produced an empty archive")
 
-    representatives = spread_selection(result.archive, config.num_representatives)
-    selected = select_by_strategy(config.selection, result.archive)
+    representatives = spread_selection(result.archive, spec.num_representatives)
+    selected = select_by_strategy(spec.selection, result.archive)
     baseline = problem.evaluate(problem.nearest_elevator_solution())
 
     return AdEleDesign(

@@ -111,7 +111,7 @@ def knee_point(entries: Sequence[ArchiveEntry[SolutionT]]) -> ArchiveEntry[Solut
 
 
 #: Named archive-selection strategies (the ``selection`` field of
-#: :class:`~repro.spec.DesignSpec` / :class:`~repro.core.pipeline.OfflineConfig`).
+#: :class:`~repro.spec.DesignSpec`).
 SELECTION_STRATEGIES: Dict[
     str, Callable[[Sequence[ArchiveEntry]], ArchiveEntry]
 ] = {

@@ -19,9 +19,10 @@ Caching
     Outcomes are stored in a :class:`~repro.exec.cache.ResultCache` keyed by
     the canonical config hash; warm entries skip simulation entirely
     (``from_cache=True``).  AdEle's expensive offline stage is resolved
-    *once in the parent process* per unique (placement, subset-size) pair --
-    through the injectable design cache -- and shipped to workers as plain
-    per-router subsets, so worker processes never re-run AMOSA.
+    *once in the parent process* per unique design key -- through
+    :func:`~repro.analysis.runner.design_for` and the injectable design
+    cache -- and shipped to workers as plain per-router subsets, so worker
+    processes never re-run AMOSA.
 
 Warm-worker memoization
     Workers keep small per-process LRUs of expensive setup objects:
@@ -52,9 +53,10 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.runner import (
     DesignCache,
-    adele_design_for,
+    build_adele_policy,
     build_network,
-    design_for_placement,
+    design_for,
+    experiment_design_spec,
     run_experiment,
 )
 # Unused here; ``benchmarks/e2e/e2e_layers.py`` wraps it under this module.
@@ -70,14 +72,8 @@ from repro.exec.cache import (
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, MetricsRegistry
 from repro.obs.probes import ProbeSpec
 from repro.obs.tracing import span
-from repro.routing.adele import AdElePolicy, AdEleRoundRobinPolicy
 from repro.routing.base import RouteComputation
-from repro.spec import (
-    DEFAULT_ADELE_LOW_TRAFFIC_THRESHOLD,
-    DEFAULT_ADELE_MAX_SUBSET_SIZE,
-    ExperimentSpec,
-    as_spec,
-)
+from repro.spec import ExperimentSpec, as_spec
 
 
 #: Environment variable: abort a chunked run after this many completed
@@ -234,26 +230,6 @@ class ExperimentOutcome:
     from_cache: bool
 
 
-def _policy_from_subsets(
-    spec: ExperimentSpec, placement, subsets: Dict[int, Tuple[int, ...]]
-):
-    """Construct the AdEle online policy from pre-resolved offline subsets.
-
-    Mirrors :func:`repro.analysis.runner.build_policy` exactly (same kwargs,
-    same seeding) so batched runs match unbatched ones bit for bit.
-    """
-    seed = spec.sim.seed
-    if spec.policy.name.lower() == "adele":
-        threshold = spec.policy.option(
-            "low_traffic_threshold", DEFAULT_ADELE_LOW_TRAFFIC_THRESHOLD
-        )
-        kwargs: Dict[str, Any] = {"subsets": subsets, "seed": seed}
-        if threshold is not None:
-            kwargs["low_traffic_threshold"] = threshold
-        return AdElePolicy(placement, **kwargs)
-    return AdEleRoundRobinPolicy(placement, subsets=subsets, seed=seed)
-
-
 def _build_task_network(task: _Task) -> Tuple[Any, bool]:
     """Construct a task's network fresh (sharing memoized route tables).
 
@@ -263,7 +239,7 @@ def _build_task_network(task: _Task) -> Tuple[Any, bool]:
     placement = spec.placement.resolve()
     routes, routes_hit = _memo_route_tables(placement.mesh)
     if task.subsets is not None:
-        policy = _policy_from_subsets(spec, placement, task.subsets)
+        policy = build_adele_policy(spec, placement, task.subsets)
         network = build_network(
             spec, placement=placement, policy=policy, route_computation=routes
         )
@@ -450,19 +426,11 @@ class ExperimentBatch:
     def _make_task(self, spec: ExperimentSpec, key: str) -> _Task:
         subsets = None
         if spec.policy.needs_design:
-            placement = spec.placement.resolve()
-            if spec.design is not None:
-                design = design_for_placement(
-                    placement, spec.design, cache=self.design_cache
-                )
-            else:
-                design = adele_design_for(
-                    placement,
-                    max_subset_size=spec.policy.option(
-                        "max_subset_size", DEFAULT_ADELE_MAX_SUBSET_SIZE
-                    ),
-                    cache=self.design_cache,
-                )
+            design = design_for(
+                experiment_design_spec(spec),
+                spec.placement.resolve(),
+                cache=self.design_cache,
+            )
             subsets = design.selected_subsets()
         return _Task(
             spec=spec,

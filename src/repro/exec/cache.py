@@ -31,14 +31,10 @@ import os
 import tempfile
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.analysis.runner import (
-    DEFAULT_OFFLINE_AMOSA,
-    DesignCache,
-    DesignKey,
-)
+from repro.analysis.runner import DesignCache, DesignKey
 from repro.core.amosa import AmosaResult, ArchiveEntry
 from repro.core.optimizers import OPTIMIZER_REGISTRY, canonical_optimizer_options
-from repro.core.pipeline import AdEleDesign
+from repro.core.pipeline import AdEleDesign, assumed_traffic_matrix
 from repro.core.subset_search import ElevatorSubsetProblem, SubsetSolution
 from repro.obs.tracing import span
 from repro.registry import Registry
@@ -48,7 +44,7 @@ from repro.spec import ADELE_POLICY_NAMES, DesignSpec, ExperimentSpec
 from repro.topology.elevators import PLACEMENT_REGISTRY, ElevatorPlacement
 from repro.topology.mesh3d import Mesh3D
 from repro.traffic.applications import APPLICATION_REGISTRY
-from repro.traffic.patterns import PATTERN_REGISTRY, UniformTraffic
+from repro.traffic.patterns import PATTERN_REGISTRY
 
 #: Maximum derived seed (exclusive); fits ``random.Random`` comfortably and
 #: keeps seeds readable in logs.
@@ -462,13 +458,12 @@ def design_to_record(key: DesignKey, design: AdEleDesign) -> Dict[str, Any]:
             return 0
         return index
 
-    # make_key layout: (name, shape, columns, traffic_label, cap, ...).
-    traffic_label = key[3] if len(key) > 3 and isinstance(key[3], str) else "uniform"
     record = {
         "format": 2,
         "key": list(_jsonify(key)),
         "placement": _canonical_placement(design.placement),
-        "traffic": traffic_label,
+        # design_key_for layout: (name, shape, columns, traffic_label, ...).
+        "traffic": key[3],
         "max_subset_size": design.problem.max_subset_size,
         "archive": archive,
         "representatives": [_index_of(e) for e in design.representatives],
@@ -487,12 +482,10 @@ def design_to_record(key: DesignKey, design: AdEleDesign) -> Dict[str, Any]:
 def design_from_record(record: Dict[str, Any]) -> AdEleDesign:
     """Rebuild a functional :class:`AdEleDesign` from a persisted record.
 
-    The subset problem is reconstructed against the traffic matrix of the
-    record's assumed-traffic label -- the registered pattern built with
-    seed 0, exactly what :func:`repro.analysis.runner.design_for` optimized
-    against (a missing label defaults to uniform).  Designs optimized
-    against an explicit content-hashed matrix are never persisted; see
-    :meth:`DiskDesignCache.put`.
+    The subset problem is reconstructed against the matrix of the record's
+    assumed-traffic label through
+    :func:`~repro.core.pipeline.assumed_traffic_matrix`, exactly what the
+    search optimized against (a missing label defaults to uniform).
     """
     placement_data = record["placement"]
     mesh = Mesh3D(*placement_data["mesh"])
@@ -501,14 +494,9 @@ def design_from_record(record: Dict[str, Any]) -> AdEleDesign:
         [tuple(column) for column in placement_data["columns"]],
         name=placement_data["name"],
     )
-    label = record.get("traffic", "uniform")
-    if label == "uniform":
-        traffic = UniformTraffic(mesh).traffic_matrix()
-    else:
-        traffic = PATTERN_REGISTRY.create(label, mesh, seed=0).traffic_matrix()
     problem = ElevatorSubsetProblem(
         placement,
-        traffic,
+        assumed_traffic_matrix(record.get("traffic", "uniform"), mesh),
         max_subset_size=record["max_subset_size"],
         weight_distance_by_traffic=record.get("weight_distance_by_traffic", False),
     )
@@ -558,11 +546,8 @@ class DiskDesignCache(DesignCache):
     Completed designs are written to ``<cache_dir>/design-<hash>.json`` and
     reloaded lazily, so a warm cache directory lets new processes (parallel
     workers, repeated CLI invocations) skip the expensive offline search
-    entirely.  Designs optimized against any *registered pattern* label
-    (uniform included) are persisted -- the record stores the label and the
-    matrix rebuilds deterministically from it (seed 0).  Designs keyed by
-    an explicit content-hashed matrix (``label#digest``) stay memory-only,
-    because such a matrix cannot be reconstructed from its label.
+    entirely.  The record stores the assumed-traffic label, and the matrix
+    rebuilds deterministically from it (seed 0).
     """
 
     def __init__(self, cache_dir: str) -> None:
@@ -573,25 +558,10 @@ class DiskDesignCache(DesignCache):
     def _path(self, key: DesignKey) -> str:
         return os.path.join(self.cache_dir, f"design-{design_key_hash(key)}.json")
 
-    @staticmethod
-    def _persistable(key: DesignKey) -> bool:
-        # make_key layout: (name, shape, columns, traffic_label, cap,
-        # optimizer, options).  Labels containing '#' are content-hashed
-        # explicit matrices -- not reconstructible, so memory-only; plain
-        # registered-pattern labels (uniform included) rebuild from seed 0.
-        return (
-            len(key) >= 4
-            and isinstance(key[3], str)
-            and "#" not in key[3]
-            and (key[3] == "uniform" or key[3] in PATTERN_REGISTRY)
-        )
-
     def get(self, key: DesignKey) -> Optional[AdEleDesign]:
         design = super().get(key)
         if design is not None:
             return design
-        if not self._persistable(key):
-            return None
         record = _read_json(self._path(key))
         # Only format-2 records are reachable: the key layout (and hence
         # the file name hash) changed together with the format bump, so
@@ -604,8 +574,7 @@ class DiskDesignCache(DesignCache):
 
     def put(self, key: DesignKey, design: AdEleDesign) -> None:
         super().put(key, design)
-        if self._persistable(key):
-            _write_json_atomic(self._path(key), design_to_record(key, design))
+        _write_json_atomic(self._path(key), design_to_record(key, design))
 
     def clear(self) -> None:
         super().clear()
@@ -689,8 +658,6 @@ register_cache_backend("json", _open_json_caches)
 register_cache_backend("sqlite", _open_sqlite_caches)
 
 
-#: Default AMOSA settings, re-exported so CLI/benchmark code can key designs
-#: consistently with :func:`repro.analysis.runner.adele_design_for`.
 __all__ = [
     "SEED_SPACE",
     "canonical_config",
@@ -708,5 +675,4 @@ __all__ = [
     "open_caches",
     "iter_json_cache_entries",
     "cache_stats",
-    "DEFAULT_OFFLINE_AMOSA",
 ]

@@ -1058,7 +1058,7 @@ def _run_optimize_single(
                 file=sys.stderr,
             )
 
-    design = design_for(spec, cache=cache, on_iteration=on_iteration)
+    design = design_for(spec, placement, cache=cache, on_iteration=on_iteration)
 
     if args.json_output:
         _print_json({

@@ -98,8 +98,9 @@ def _execute_design(task: _DesignTask) -> Dict[str, Any]:
     # A fresh cache: the worker must not consult its own process-wide
     # default (inherited under fork), or warm parent state would make
     # "executed" outcomes silently cache-dependent.
-    design = design_for(task.spec, cache=DesignCache())
-    return design_to_record(design_key_for(task.spec), design)
+    placement = task.spec.placement.resolve()
+    design = design_for(task.spec, placement, cache=DesignCache())
+    return design_to_record(design_key_for(task.spec, placement), design)
 
 
 class DesignBatch:

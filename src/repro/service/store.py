@@ -359,9 +359,7 @@ class SqliteDesignCache(DesignCache):
 
     Records use the exact JSON document format of
     :class:`~repro.exec.cache.DiskDesignCache` (format 2), keyed by the same
-    :func:`~repro.exec.cache.design_key_hash`, with the same persistability
-    rule: designs keyed by a content-hashed explicit traffic matrix stay
-    memory-only.
+    :func:`~repro.exec.cache.design_key_hash`.
     """
 
     def __init__(self, store: SqliteStore) -> None:
@@ -372,8 +370,6 @@ class SqliteDesignCache(DesignCache):
         design = super().get(key)
         if design is not None:
             return design
-        if not _design_persistable(key):
-            return None
         record = self.store.get_design_record(design_key_hash(key))
         if not isinstance(record, dict) or record.get("format") != 2:
             return None
@@ -383,22 +379,13 @@ class SqliteDesignCache(DesignCache):
 
     def put(self, key: DesignKey, design: AdEleDesign) -> None:
         super().put(key, design)
-        if _design_persistable(key):
-            self.store.put_design_record(
-                design_key_hash(key), design_to_record(key, design)
-            )
+        self.store.put_design_record(
+            design_key_hash(key), design_to_record(key, design)
+        )
 
     def clear(self) -> None:
         super().clear()
         self.store.clear_designs()
-
-
-def _design_persistable(key: DesignKey) -> bool:
-    # Same rule as DiskDesignCache._persistable, without reaching into a
-    # private method of a sibling class.
-    from repro.exec.cache import DiskDesignCache
-
-    return DiskDesignCache._persistable(key)
 
 
 # ---------------------------------------------------------------------- #

@@ -57,31 +57,6 @@ def _reservoir_observe(stats, value: float) -> None:
         stats.latencies[slot] = value
 
 
-def _reservoir_merge(stats, stored: List[float], samples_seen: int) -> None:
-    """Merge another collector's (possibly down-sampled) latencies in.
-
-    Stored samples flow through the reservoir (so the bound holds).  When
-    the other side already down-sampled, each surviving sample stands for
-    ``seen / len(stored)`` observations: the seen counter is advanced by
-    that share *before* each offer, so replacement probabilities stay
-    proportional to the true observation counts (an approximation of
-    weighted reservoir merging, not an exact one).
-
-    A consistent caller always has ``samples_seen >= len(stored)``; an
-    inconsistent ``samples_seen`` is clamped up so every stored sample
-    stands for at least one observation (otherwise the negative ``base``
-    would silently walk ``latency_samples_seen`` backwards).
-    """
-    if not stored:
-        return
-    if samples_seen < len(stored):
-        samples_seen = len(stored)
-    base, remainder = divmod(samples_seen - len(stored), len(stored))
-    for i, value in enumerate(stored):
-        stats.latency_samples_seen += base + (1 if i < remainder else 0)
-        _reservoir_observe(stats, value)
-
-
 def _latency_percentile(stats, percentile: float) -> float:
     """Latency percentile over a collector's (possibly sampled) latencies.
 
@@ -112,10 +87,6 @@ class PhaseStats:
     counts its creation in the first and its delivery (and latency) in the
     second.  All counters respect the parent collector's measurement window:
     warm-up traffic never pollutes a phase.
-
-    Merging (:meth:`merge`) is index-aligned and reservoir-safe, so the
-    batch engine can aggregate the phases of repeated scenario runs exactly
-    like it aggregates whole-run statistics.
 
     Attributes:
         label: Human-readable window name (from the opening event).
@@ -193,30 +164,8 @@ class PhaseStats:
         _reservoir_observe(self, value)
 
     # ------------------------------------------------------------------ #
-    # Aggregation and reporting
+    # Reporting
     # ------------------------------------------------------------------ #
-    def merge(self, other: "PhaseStats") -> None:
-        """Accumulate another phase window into this one (index-aligned)."""
-        self.start_cycle = min(self.start_cycle, other.start_cycle)
-        if self.end_cycle is None or other.end_cycle is None:
-            self.end_cycle = None
-        else:
-            self.end_cycle = max(self.end_cycle, other.end_cycle)
-        self.packets_created += other.packets_created
-        self.packets_delivered += other.packets_delivered
-        self.flits_injected += other.flits_injected
-        self.flits_delivered += other.flits_delivered
-        self.total_latency += other.total_latency
-        self.total_hops += other.total_hops
-        self.router_traversals += other.router_traversals
-        self.horizontal_link_traversals += other.horizontal_link_traversals
-        self.vertical_link_traversals += other.vertical_link_traversals
-        if self.energy_j is not None and other.energy_j is not None:
-            self.energy_j += other.energy_j
-        else:
-            self.energy_j = None
-        _reservoir_merge(self, other.latencies, other.latency_samples_seen)
-
     def to_summary(self) -> Dict[str, object]:
         """JSON-native summary row of the window (for caches and tables)."""
         summary: Dict[str, object] = {
@@ -501,41 +450,3 @@ class SimulationStats:
             load = sum(self.router_traversals.get(node, 0) for node in nodes)
             result[index] = (load / len(nodes)) / baseline if nodes else 0.0
         return result
-
-    def merge(self, other: "SimulationStats") -> None:
-        """Accumulate another stats object into this one (for aggregation)."""
-        self.packets_created += other.packets_created
-        self.packets_delivered += other.packets_delivered
-        self.flits_injected += other.flits_injected
-        self.flits_delivered += other.flits_delivered
-        self.total_latency += other.total_latency
-        self.total_network_latency += other.total_network_latency
-        self.total_hops += other.total_hops
-        self.total_vertical_hops += other.total_vertical_hops
-        self.horizontal_link_traversals += other.horizontal_link_traversals
-        self.vertical_link_traversals += other.vertical_link_traversals
-        for node, count in other.router_traversals.items():
-            self.router_traversals[node] = self.router_traversals.get(node, 0) + count
-        for index, count in other.elevator_assignments.items():
-            self.elevator_assignments[index] = (
-                self.elevator_assignments.get(index, 0) + count
-            )
-        # Stored samples flow through the reservoir (so the bound holds);
-        # totals are preserved exactly either way.  See _reservoir_merge
-        # for the weighting of already-down-sampled inputs.
-        _reservoir_merge(self, other.latencies, other.latency_samples_seen)
-        # Phase windows align by index (repeats of one scenario produce the
-        # same timeline); phases the other side has and this side lacks are
-        # absorbed through a fresh window so reservoir bounds hold.
-        for i, other_phase in enumerate(other.phases):
-            if i < len(self.phases):
-                self.phases[i].merge(other_phase)
-            else:
-                absorbed = PhaseStats(
-                    label=other_phase.label,
-                    start_cycle=other_phase.start_cycle,
-                    end_cycle=other_phase.end_cycle,
-                )
-                absorbed.merge(other_phase)
-                absorbed.energy_j = other_phase.energy_j
-                self.phases.append(absorbed)

@@ -410,8 +410,7 @@ class SimSpec:
 DESIGN_SELECTIONS = ("knee", "latency", "energy")
 
 #: Default number of representative (S0...) solutions exposed from the
-#: archive (S0-S5 in the paper corresponds to 6; mirrors
-#: ``OfflineConfig.num_representatives``).
+#: archive (S0-S5 in the paper corresponds to 6).
 DEFAULT_NUM_REPRESENTATIVES = 6
 
 

@@ -1,5 +1,7 @@
 """Unit tests for the experiment harness (runner, sweep, load, comparison)."""
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.analysis.comparison import (
@@ -11,21 +13,22 @@ from repro.analysis.comparison import (
 )
 from repro.analysis.load import elevator_load_distribution
 from repro.analysis.runner import (
-    adele_design_for,
     build_network,
     build_packet_source,
     build_policy,
     build_traffic,
+    design_for,
     run_experiment,
 )
 from repro.analysis.sweep import LatencyCurve, latency_sweep, saturation_rate, zero_load_latency
 from repro.core.amosa import AmosaConfig
+from repro.core.optimizers import AmosaSearch
 from repro.routing.adele import AdElePolicy, AdEleRoundRobinPolicy
 from repro.routing.cda import CDAPolicy
 from repro.routing.elevator_first import ElevatorFirstPolicy
 from repro.sim.engine import SimulationResult
 from repro.sim.stats import SimulationStats
-from repro.spec import ExperimentSpec, PlacementSpec
+from repro.spec import DesignSpec, ExperimentSpec, PlacementSpec
 from repro.topology.elevators import ElevatorPlacement
 from repro.topology.mesh3d import Mesh3D
 from repro.traffic.applications import ApplicationTraffic
@@ -91,9 +94,7 @@ class TestRunnerBuilders:
         assert isinstance(build_policy(tiny_spec.with_(policy=policy), placement), cls)
 
     def test_build_policy_adele_uses_offline_design(self, tiny_spec, monkeypatch):
-        from repro.analysis import runner
-
-        monkeypatch.setattr(runner, "DEFAULT_OFFLINE_AMOSA", TINY_AMOSA)
+        monkeypatch.setattr(AmosaSearch, "config_defaults", TINY_AMOSA)
         placement = tiny_spec.placement.resolve()
         policy = build_policy(tiny_spec.with_(policy="adele"), placement)
         assert isinstance(policy, AdElePolicy)
@@ -102,8 +103,9 @@ class TestRunnerBuilders:
 
     def test_adele_design_cache(self, tiny_spec):
         placement = tiny_spec.placement.resolve()
-        first = adele_design_for(placement, max_subset_size=2, amosa_config=TINY_AMOSA)
-        second = adele_design_for(placement, max_subset_size=2, amosa_config=TINY_AMOSA)
+        spec = DesignSpec(max_subset_size=2, options=asdict(TINY_AMOSA))
+        first = design_for(spec, placement)
+        second = design_for(spec, placement)
         assert first is second
 
     def test_build_network_and_source(self, tiny_spec):

@@ -103,27 +103,23 @@ class TestCustomComponentsThroughTheEngine:
         assert cold_rows == [o.summary for o in warm_outcomes]
         assert cold_rows == serial_rows
 
-    def test_custom_policy_mixes_with_adele_in_one_batch(self, tmp_path):
-        from repro.analysis import runner
+    def test_custom_policy_mixes_with_adele_in_one_batch(self, tmp_path, monkeypatch):
         from repro.core.amosa import AmosaConfig
+        from repro.core.optimizers import AmosaSearch
 
         tiny = AmosaConfig(
             initial_temperature=5.0, final_temperature=0.5, cooling_rate=0.6,
             iterations_per_temperature=10, hard_limit=6, soft_limit=12,
             initial_solutions=3, seed=2,
         )
-        previous = runner.DEFAULT_OFFLINE_AMOSA
-        runner.DEFAULT_OFFLINE_AMOSA = tiny
-        try:
-            grid = [
-                _spec(policy=PolicySpec(name="adele", options={"max_subset_size": 2})),
-                _spec(policy="farthest_e2e"),
-            ]
-            outcomes = run_specs(grid, workers=1, cache_dir=str(tmp_path))
-            assert [o.spec.policy.name for o in outcomes] == ["adele", "farthest_e2e"]
-            assert all(o.summary["average_latency"] > 0 for o in outcomes)
-        finally:
-            runner.DEFAULT_OFFLINE_AMOSA = previous
+        monkeypatch.setattr(AmosaSearch, "config_defaults", tiny)
+        grid = [
+            _spec(policy=PolicySpec(name="adele", options={"max_subset_size": 2})),
+            _spec(policy="farthest_e2e"),
+        ]
+        outcomes = run_specs(grid, workers=1, cache_dir=str(tmp_path))
+        assert [o.spec.policy.name for o in outcomes] == ["adele", "farthest_e2e"]
+        assert all(o.summary["average_latency"] > 0 for o in outcomes)
 
     def test_run_specs_with_base_seed_is_reproducible(self):
         grid = [_spec(injection_rate=rate) for rate in (0.02, 0.05)]

@@ -255,10 +255,11 @@ class TestCrossBackendEquivalence:
 def tiny_amosa(monkeypatch):
     from repro.analysis import runner
     from repro.core.amosa import AmosaConfig
+    from repro.core.optimizers import AmosaSearch
 
     monkeypatch.setattr(
-        runner,
-        "DEFAULT_OFFLINE_AMOSA",
+        AmosaSearch,
+        "config_defaults",
         AmosaConfig(
             initial_temperature=5.0,
             final_temperature=0.5,
@@ -489,15 +490,29 @@ class TestLatencyReservoir:
 
         assert fill() == fill()
 
-    def test_merge_preserves_bound_and_counts(self):
-        a = SimulationStats(latency_reservoir_size=8)
-        b = SimulationStats(latency_reservoir_size=8)
-        for value in range(100):
-            a._observe_latency(float(value))
-            b._observe_latency(float(value + 1000))
-        a.merge(b)
-        assert len(a.latencies) == 8
-        assert a.latency_samples_seen == 200
+    @settings(max_examples=20, deadline=None)
+    @given(values=st.lists(
+        st.integers(min_value=0, max_value=10**6).map(float),
+        min_size=1, max_size=300,
+    ), data=st.data())
+    def test_exact_totals_survive_reservoir_overflow(self, values, data):
+        """Past capacity the sample *set* is bounded, but the exact totals and
+        sample counts must still be order-independent."""
+        a = SimulationStats(latency_reservoir_size=16)
+        b = SimulationStats(latency_reservoir_size=16)
+        order = data.draw(st.permutations(values))
+        for value in values:
+            a._observe_latency(value)
+            a.packets_delivered += 1
+            a.total_latency += value
+        for value in order:
+            b._observe_latency(value)
+            b.packets_delivered += 1
+            b.total_latency += value
+        assert a.latency_samples_seen == b.latency_samples_seen == len(values)
+        assert len(a.latencies) <= 16 and len(b.latencies) <= 16
+        assert a.total_latency == b.total_latency
+        assert a.average_latency == b.average_latency
 
     def test_simulation_respects_small_reservoir(self):
         placement = _placement()

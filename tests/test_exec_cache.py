@@ -9,16 +9,18 @@ module-global dict, and the disk persistence of results and designs.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import pytest
 
 from repro.analysis import runner
 from repro.analysis.runner import (
     DesignCache,
-    adele_design_for,
     build_policy,
+    design_for,
 )
 from repro.core.amosa import AmosaConfig
+from repro.core.optimizers import AmosaSearch
 from repro.exec.cache import (
     DiskDesignCache,
     ResultCache,
@@ -28,7 +30,7 @@ from repro.exec.cache import (
     spec_from_canonical,
     SEED_SPACE,
 )
-from repro.spec import ExperimentSpec, PlacementSpec, PolicySpec
+from repro.spec import DesignSpec, ExperimentSpec, PlacementSpec, PolicySpec
 from repro.topology.elevators import ElevatorPlacement
 from repro.topology.mesh3d import Mesh3D
 
@@ -46,6 +48,10 @@ TINY_AMOSA = AmosaConfig(
 
 def _tiny_placement(name="cache-tiny", columns=((0, 0), (1, 1))):
     return ElevatorPlacement(Mesh3D(2, 2, 2), list(columns), name=name)
+
+
+def _tiny_design(max_subset_size=2, amosa=TINY_AMOSA):
+    return DesignSpec(max_subset_size=max_subset_size, options=asdict(amosa))
 
 
 def _tiny_spec(name="cache-tiny", columns=((0, 0), (1, 1)), **changes):
@@ -216,18 +222,14 @@ class TestDesignCache:
         # subset-size caps must produce two distinct cached designs.
         placement = _tiny_placement()
         cache = DesignCache()
-        design_1 = adele_design_for(
-            placement, max_subset_size=1, amosa_config=TINY_AMOSA, cache=cache
-        )
-        design_2 = adele_design_for(
-            placement, max_subset_size=2, amosa_config=TINY_AMOSA, cache=cache
-        )
+        design_1 = design_for(_tiny_design(1), placement, cache=cache)
+        design_2 = design_for(_tiny_design(2), placement, cache=cache)
         assert len(cache) == 2
         assert design_1 is not design_2
         assert max(len(s) for s in design_1.selected_subsets().values()) <= 1
 
     def test_build_policy_respects_subset_cap_via_cache(self, monkeypatch):
-        monkeypatch.setattr(runner, "DEFAULT_OFFLINE_AMOSA", TINY_AMOSA)
+        monkeypatch.setattr(AmosaSearch, "config_defaults", TINY_AMOSA)
         placement = _tiny_placement()
         cache = DesignCache()
         spec = _tiny_spec(policy="adele")
@@ -249,20 +251,16 @@ class TestDesignCache:
             iterations_per_temperature=10, hard_limit=6, soft_limit=12,
             initial_solutions=3, seed=3,
         )
-        adele_design_for(placement, max_subset_size=2, amosa_config=TINY_AMOSA, cache=cache)
-        adele_design_for(placement, max_subset_size=2, amosa_config=other_amosa, cache=cache)
+        design_for(_tiny_design(), placement, cache=cache)
+        design_for(_tiny_design(amosa=other_amosa), placement, cache=cache)
         assert len(cache) == 2
 
     def test_injected_caches_are_isolated_and_clearable(self):
         placement = _tiny_placement()
         cache_a, cache_b = DesignCache(), DesignCache()
-        design = adele_design_for(
-            placement, max_subset_size=2, amosa_config=TINY_AMOSA, cache=cache_a
-        )
+        design = design_for(_tiny_design(), placement, cache=cache_a)
         assert len(cache_a) == 1 and len(cache_b) == 0
-        again = adele_design_for(
-            placement, max_subset_size=2, amosa_config=TINY_AMOSA, cache=cache_a
-        )
+        again = design_for(_tiny_design(), placement, cache=cache_a)
         assert again is design
         cache_a.clear()
         assert len(cache_a) == 0
@@ -270,9 +268,7 @@ class TestDesignCache:
     def test_disk_design_cache_survives_processes(self, tmp_path, monkeypatch):
         placement = _tiny_placement()
         warm = DiskDesignCache(str(tmp_path))
-        original = adele_design_for(
-            placement, max_subset_size=2, amosa_config=TINY_AMOSA, cache=warm
-        )
+        original = design_for(_tiny_design(), placement, cache=warm)
 
         # A fresh cache over the same directory must reload the design from
         # disk without ever invoking the AMOSA stage again.
@@ -281,9 +277,7 @@ class TestDesignCache:
 
         monkeypatch.setattr(runner, "optimize_elevator_subsets", _fail)
         fresh = DiskDesignCache(str(tmp_path))
-        reloaded = adele_design_for(
-            placement, max_subset_size=2, amosa_config=TINY_AMOSA, cache=fresh
-        )
+        reloaded = design_for(_tiny_design(), placement, cache=fresh)
         assert reloaded.selected_subsets() == original.selected_subsets()
         assert reloaded.pareto_points() == original.pareto_points()
         assert reloaded.baseline_objectives == pytest.approx(
@@ -293,35 +287,46 @@ class TestDesignCache:
             e.objectives for e in original.representatives
         ]
 
-    def test_explicit_traffic_matrix_never_aliases_the_uniform_design(self, tmp_path):
-        # An explicitly supplied matrix is keyed by content, so it neither
-        # reuses the label-only "uniform" entry nor gets persisted as the
-        # canonical uniform design by disk caches.
+    def test_design_free_experiment_shares_its_design_spec_entry(self, monkeypatch):
+        # A design-free AdEle experiment resolves DesignSpec(max_subset_size=
+        # <policy option>): the spec spelled out is a hit on the same entry.
+        monkeypatch.setattr(AmosaSearch, "config_defaults", TINY_AMOSA)
         placement = _tiny_placement()
-        mesh = placement.mesh
-        hotspot = {
-            (src, dst): (4.0 if dst == 0 else 0.1)
-            for src in mesh.nodes()
-            for dst in mesh.nodes()
-            if src != dst
-        }
-        cache = DiskDesignCache(str(tmp_path))
-        adele_design_for(
-            placement, traffic_matrix=hotspot, max_subset_size=2,
-            amosa_config=TINY_AMOSA, cache=cache,
-        )
-        uniform = adele_design_for(
-            placement, max_subset_size=2, amosa_config=TINY_AMOSA, cache=cache
-        )
-        assert len(cache) == 2
+        cache = DesignCache()
+        spec = _tiny_spec(policy=PolicySpec(name="adele", options={"max_subset_size": 2}))
+        build_policy(spec, placement, design_cache=cache)
+        assert len(cache) == 1
 
-        # A fresh disk cache must serve the genuine uniform design for the
-        # plain label, not the hotspot-optimized one.
-        fresh = DiskDesignCache(str(tmp_path))
-        reloaded = adele_design_for(
-            placement, max_subset_size=2, amosa_config=TINY_AMOSA, cache=fresh
+        def _fail(*args, **kwargs):  # pragma: no cover - defensive
+            raise AssertionError("the experiment's design was not reused")
+
+        monkeypatch.setattr(runner, "optimize_elevator_subsets", _fail)
+        design_for(DesignSpec(max_subset_size=2), placement, cache=cache)
+        assert len(cache) == 1
+        assert list(cache._designs) == [
+            runner.design_key_for(DesignSpec(max_subset_size=2), placement)
+        ]
+
+    def test_nested_design_cap_beats_the_policy_option(self, monkeypatch):
+        # With a nested design, its cap wins over the policy option (the
+        # assumption exec.cache._design_is_redundant relies on).
+        monkeypatch.setattr(AmosaSearch, "config_defaults", TINY_AMOSA)
+        placement = ElevatorPlacement(
+            Mesh3D(2, 2, 2), [(0, 0), (1, 0), (0, 1), (1, 1)], name="cap"
         )
-        assert reloaded.selected_subsets() == uniform.selected_subsets()
+        spec = ExperimentSpec(
+            placement=PlacementSpec.from_placement(placement),
+            policy=PolicySpec(name="adele", options={"max_subset_size": 2}),
+            design=DesignSpec(max_subset_size=3),
+        )
+        assert runner.experiment_design_spec(spec) == DesignSpec(max_subset_size=3)
+        cache = DesignCache()
+        build_policy(spec, placement, design_cache=cache)
+        assert list(cache._designs) == [
+            runner.design_key_for(DesignSpec(max_subset_size=3), placement)
+        ]
+        (design,) = cache._designs.values()
+        assert design.problem.max_subset_size == 3
 
     def test_default_cache_is_swappable(self):
         previous = runner.get_design_cache()

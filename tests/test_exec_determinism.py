@@ -12,8 +12,8 @@ import os
 
 import pytest
 
-from repro.analysis import runner
 from repro.core.amosa import AmosaConfig
+from repro.core.optimizers import AmosaSearch
 from repro.exec.batch import ExperimentBatch, clear_setup_memo, run_batch
 from repro.exec.cache import DiskDesignCache, ResultCache, config_key, derive_seed
 from repro.spec import ExperimentSpec, PlacementSpec, PolicySpec, SimSpec, TrafficSpec
@@ -113,7 +113,7 @@ class TestAdEleDeterminism:
 
     @pytest.fixture(autouse=True)
     def _tiny_offline(self, monkeypatch):
-        monkeypatch.setattr(runner, "DEFAULT_OFFLINE_AMOSA", TINY_AMOSA)
+        monkeypatch.setattr(AmosaSearch, "config_defaults", TINY_AMOSA)
 
     def test_adele_serial_matches_workers_and_cache(self, tmp_path):
         base = _base_spec(

@@ -5,22 +5,31 @@ policy + simulator + energy model) and check the qualitative properties the
 paper reports, at scales small enough for CI.
 """
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.analysis.comparison import relative_improvement
 from repro.analysis.load import elevator_load_distribution
 from repro.analysis.runner import (
-    adele_design_for,
     build_network,
     build_packet_source,
+    design_for,
     run_experiment,
 )
 from repro.core.amosa import AmosaConfig
+from repro.core.optimizers import AmosaSearch
 from repro.energy.model import EnergyModel
 from repro.routing.adele import AdElePolicy
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
-from repro.spec import ADELE_POLICY_NAMES, ExperimentSpec, PlacementSpec, PolicySpec
+from repro.spec import (
+    ADELE_POLICY_NAMES,
+    DesignSpec,
+    ExperimentSpec,
+    PlacementSpec,
+    PolicySpec,
+)
 from repro.topology.elevators import ElevatorPlacement
 from repro.topology.mesh3d import Mesh3D
 
@@ -70,9 +79,7 @@ class TestEndToEndDelivery:
         assert result.stats.packets_created > 10
 
     def test_every_policy_delivers_traffic(self, arena, monkeypatch):
-        from repro.analysis import runner
-
-        monkeypatch.setattr(runner, "DEFAULT_OFFLINE_AMOSA", TINY_AMOSA)
+        monkeypatch.setattr(AmosaSearch, "config_defaults", TINY_AMOSA)
         placement, spec = arena
         for policy in ("elevator_first", "cda", "adele", "adele_rr", "minimal"):
             result = run_experiment(spec.with_(policy=_policy(policy), injection_rate=0.02))
@@ -96,9 +103,7 @@ class TestEndToEndDelivery:
 class TestPaperQualitativeShapes:
     def test_adaptive_policies_beat_elevator_first_under_load(self, arena, monkeypatch):
         """Fig. 4 shape: congestion-aware selection beats nearest-elevator."""
-        from repro.analysis import runner
-
-        monkeypatch.setattr(runner, "DEFAULT_OFFLINE_AMOSA", TINY_AMOSA)
+        monkeypatch.setattr(AmosaSearch, "config_defaults", TINY_AMOSA)
         placement, spec = arena
         loaded = spec.with_(injection_rate=0.06, measurement_cycles=800)
         baseline = run_experiment(loaded.with_(policy=_policy("elevator_first")))
@@ -109,9 +114,7 @@ class TestPaperQualitativeShapes:
 
     def test_adele_balances_elevator_load_better(self, arena, monkeypatch):
         """Fig. 5 shape: AdEle's max-elevator load is lower than ElevFirst's."""
-        from repro.analysis import runner
-
-        monkeypatch.setattr(runner, "DEFAULT_OFFLINE_AMOSA", TINY_AMOSA)
+        monkeypatch.setattr(AmosaSearch, "config_defaults", TINY_AMOSA)
         placement, spec = arena
         loaded = spec.with_(injection_rate=0.05, measurement_cycles=800)
 
@@ -127,9 +130,7 @@ class TestPaperQualitativeShapes:
 
     def test_minimal_override_saves_energy_at_low_load(self, arena, monkeypatch):
         """Fig. 6 shape: at low injection AdEle's energy is not above ElevFirst's."""
-        from repro.analysis import runner
-
-        monkeypatch.setattr(runner, "DEFAULT_OFFLINE_AMOSA", TINY_AMOSA)
+        monkeypatch.setattr(AmosaSearch, "config_defaults", TINY_AMOSA)
         placement, spec = arena
         quiet = spec.with_(injection_rate=0.004, measurement_cycles=900)
         baseline = run_experiment(quiet.with_(policy=_policy("elevator_first")))
@@ -140,7 +141,9 @@ class TestPaperQualitativeShapes:
     def test_offline_design_reduces_utilization_variance(self, arena):
         """Fig. 3 shape: the selected solution dominates Elevator-First on variance."""
         placement, _spec = arena
-        design = adele_design_for(placement, max_subset_size=2, amosa_config=TINY_AMOSA)
+        design = design_for(
+            DesignSpec(max_subset_size=2, options=asdict(TINY_AMOSA)), placement
+        )
         assert design.selected.objectives[0] <= design.baseline_objectives[0]
 
     def test_relative_improvement_metric_sanity(self):
@@ -180,9 +183,7 @@ class TestFaultToleranceExtension:
 class TestLargerConfigurationSmoke:
     def test_ps1_short_run_all_policies(self, monkeypatch):
         """A short 4x4x4 PS1 run exercises the paper's actual topology."""
-        from repro.analysis import runner
-
-        monkeypatch.setattr(runner, "DEFAULT_OFFLINE_AMOSA", TINY_AMOSA)
+        monkeypatch.setattr(AmosaSearch, "config_defaults", TINY_AMOSA)
         spec = ExperimentSpec().with_(
             placement="PS1", traffic="uniform", injection_rate=0.003,
             warmup_cycles=50, measurement_cycles=300, drain_cycles=300, seed=5,

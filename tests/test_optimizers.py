@@ -16,9 +16,10 @@ from repro.core.optimizers import (
     make_optimizer,
 )
 from repro.core.pareto import dominates
-from repro.core.pipeline import OfflineConfig, optimize_elevator_subsets
+from repro.core.pipeline import optimize_elevator_subsets
 from repro.core.subset_search import ElevatorSubsetProblem
 from repro.registry import UnknownComponentError
+from repro.spec import DesignSpec
 from repro.topology.elevators import ElevatorPlacement
 from repro.topology.mesh3d import Mesh3D
 from repro.traffic.patterns import UniformTraffic
@@ -191,41 +192,33 @@ class TestOptimizers:
 
 class TestPipelineIntegration:
     def test_offline_config_optimizer_dispatch(self, placement):
-        config = OfflineConfig(
+        spec = DesignSpec(
             optimizer="random-search",
-            optimizer_options={"evaluations": 80, "seed": 2},
+            options={"evaluations": 80, "seed": 2},
             max_subset_size=2,
         )
-        design = optimize_elevator_subsets(placement, config=config)
+        design = optimize_elevator_subsets(placement, spec)
         assert design.result.evaluations == 80
         assert design.pareto_points()
 
     def test_offline_config_amosa_options_override(self, placement):
-        config = OfflineConfig(
-            amosa=AmosaConfig(**SMALL_AMOSA),
-            optimizer_options={"seed": 11},
-            max_subset_size=2,
-        )
-        design = optimize_elevator_subsets(placement, config=config)
+        spec = DesignSpec(options={**SMALL_AMOSA, "seed": 11}, max_subset_size=2)
+        design = optimize_elevator_subsets(placement, spec)
         assert design.pareto_points()
 
     def test_unknown_optimizer_raises(self, placement):
-        config = OfflineConfig(optimizer="amosaa", max_subset_size=2)
+        spec = DesignSpec(optimizer="amosaa", max_subset_size=2)
         with pytest.raises(ValueError, match="did you mean"):
-            optimize_elevator_subsets(placement, config=config)
+            optimize_elevator_subsets(placement, spec)
 
     def test_selection_strategies(self, placement):
-        base = dict(
+        base = DesignSpec(
             optimizer="random-search",
-            optimizer_options={"evaluations": 150, "seed": 6},
+            options={"evaluations": 150, "seed": 6},
             max_subset_size=2,
         )
-        latency = optimize_elevator_subsets(
-            placement, config=OfflineConfig(selection="latency", **base)
-        )
-        energy = optimize_elevator_subsets(
-            placement, config=OfflineConfig(selection="energy", **base)
-        )
+        latency = optimize_elevator_subsets(placement, base.with_(selection="latency"))
+        energy = optimize_elevator_subsets(placement, base.with_(selection="energy"))
         archive = latency.result.archive
         assert latency.selected.objectives == min(
             (e.objectives for e in archive), key=lambda o: (o[0], o[-1])
@@ -236,7 +229,7 @@ class TestPipelineIntegration:
 
     def test_invalid_selection_rejected(self):
         with pytest.raises(ValueError, match="selection"):
-            OfflineConfig(selection="balanced")
+            DesignSpec(selection="balanced")
 
     def test_greedy_never_beaten_by_random_at_equal_budget(self, placement):
         """Sanity: structure beats chance on this tiny analytic problem."""

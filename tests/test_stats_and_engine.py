@@ -124,42 +124,6 @@ class TestSimulationStats:
         loads = stats.normalized_elevator_load({0: [0, 2]})
         assert loads[0] == pytest.approx(2.0)
 
-    def test_merge(self):
-        a = SimulationStats()
-        b = SimulationStats()
-        packet = self._packet(delivery_cycle=10)
-        a.record_packet_created(packet, 0)
-        b.record_packet_created(packet, 0)
-        b.record_packet_delivered(packet, 10)
-        a.merge(b)
-        assert a.packets_created == 2
-        assert a.packets_delivered == 1
-
-    def test_merge_clamps_undercounted_sample_counter(self):
-        # Regression: merging a reservoir whose samples_seen undercounts its
-        # stored samples (hand-built or deserialized stats) used to compute
-        # a negative per-sample share and walk latency_samples_seen
-        # backwards; the counter is clamped so every stored sample stands
-        # for at least one observation.
-        a = SimulationStats()
-        b = SimulationStats()
-        b.latencies.extend([5.0, 6.0, 7.0])
-        b.latency_samples_seen = 1  # inconsistent: three stored samples
-        a.merge(b)
-        assert a.latency_samples_seen == 3
-        assert sorted(a.latencies) == [5.0, 6.0, 7.0]
-
-    def test_merge_weights_downsampled_reservoir(self):
-        # A consistent down-sampled input (seen > stored) still advances the
-        # counter by the full observation count.
-        a = SimulationStats()
-        b = SimulationStats()
-        b.latencies.extend([5.0, 6.0, 7.0])
-        b.latency_samples_seen = 9  # each survivor stands for 3 observations
-        a.merge(b)
-        assert a.latency_samples_seen == 9
-        assert sorted(a.latencies) == [5.0, 6.0, 7.0]
-
 
 class TestSimulator:
     def test_invalid_configuration(self):

@@ -1,13 +1,16 @@
 """Unit tests for the subset-search problem and the offline pipeline."""
 
 import random
+from dataclasses import asdict
 
 import pytest
 
+from repro.analysis.runner import DesignCache, design_for
 from repro.core.amosa import AmosaConfig
-from repro.core.pipeline import OfflineConfig, optimize_elevator_subsets
+from repro.core.pipeline import optimize_elevator_subsets
 from repro.core.subset_search import ElevatorSubsetProblem, SubsetSolution
 from repro.routing.adele import AdElePolicy, AdEleRoundRobinPolicy
+from repro.spec import DesignSpec, PlacementSpec
 from repro.topology.elevators import ElevatorPlacement
 from repro.topology.mesh3d import Mesh3D
 from repro.traffic.patterns import UniformTraffic
@@ -35,6 +38,9 @@ SMALL_AMOSA = AmosaConfig(
     initial_solutions=4,
     seed=5,
 )
+
+#: The small offline stage the pipeline tests run.
+SMALL_DESIGN = DesignSpec(options=asdict(SMALL_AMOSA), max_subset_size=2)
 
 
 class TestSubsetSolution:
@@ -120,8 +126,8 @@ class TestElevatorSubsetProblem:
 
 class TestOfflinePipeline:
     def test_design_contains_expected_pieces(self, placement):
-        config = OfflineConfig(amosa=SMALL_AMOSA, max_subset_size=2, num_representatives=4)
-        design = optimize_elevator_subsets(placement, config=config)
+        spec = SMALL_DESIGN.with_(num_representatives=4)
+        design = optimize_elevator_subsets(placement, spec)
         assert len(design.pareto_points()) >= 1
         assert len(design.representatives) <= 4
         assert design.baseline_objectives[0] >= 0
@@ -129,15 +135,13 @@ class TestOfflinePipeline:
         assert design.explored_points()
 
     def test_selected_solution_improves_variance_over_baseline(self, placement):
-        config = OfflineConfig(amosa=SMALL_AMOSA, max_subset_size=2)
-        design = optimize_elevator_subsets(placement, config=config)
+        design = optimize_elevator_subsets(placement, SMALL_DESIGN)
         baseline_variance = design.baseline_objectives[0]
         selected_variance = design.selected.objectives[0]
         assert selected_variance <= baseline_variance
 
     def test_policy_construction_uses_selected_subsets(self, placement):
-        config = OfflineConfig(amosa=SMALL_AMOSA, max_subset_size=2)
-        design = optimize_elevator_subsets(placement, config=config)
+        design = optimize_elevator_subsets(placement, SMALL_DESIGN)
         policy = design.to_policy(seed=1)
         assert isinstance(policy, AdElePolicy)
         subsets = design.selected_subsets()
@@ -147,8 +151,7 @@ class TestOfflinePipeline:
         assert isinstance(rr_policy, AdEleRoundRobinPolicy)
 
     def test_alternative_selections(self, placement):
-        config = OfflineConfig(amosa=SMALL_AMOSA, max_subset_size=2)
-        design = optimize_elevator_subsets(placement, config=config)
+        design = optimize_elevator_subsets(placement, SMALL_DESIGN)
         latency = design.latency_leaning()
         energy = design.energy_leaning()
         assert latency.objectives[0] <= energy.objectives[0]
@@ -159,20 +162,36 @@ class TestOfflinePipeline:
         assert design.selected is energy
 
     def test_to_policy_threshold_override(self, placement):
-        config = OfflineConfig(amosa=SMALL_AMOSA, max_subset_size=2)
-        design = optimize_elevator_subsets(placement, config=config)
+        design = optimize_elevator_subsets(placement, SMALL_DESIGN)
         policy = design.to_policy(low_traffic_threshold=1.5)
         assert policy.low_traffic_threshold == 1.5
 
     def test_offline_config_validation(self):
         with pytest.raises(ValueError):
-            OfflineConfig(num_representatives=0)
+            DesignSpec(num_representatives=0)
 
     def test_custom_traffic_matrix(self, placement):
         mesh = placement.mesh
         src = mesh.node_id_xyz(0, 0, 0)
         dst = mesh.node_id_xyz(2, 2, 1)
         traffic = {(src, dst): 1.0}
-        config = OfflineConfig(amosa=SMALL_AMOSA, max_subset_size=2)
-        design = optimize_elevator_subsets(placement, traffic=traffic, config=config)
+        design = optimize_elevator_subsets(placement, SMALL_DESIGN, traffic=traffic)
         assert design.pareto_points()
+        uniform = optimize_elevator_subsets(placement, SMALL_DESIGN)
+        assert design.baseline_objectives != uniform.baseline_objectives
+
+    def test_uncached_core_and_design_for_share_one_default(self):
+        # One default for the offline stage: the uncached core and the cached
+        # entry point run the same search.  Five elevators, so the default
+        # subset cap of 4 binds.
+        mesh = Mesh3D(3, 3, 2)
+        columns = [(0, 0), (2, 0), (0, 2), (2, 2), (1, 1)]
+        placement = ElevatorPlacement(mesh, columns, name="five")
+        core = optimize_elevator_subsets(placement)
+        cached = design_for(
+            DesignSpec(placement=PlacementSpec.from_placement(placement)),
+            cache=DesignCache(),
+        )
+        assert core.problem.max_subset_size == 4
+        assert core.pareto_points() == cached.pareto_points()
+        assert core.selected_subsets() == cached.selected_subsets()
