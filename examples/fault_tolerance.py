@@ -26,7 +26,6 @@ from repro.api import (
     SimSpec,
     TrafficSpec,
     run,
-    run_scenario,
 )
 
 POLICIES = ("elevator_first", "cda", "adele")
@@ -81,7 +80,7 @@ def main() -> None:
         print(f"  {policy:15s} elevator usage counts: {dict(sorted(assignments.items()))}")
 
     print("\nMid-run fault at cycle 800, repair at cycle 1300 (adele):")
-    result = run_scenario(BASE.with_(policy="adele"), scenario=MID_RUN)
+    result = run(BASE.with_(policy="adele", scenario=MID_RUN))
     for phase in result.stats.phases:
         end = "..." if phase.end_cycle is None else phase.end_cycle
         latency = (

@@ -95,7 +95,7 @@ from repro.spec import (
 )
 from repro import api
 
-__version__ = "1.16.0"
+__version__ = "1.17.0"
 
 __all__ = [
     "Coordinate",

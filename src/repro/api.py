@@ -80,7 +80,6 @@ from repro.exec.batch import (
 from repro.exec.cache import (
     DiskDesignCache,
     ResultCache,
-    available_cache_backends,
     cache_stats,
     canonical_config,
     config_key,
@@ -225,45 +224,15 @@ def run(
 ) -> SimulationResult:
     """Run one experiment spec end to end and return its full result.
 
+    A spec carrying a ``scenario`` timeline (``spec.with_(scenario=...)``)
+    runs it; the per-phase measurement windows are on
+    ``result.stats.phases`` (and in ``result.summary()["phases"]``).
     ``probe`` attaches an opt-in kernel probe; the sampled
     :class:`~repro.obs.probes.ProbeSeries` lands on ``result.probe``
     while every number in the result stays bit-identical to an unprobed
     run (the probe is a run argument, never part of the spec).
     """
     return run_experiment(as_spec(spec), energy_model=energy_model, probe=probe)
-
-
-def run_scenario(
-    spec: ExperimentSpec,
-    scenario: Optional[ScenarioSpec] = None,
-    energy_model: Optional[EnergyModel] = None,
-) -> SimulationResult:
-    """Run one experiment under a dynamic scenario timeline.
-
-    Args:
-        spec: The experiment; its own ``scenario`` field is used when the
-            ``scenario`` argument is omitted.
-        scenario: Event timeline overriding (or supplying) the spec's.
-        energy_model: Optional energy model (per-phase energy included).
-
-    Returns:
-        The :class:`~repro.sim.engine.SimulationResult`; per-phase
-        measurement windows are on ``result.stats.phases`` (and in
-        ``result.summary()['phases']``).
-
-    Raises:
-        ValueError: When neither the spec nor the argument carries a
-            scenario.
-    """
-    resolved = as_spec(spec)
-    if scenario is not None:
-        resolved = resolved.with_(scenario=scenario)
-    if resolved.scenario is None:
-        raise ValueError(
-            "run_scenario needs a scenario: set ExperimentSpec.scenario or "
-            "pass the scenario argument"
-        )
-    return run_experiment(resolved, energy_model=energy_model)
 
 
 def run_specs(
@@ -273,7 +242,6 @@ def run_specs(
     base_seed: Optional[int] = None,
     energy_model: Optional[EnergyModel] = None,
     plugins: Iterable[str] = (),
-    cache_backend: str = "json",
     chunk_size: Optional[int] = None,
     probe: Optional[ProbeSpec] = None,
     metrics: Optional[MetricsRegistry] = None,
@@ -284,7 +252,9 @@ def run_specs(
         specs: Experiment specs.
         workers: Worker processes (``1`` = serial fallback).
         cache_dir: Optional directory for disk-backed result *and* AdEle
-            design caching; a warm directory skips finished work entirely.
+            design caching (one JSON file per entry, see
+            :func:`~repro.exec.cache.open_caches`); a warm directory skips
+            finished work entirely.
         base_seed: When given, per-task seeds derive from the canonical
             spec hash plus this value.
         energy_model: Optional energy model forwarded to every simulation.
@@ -292,9 +262,6 @@ def run_specs(
             registered components exist by name under any multiprocessing
             start method (under ``fork``, already-imported modules are
             inherited without this).
-        cache_backend: Layout under ``cache_dir`` -- ``"json"`` (one file
-            per entry) or ``"sqlite"`` (the concurrent-safe service store);
-            both key by the same canonical hashes.
         chunk_size: Flush results to the cache (plus a resumable manifest
             when ``cache_dir`` is set) every this many completed specs.
         probe: Optional kernel probe attached to every *executed* task;
@@ -309,7 +276,7 @@ def run_specs(
         One :class:`~repro.exec.batch.ExperimentOutcome` per spec, in input
         order, each carrying its spec, cache key and summary row.
     """
-    result_cache, design_cache = open_caches(cache_dir, cache_backend)
+    result_cache, design_cache = open_caches(cache_dir)
     batch = ExperimentBatch(
         specs,
         workers=workers,
@@ -332,7 +299,6 @@ def run_designs(
     cache_dir: Optional[str] = None,
     base_seed: Optional[int] = None,
     plugins: Iterable[str] = (),
-    cache_backend: str = "json",
 ) -> List[DesignOutcome]:
     """Run a grid of offline design specs through the design batch engine.
 
@@ -342,7 +308,7 @@ def run_designs(
     the canonical design key (see
     :func:`~repro.exec.designs.derive_design_seed`).
     """
-    _, design_cache = open_caches(cache_dir, cache_backend)
+    _, design_cache = open_caches(cache_dir)
     return run_design_batch(
         specs,
         workers=workers,
@@ -463,7 +429,6 @@ __all__ = [
     "available_components",
     # execution
     "run",
-    "run_scenario",
     "run_specs",
     "run_design",
     "run_designs",
@@ -480,7 +445,6 @@ __all__ = [
     "ResultCache",
     "DiskDesignCache",
     "DesignCache",
-    "available_cache_backends",
     "cache_stats",
     "open_caches",
     "EnergyModel",

@@ -17,10 +17,13 @@ domination* between the new point, the current point and the archive:
 
 The archive is bounded (HL / SL limits) and thinned by farthest-point
 sampling (a deterministic substitute for the paper's clustering) so the
-front keeps its spread.  The implementation is generic over a *problem*
-object supplying ``random_solution``, ``perturb`` and ``evaluate`` -- the
-elevator-subset problem is one instance, and the unit tests exercise it on
-small analytic problems with known fronts.
+front keeps its spread.  The archive and the acceptance rule are
+two-objective, as is every problem of the offline stage (Eq. 1-3:
+utilization variance and average distance).  The implementation is
+generic over a *problem* object supplying ``random_solution``,
+``perturb`` and a two-entry ``evaluate`` -- the elevator-subset problem is
+one instance, and the unit tests exercise it on small analytic problems
+with known fronts.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from typing import (
     TypeVar,
 )
 
-from repro.core.pareto import ParetoArchive, dominates
+from repro.core.pareto import ParetoArchive
 
 SolutionT = TypeVar("SolutionT")
 
@@ -55,7 +58,7 @@ class AnnealingProblem(Protocol[SolutionT]):
         """A random neighbour of a solution."""
 
     def evaluate(self, solution: SolutionT) -> Tuple[float, ...]:
-        """The (minimized) objective vector of a solution."""
+        """The (minimized) two-objective vector of a solution."""
 
 
 #: Progress callback signature: ``on_iteration(temperature, archive_size,
@@ -258,79 +261,16 @@ class AmosaOptimizer(Generic[SolutionT]):
         archive: ParetoArchive[SolutionT],
         temperature: float,
     ) -> bool:
-        """AMOSA's three-case acceptance decision."""
-        if len(candidate) == 2:
-            return self._decide_2d(current, candidate, archive, temperature)
-        ranges = self._objective_ranges(archive, current, candidate)
+        """AMOSA's three-case acceptance decision for two objectives.
 
-        if dominates(current, candidate):
-            # Case 1: the candidate is dominated by the current point (and
-            # possibly by archive members): probabilistic acceptance based on
-            # the average amount of domination.
-            dominating = [current] + [
-                vector
-                for vector in archive.vectors()
-                if dominates(vector, candidate)
-            ]
-            average_domination = sum(
-                self._amount_of_domination(vector, candidate, ranges)
-                for vector in dominating
-            ) / len(dominating)
-            return self.rng.random() < self._acceptance_probability(
-                average_domination, temperature
-            )
-
-        if dominates(candidate, current):
-            # Case 3: the candidate dominates the current point.  Accept; if
-            # archive members still dominate the candidate, accept with a
-            # probability driven by the *minimum* amount of domination.
-            dominating = [
-                vector
-                for vector in archive.vectors()
-                if dominates(vector, candidate)
-            ]
-            if not dominating:
-                return True
-            minimum_domination = min(
-                self._amount_of_domination(vector, candidate, ranges)
-                for vector in dominating
-            )
-            return self.rng.random() < self._acceptance_probability(
-                minimum_domination, temperature
-            )
-
-        # Case 2: current and candidate are mutually non-dominating; defer to
-        # the archive.
-        dominating = [
-            vector
-            for vector in archive.vectors()
-            if dominates(vector, candidate)
-        ]
-        if not dominating:
-            return True
-        average_domination = sum(
-            self._amount_of_domination(vector, candidate, ranges)
-            for vector in dominating
-        ) / len(dominating)
-        return self.rng.random() < self._acceptance_probability(
-            average_domination, temperature
-        )
-
-    def _decide_2d(
-        self,
-        current: Tuple[float, ...],
-        candidate: Tuple[float, ...],
-        archive: ParetoArchive[SolutionT],
-        temperature: float,
-    ) -> bool:
-        """The two-objective specialization of :meth:`_decide`.
-
-        Same acceptance semantics; the archive members dominating the
+        The amount of domination ``Delta_dom(a, b)`` of the AMOSA paper is
+        the product, over the objectives where ``a`` and ``b`` differ, of
+        ``|a_d - b_d|`` normalized by the objective's range over archive,
+        current and candidate.  The archive members dominating the
         candidate form one contiguous slice of the sorted front (first
         objective strictly increasing, second strictly decreasing), so two
-        binary searches replace the generic per-vector dominance scan --
-        and the overwhelmingly common "nothing dominates the candidate"
-        outcome costs O(log archive).
+        binary searches find them -- and the overwhelmingly common
+        "nothing dominates the candidate" outcome costs O(log archive).
         """
         c0, c1 = candidate
         u0, u1 = current
@@ -434,34 +374,3 @@ class AmosaOptimizer(Generic[SolutionT]):
         if temperature <= 0:
             return 0.0
         return 1.0 / (1.0 + math.exp(min(domination / temperature, 500.0)))
-
-    @staticmethod
-    def _objective_ranges(
-        archive: ParetoArchive[SolutionT],
-        current: Tuple[float, ...],
-        candidate: Tuple[float, ...],
-    ) -> List[float]:
-        """Per-objective ranges used to normalize the amount of domination."""
-        bounds = archive.bounds()
-        ranges: List[float] = []
-        if bounds is None:
-            for x, y in zip(current, candidate):
-                ranges.append(max(abs(x - y), 1e-12))
-            return ranges
-        mins, maxs = bounds
-        for d in range(len(candidate)):
-            low = min(mins[d], current[d], candidate[d])
-            high = max(maxs[d], current[d], candidate[d])
-            ranges.append(max(high - low, 1e-12))
-        return ranges
-
-    @staticmethod
-    def _amount_of_domination(
-        a: Tuple[float, ...], b: Tuple[float, ...], ranges: Sequence[float]
-    ) -> float:
-        """Amount of domination Delta_dom(a, b) of the AMOSA paper."""
-        product = 1.0
-        for d, (x, y) in enumerate(zip(a, b)):
-            if x != y:
-                product *= abs(x - y) / ranges[d]
-        return product

@@ -1,11 +1,11 @@
 """Pareto-dominance utilities and a bounded Pareto archive.
 
 All objectives are minimized.  A point ``a`` *dominates* ``b`` when it is no
-worse in every objective and strictly better in at least one.  The archive
-keeps only mutually non-dominated points and, when it grows past its hard
-limit, thins itself with farthest-point sampling in normalized objective
-space -- a deterministic stand-in for AMOSA's clustering step that preserves
-the spread of the front.
+worse in every objective and strictly better in at least one.  The
+two-objective archive keeps only mutually non-dominated points and, when it
+grows past its hard limit, thins itself with farthest-point sampling in
+normalized objective space -- a deterministic stand-in for AMOSA's
+clustering step that preserves the spread of the front.
 """
 
 from __future__ import annotations
@@ -48,7 +48,11 @@ class ArchivePoint(Generic[SolutionT]):
 
 
 class ParetoArchive(Generic[SolutionT]):
-    """A bounded archive of mutually non-dominated solutions.
+    """A bounded archive of mutually non-dominated two-objective solutions.
+
+    Every problem of the offline stage has two objectives (Eq. 1-3:
+    utilization variance and average distance), so the archive keeps its
+    front sorted and answers dominance queries with binary searches.
 
     Args:
         hard_limit: Maximum number of points retained after thinning (AMOSA's
@@ -103,12 +107,11 @@ class ParetoArchive(Generic[SolutionT]):
     def sorted_2d(self) -> Tuple[List[float], List[float]]:
         """Cached parallel ``(first, second)`` objective lists, sorted.
 
-        Only meaningful for two-objective archives.  A mutually
-        non-dominated 2-objective set is *strictly* increasing in the first
-        objective and strictly decreasing in the second once sorted, so the
-        members dominating any query point form one contiguous slice --
-        AMOSA's acceptance test exploits this with two binary searches
-        instead of a full scan.
+        A mutually non-dominated 2-objective set is *strictly* increasing
+        in the first objective and strictly decreasing in the second once
+        sorted, so the members dominating any query point form one
+        contiguous slice -- AMOSA's acceptance test exploits this with two
+        binary searches instead of a full scan.
         """
         if self._sorted2d is None:
             ordered = sorted(self.vectors())
@@ -124,20 +127,12 @@ class ParetoArchive(Generic[SolutionT]):
         ``None`` for an empty archive.
         """
         if self._bounds is None:
-            vectors = self.vectors()
-            if not vectors:
+            if not self._points:
                 return None
-            if len(vectors[0]) == 2:
-                # The sorted front is monotone: first objective increasing,
-                # second decreasing -- bounds are its end points.
-                v0s, v1s = self.sorted_2d()
-                self._bounds = ([v0s[0], v1s[-1]], [v0s[-1], v1s[0]])
-            else:
-                dimensions = len(vectors[0])
-                self._bounds = (
-                    [min(v[d] for v in vectors) for d in range(dimensions)],
-                    [max(v[d] for v in vectors) for d in range(dimensions)],
-                )
+            # The sorted front is monotone: first objective increasing,
+            # second decreasing -- bounds are its end points.
+            v0s, v1s = self.sorted_2d()
+            self._bounds = ([v0s[0], v1s[-1]], [v0s[-1], v1s[0]])
         return self._bounds
 
     def solutions(self) -> List[SolutionT]:
@@ -147,48 +142,24 @@ class ParetoArchive(Generic[SolutionT]):
     # ------------------------------------------------------------------ #
     # Updates
     # ------------------------------------------------------------------ #
-    def dominated_by_archive(self, objectives: Sequence[float]) -> int:
-        """Number of archive points that dominate the given vector."""
-        return sum(1 for point in self._points if dominates(point.objectives, objectives))
-
-    def dominates_in_archive(self, objectives: Sequence[float]) -> int:
-        """Number of archive points dominated by the given vector."""
-        return sum(1 for point in self._points if dominates(objectives, point.objectives))
-
     def add(self, solution: SolutionT, objectives: Sequence[float]) -> bool:
         """Insert a solution if it is not dominated by the archive.
 
         Points dominated by the new solution are removed.  Returns ``True``
-        when the solution entered the archive.
+        when the solution entered the archive.  The sorted front is
+        strictly increasing in the first objective and strictly decreasing
+        in the second, so both the is-dominated test and the set of members
+        the new point dominates reduce to binary searches.
+
+        Raises:
+            ValueError: The objective vector does not have two entries.
         """
         vector = tuple(float(v) for v in objectives)
-        if len(vector) == 2:
-            return self._add_2d(solution, vector)
-        if self.dominated_by_archive(vector) > 0:
-            return False
-        survivors = [
-            point for point in self._points if not dominates(vector, point.objectives)
-        ]
-        if any(point.objectives == vector for point in survivors):
-            if len(survivors) != len(self._points):
-                self._points = survivors
-                self._invalidate()
-            return False
-        self._points = survivors
-        self._points.append(ArchivePoint(solution=solution, objectives=vector))
-        self._invalidate()
-        if len(self._points) > self.soft_limit:
-            self._thin()
-        return True
-
-    def _add_2d(self, solution: SolutionT, vector: Objectives) -> bool:
-        """Two-objective :meth:`add` over the sorted front (same semantics).
-
-        A non-dominated 2-objective front is strictly increasing in the
-        first objective and strictly decreasing in the second, so both the
-        is-dominated test and the set of members the new point dominates
-        reduce to binary searches instead of full dominance scans.
-        """
+        if len(vector) != 2:
+            raise ValueError(
+                f"ParetoArchive is two-objective; got {len(vector)} "
+                "objective(s)"
+            )
         c0, c1 = vector
         v0s, v1s = self.sorted_2d()
         hi = bisect_right(v0s, c0)

@@ -76,10 +76,6 @@ class AdEleDesign:
         """Sampled objective vectors of all explored solutions (Fig. 3 dots)."""
         return list(self.result.explored)
 
-    def representative_objectives(self) -> List[Tuple[float, ...]]:
-        """Objectives of the representative (S0...S_k) solutions."""
-        return [entry.objectives for entry in self.representatives]
-
     def subsets_for(self, entry: ArchiveEntry[SubsetSolution]) -> Dict[int, Tuple[int, ...]]:
         """Per-router elevator subsets of an archive entry."""
         return entry.solution.subsets()

@@ -12,16 +12,18 @@ results -- in parallel, deterministically, and with disk-backed caching:
 * :mod:`repro.exec.cache` provides the canonical config serialization and
   hash every cache key and derived seed is built from, plus the
   :class:`~repro.exec.cache.ResultCache` (summary rows), the
-  :class:`~repro.exec.cache.DiskDesignCache` (AdEle offline designs) and
-  the pluggable :func:`~repro.exec.cache.open_caches` backend registry
-  (``json`` files or the service's SQLite store);
+  :class:`~repro.exec.cache.DiskDesignCache` (AdEle offline designs),
+  both opened on a JSON cache directory by
+  :func:`~repro.exec.cache.open_caches`, and
+  :func:`~repro.exec.cache.cache_stats` (what a cache directory holds);
 * chunked checkpoints (``chunk_size`` / ``--chunk-size``) flush rows to
   the result cache as each chunk completes, with a ``manifest-*.json``
   progress record, so a killed run resumes from its last chunk
   (:class:`~repro.exec.batch.ChunkAbort` is the deterministic kill
   injected by ``REPRO_EXEC_ABORT_AFTER_CHUNKS``);
 * :mod:`repro.exec.cli` is the ``python -m repro`` front end (``sweep`` /
-  ``compare`` / ``run --spec`` / ``list`` subcommands with ``--workers``,
+  ``compare`` / ``run --spec`` / ``optimize`` / ``serve`` / ``cache`` /
+  ``trace`` / ``stats`` / ``list`` subcommands with ``--workers``,
   ``--cache-dir``, ``--seed`` and ``--plugin``).
 
 Determinism guarantee: identical configuration + seed produce bit-identical
@@ -41,7 +43,6 @@ from repro.exec.batch import (
 from repro.exec.cache import (
     DiskDesignCache,
     ResultCache,
-    available_cache_backends,
     cache_stats,
     canonical_config,
     canonical_json,
@@ -49,7 +50,6 @@ from repro.exec.cache import (
     derive_seed,
     iter_json_cache_entries,
     open_caches,
-    register_cache_backend,
     spec_from_canonical,
 )
 from repro.exec.designs import (
@@ -72,11 +72,9 @@ __all__ = [
     "run_design_batch",
     "ResultCache",
     "DiskDesignCache",
-    "available_cache_backends",
     "cache_stats",
     "iter_json_cache_entries",
     "open_caches",
-    "register_cache_backend",
     "canonical_config",
     "canonical_json",
     "spec_from_canonical",

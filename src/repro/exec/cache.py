@@ -279,50 +279,28 @@ def iter_json_cache_entries(
             yield name[len(prefix):-len(".json")], record
 
 
-def cache_stats(cache_dir: str, backend: str = "json") -> Dict[str, Any]:
-    """Entry counts and on-disk bytes of a cache directory.
-
-    Args:
-        cache_dir: The ``--cache-dir`` to inspect.
-        backend: ``json`` counts ``result-*.json`` / ``design-*.json`` files;
-            ``sqlite`` counts table rows of the service database (bytes are
-            the database file's size, WAL/SHM sidecars included).
+def cache_stats(cache_dir: str) -> Dict[str, Any]:
+    """What a cache directory holds.
 
     Returns:
-        JSON-native ``{"backend", "cache_dir", "results", "designs",
-        "bytes"}`` (plus ``"manifests"`` for the JSON backend, counting
-        checkpoint manifests that are *not* part of the result set).
+        JSON-native ``{"backend": "json", "cache_dir", "results",
+        "designs", "manifests", "bytes"}`` counting the directory's
+        ``result-*.json`` / ``design-*.json`` entries and its
+        ``manifest-*.json`` checkpoints (not part of the result set).  When
+        the ``repro serve`` database is present, ``"store"`` adds
+        :meth:`repro.service.store.SqliteStore.stats` of it.
     """
-    name = (backend or "json").strip().lower()
-    if name not in _CACHE_BACKENDS:
-        raise ValueError(
-            f"unknown cache backend {backend!r}; registered: "
-            f"{', '.join(available_cache_backends())}"
-        )
+    # Imported lazily: repro.service.store imports this module.
+    from repro.service.store import DEFAULT_DB_FILENAME, SqliteStore
+
     stats: Dict[str, Any] = {
-        "backend": name,
+        "backend": "json",
         "cache_dir": cache_dir,
         "results": 0,
         "designs": 0,
+        "manifests": 0,
         "bytes": 0,
     }
-    if name == "sqlite":
-        from repro.service.store import DEFAULT_DB_FILENAME, SqliteStore
-
-        db_path = os.path.join(cache_dir, DEFAULT_DB_FILENAME)
-        if os.path.exists(db_path):
-            store = SqliteStore(db_path)
-            tables = store.table_counts()
-            stats["results"] = tables["results"]
-            stats["designs"] = tables["designs"]
-            stats["tables"] = tables
-            for suffix in ("", "-wal", "-shm"):
-                try:
-                    stats["bytes"] += os.path.getsize(db_path + suffix)
-                except OSError:
-                    pass
-        return stats
-    stats["manifests"] = 0
     if os.path.isdir(cache_dir):
         for entry_name in os.listdir(cache_dir):
             if not entry_name.endswith(".json"):
@@ -341,6 +319,13 @@ def cache_stats(cache_dir: str, backend: str = "json") -> Dict[str, Any]:
                 )
             except OSError:
                 pass
+    db_path = os.path.join(cache_dir, DEFAULT_DB_FILENAME)
+    if os.path.exists(db_path):
+        store = SqliteStore(db_path)
+        try:
+            stats["store"] = store.stats()
+        finally:
+            store.close()
     return stats
 
 
@@ -584,78 +569,22 @@ class DiskDesignCache(DesignCache):
                     os.unlink(os.path.join(self.cache_dir, name))
 
 
-# ---------------------------------------------------------------------- #
-# Pluggable cache backends
-# ---------------------------------------------------------------------- #
-#: Registered cache backends: name -> factory(cache_dir) -> (result_cache,
-#: design_cache).  ``json`` is the historical one-file-per-entry layout;
-#: ``sqlite`` is the concurrent-safe service store (one database file,
-#: same canonical keys -- see :mod:`repro.service.store`).
-_CACHE_BACKENDS: Dict[str, Any] = {}
-
-
-def register_cache_backend(name: str, factory) -> None:
-    """Register a cache backend factory under a (lower-cased) name.
-
-    The factory takes a cache directory and returns a
-    ``(result_cache, design_cache)`` pair implementing the
-    :class:`ResultCache` / :class:`~repro.analysis.runner.DesignCache`
-    interfaces.
-    """
-    _CACHE_BACKENDS[name.strip().lower()] = factory
-
-
-def available_cache_backends() -> List[str]:
-    """Sorted names of every registered cache backend."""
-    return sorted(_CACHE_BACKENDS)
-
-
-def open_caches(cache_dir: Optional[str], backend: str = "json"):
-    """Open the result and design caches of a cache directory.
+def open_caches(cache_dir: Optional[str]):
+    """Open the result and design caches of a JSON cache directory.
 
     Args:
-        cache_dir: Cache directory; ``None`` returns a memory-only
-            :class:`ResultCache` and no design cache (in-batch
-            deduplication only), whatever the backend.
-        backend: Registered backend name (``json`` or ``sqlite``).
+        cache_dir: Cache directory (one ``result-*.json`` /
+            ``design-*.json`` file per entry); ``None`` returns a
+            memory-only :class:`ResultCache` and no design cache (in-batch
+            deduplication only).
 
     Returns:
         A ``(result_cache, design_cache)`` pair usable with
         :class:`~repro.exec.batch.ExperimentBatch`.
-
-    Raises:
-        ValueError: Unknown backend name.
     """
-    name = (backend or "json").strip().lower()
-    if name not in _CACHE_BACKENDS:
-        raise ValueError(
-            f"unknown cache backend {backend!r}; registered: "
-            f"{', '.join(available_cache_backends())}"
-        )
     if cache_dir is None:
         return ResultCache(), None
-    return _CACHE_BACKENDS[name](cache_dir)
-
-
-def _open_json_caches(cache_dir: str):
     return ResultCache(cache_dir), DiskDesignCache(cache_dir)
-
-
-def _open_sqlite_caches(cache_dir: str):
-    # Imported lazily: repro.service.store imports this module.
-    from repro.service.store import (
-        DEFAULT_DB_FILENAME,
-        SqliteDesignCache,
-        SqliteResultCache,
-        SqliteStore,
-    )
-
-    store = SqliteStore(os.path.join(cache_dir, DEFAULT_DB_FILENAME))
-    return SqliteResultCache(store), SqliteDesignCache(store)
-
-
-register_cache_backend("json", _open_json_caches)
-register_cache_backend("sqlite", _open_sqlite_caches)
 
 
 __all__ = [
@@ -670,8 +599,6 @@ __all__ = [
     "design_to_record",
     "design_from_record",
     "design_key_hash",
-    "register_cache_backend",
-    "available_cache_backends",
     "open_caches",
     "iter_json_cache_entries",
     "cache_stats",

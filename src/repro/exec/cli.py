@@ -14,7 +14,10 @@ every figure of the paper is built from, plus the component registries:
 ``run``
     Execute experiment specs from a ``--spec`` JSON file (a single
     :meth:`repro.spec.ExperimentSpec.to_dict` document or a list of them)
-    through the batch engine and print one summary row per spec.
+    through the batch engine and print one summary row per spec.  A spec
+    carrying a ``scenario`` timeline (traffic phases, rate ramps, elevator
+    faults/repairs, markers) gets its per-phase measurement windows
+    printed beneath its row.
 
 ``optimize``
     Run (or fetch from the disk design cache) the paper's offline stage for
@@ -26,13 +29,6 @@ every figure of the paper is built from, plus the component registries:
     its fields, ``--progress`` streams per-iteration progress, and a warm
     ``--cache-dir`` serves the whole design from disk.
 
-``scenario``
-    Run event-driven dynamic scenarios from a ``--spec`` JSON file: each
-    spec carries a ``scenario`` timeline (traffic phases, rate ramps,
-    elevator faults/repairs, markers) and the report shows one row per
-    spec plus its per-phase measurement windows.  Shares the engine flags,
-    so scenario grids fan out over workers and cache like any other runs.
-
 ``serve``
     Run the persistent experiment service: a ``ThreadingHTTPServer`` front
     end (submit/status/result/cancel; see :mod:`repro.service.http`) over a
@@ -43,12 +39,13 @@ every figure of the paper is built from, plus the component registries:
 
 ``cache migrate``
     Carry a warm JSON cache directory (``result-*.json`` /
-    ``design-*.json``) into the SQLite store under unchanged keys, so
-    existing caches keep hitting after switching backends.
+    ``design-*.json``) into the ``serve`` daemon's SQLite store under
+    unchanged keys, so the daemon serves what the CLI already computed.
 
 ``cache stats``
-    Entry counts and bytes of a cache directory (either backend); a JSON
-    directory also reports how many ``manifest-*.json`` checkpoints it holds.
+    What a cache directory holds: its JSON entries (results, designs,
+    ``manifest-*.json`` checkpoints, bytes) and, when the daemon's store is
+    present, the row counts and bytes of its tables.
 
 ``trace export`` / ``trace report``
     Inspect a span log written by ``--trace FILE``: ``export`` converts
@@ -60,12 +57,6 @@ every figure of the paper is built from, plus the component registries:
     Scrape a live ``repro serve`` daemon: its ``/api/health`` document
     and the full ``GET /metrics`` Prometheus exposition (engine counters,
     queue gauges, latency histograms).
-
-``probe``
-    Run experiment specs with an opt-in kernel probe attached (sample
-    interval + channel selection) and dump the per-cycle congestion
-    series as JSONL rows.  The probe is a run argument, never a spec
-    field: probed results are bit-identical to unprobed ones.
 
 ``list``
     Show every registered policy, traffic pattern, application model,
@@ -89,40 +80,37 @@ imported first, so its ``@register_policy`` / ``@register_pattern`` /
     Fan the experiment grid out over N processes (``1`` = serial).
 
 ``--cache-dir DIR``
-    Disk-backed caching of summary rows *and* AdEle offline designs; a warm
-    directory makes re-runs skip every finished simulation and the AMOSA
-    stage.  Without it, caching is in-memory (deduplication only).
+    Disk-backed caching of summary rows *and* AdEle offline designs, one
+    JSON file per entry; a warm directory makes re-runs skip every finished
+    simulation and the AMOSA stage.  Without it, caching is in-memory
+    (deduplication only).
 
 ``--seed S``
     Batch-level base seed: every task's RNG seed is derived from the
     canonical hash of its spec plus S, so results are reproducible across
     processes and worker counts.
 
-``--cache-backend {json,sqlite}``
-    Which cache backend ``--cache-dir`` opens: ``json`` (one file per
-    entry, the historical layout) or ``sqlite`` (the concurrent-safe
-    service store).  Both key by the same canonical hashes.
-
-``sweep``/``compare``/``run``/``scenario``/``optimize`` also accept
+``sweep``/``compare``/``run``/``optimize`` also accept
 ``--json``: one machine-readable JSON document on stdout instead of the
 human tables (the format clients and scripts consume; note non-finite
 floats serialize as ``Infinity``/``NaN``, which ``json.loads`` accepts).
 
-``sweep``/``compare``/``run``/``scenario`` (and ``serve``) share the
-observability flags:
+``sweep``/``compare``/``run`` (and ``serve``) share the observability
+flags:
 
 ``--trace FILE``
     Append one JSONL span record per instrumented boundary (setup,
     kernel, cache, chunk flush, queue, HTTP) to FILE; inspect with
-    ``repro trace report`` / ``repro trace export``.  Multi-process runs
-    (``--workers`` > 1) record only parent-side spans.
+    ``repro trace report`` / ``repro trace export``.  Under the ``fork``
+    start method, ``--workers`` > 1 processes append their spans too, each
+    stamped with its own pid.
 
 ``--probe-interval N`` / ``--probe-channels C1,C2``
     Attach a kernel probe sampling per-cycle congestion gauges every N
     cycles; the sampled series ride in the ``--json`` document under
     ``probes`` (keyed by cache key).  Results stay bit-identical.
 
-``sweep``/``run``/``scenario`` additionally accept the checkpoint flag:
+``sweep``/``run`` additionally accept the checkpoint flag:
 
 ``--chunk-size C``
     Flush results to the cache (and a ``manifest-*.json`` checkpoint)
@@ -145,12 +133,12 @@ import sys
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.comparison import format_table, policy_comparison_from_summaries
-from repro.analysis.runner import design_for, design_key_for, run_experiment
+from repro.analysis.runner import design_for, design_key_for
 from repro.analysis.sweep import LatencyCurve, saturation_rate
 from repro.core.optimizers import OPTIMIZER_REGISTRY
 from repro.core.selection import SELECTION_STRATEGIES
 from repro.exec.batch import ExperimentBatch, summaries_by_policy
-from repro.exec.cache import available_cache_backends, cache_stats, open_caches
+from repro.exec.cache import cache_stats, open_caches
 from repro.exec.designs import DesignBatch
 from repro.obs.probes import PROBE_CHANNELS, ProbeSpec
 from repro.obs.tracing import (
@@ -159,7 +147,6 @@ from repro.obs.tracing import (
     chrome_trace_document,
     install_tracer,
     load_span_records,
-    span,
     trace_report,
 )
 from repro.routing.base import POLICY_REGISTRY
@@ -266,7 +253,6 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         "--seed", type=int, default=None,
         help="base seed; per-task seeds derive from it and the spec hash",
     )
-    _add_cache_backend_argument(engine)
     engine.add_argument(
         "--json", action="store_true", dest="json_output",
         help="print one machine-readable JSON document instead of tables",
@@ -295,7 +281,8 @@ def _add_trace_argument(target) -> None:
         "--trace", default=None, metavar="FILE",
         help="append one JSONL span record per instrumented boundary to "
              "FILE (inspect with `repro trace report` / `repro trace "
-             "export`; multi-process runs record only parent-side spans)",
+             "export`; under the fork start method, worker processes "
+             "append theirs too)",
     )
 
 
@@ -338,15 +325,6 @@ def _add_checkpoint_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_cache_backend_argument(target) -> None:
-    target.add_argument(
-        "--cache-backend", default="json", choices=available_cache_backends(),
-        help="cache layout under --cache-dir: 'json' (one file per entry) "
-             "or 'sqlite' (concurrent-safe service store); same keys either "
-             "way (default: json)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -376,7 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     run = subparsers.add_parser(
-        "run", help="run experiment specs from a --spec JSON file"
+        "run",
+        help="run experiment specs (scenario timelines included) from a "
+             "--spec JSON file",
     )
     _add_plugin_argument(run)
     run.add_argument(
@@ -386,20 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_backend_argument(run)
     _add_engine_arguments(run)
     _add_checkpoint_argument(run)
-
-    scenario = subparsers.add_parser(
-        "scenario",
-        help="run event-driven dynamic scenarios from a --spec JSON file",
-    )
-    _add_plugin_argument(scenario)
-    scenario.add_argument(
-        "--spec", required=True, metavar="FILE",
-        help="JSON file with one ExperimentSpec document (or a list); each "
-             "should carry a 'scenario' event timeline",
-    )
-    _add_backend_argument(scenario)
-    _add_engine_arguments(scenario)
-    _add_checkpoint_argument(scenario)
 
     optimize = subparsers.add_parser(
         "optimize",
@@ -462,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir", default=None,
         help="directory for the disk-backed design cache",
     )
-    _add_cache_backend_argument(optimize)
     optimize.add_argument(
         "--progress", action="store_true",
         help="print optimizer progress (temperature/stage, archive size, "
@@ -517,8 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
     migrate = cache_sub.add_parser(
         "migrate",
-        help="copy a warm JSON cache directory into the SQLite store "
-             "under unchanged keys",
+        help="copy a warm JSON cache directory into the serve daemon's "
+             "SQLite store under unchanged keys",
     )
     migrate.add_argument(
         "--cache-dir", required=True,
@@ -530,13 +495,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stats = cache_sub.add_parser(
         "stats",
-        help="entry counts and bytes of a cache directory (either backend)",
+        help="entry counts and bytes of a cache directory (plus its "
+             f"{DEFAULT_DB_FILENAME} tables when present)",
     )
     stats.add_argument(
         "--cache-dir", required=True,
         help="cache directory to inspect",
     )
-    _add_cache_backend_argument(stats)
     stats.add_argument(
         "--json", action="store_true", dest="json_output",
         help="print the stats as one JSON document",
@@ -584,33 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print health + raw metrics text as one JSON document",
     )
 
-    probe = subparsers.add_parser(
-        "probe",
-        help="run specs with a kernel probe and dump the sampled series",
-    )
-    _add_plugin_argument(probe)
-    probe.add_argument(
-        "--spec", required=True, metavar="FILE",
-        help="JSON file with one ExperimentSpec document or a list of them",
-    )
-    _add_backend_argument(probe)
-    probe.add_argument(
-        "--interval", type=int, default=100, metavar="N",
-        help="sample every N cycles (default: 100)",
-    )
-    probe.add_argument(
-        "--channels", default=None, metavar="C1,C2",
-        help=f"channel selection (default: all of {','.join(PROBE_CHANNELS)})",
-    )
-    probe.add_argument(
-        "--max-samples", type=int, default=4096, metavar="M",
-        help="bound on samples kept per run (default: 4096)",
-    )
-    probe.add_argument(
-        "--out", default=None, metavar="FILE",
-        help="write JSONL rows here (default: stdout)",
-    )
-
     listing = subparsers.add_parser(
         "list", help="list registered policies, traffic, applications, placements"
     )
@@ -650,9 +588,7 @@ def _base_spec(args: argparse.Namespace) -> ExperimentSpec:
 def _make_batch(
     args: argparse.Namespace, specs: List[ExperimentSpec]
 ) -> ExperimentBatch:
-    result_cache, design_cache = open_caches(
-        args.cache_dir, getattr(args, "cache_backend", "json")
-    )
+    result_cache, design_cache = open_caches(args.cache_dir)
     return ExperimentBatch(
         specs,
         workers=args.workers,
@@ -883,56 +819,25 @@ def _run_specs(args: argparse.Namespace) -> int:
             f"{outcome.summary['average_latency']:12.2f} "
             f"{outcome.summary.get('throughput', float('nan')):11.4f}"
         )
+        _print_phases(outcome.summary.get("phases", []))
     return 0
 
 
-def _run_scenario(args: argparse.Namespace) -> int:
-    specs = _load_spec_documents(args.spec)
-    without = sum(1 for spec in specs if spec.scenario is None)
-    if without:
+def _print_phases(phases: List[Dict[str, Any]]) -> None:
+    """One line per measurement window of a scenario run's summary."""
+    for phase in phases:
+        end = phase["end_cycle"]
+        window = f"[{phase['start_cycle']},{'...' if end is None else end})"
+        latency = phase["average_latency"]
+        latency_text = f"{latency:9.2f}" if latency != float("inf") else "      inf"
+        energy = phase.get("energy_j")
+        energy_text = f"  energy={energy * 1e9:8.2f} nJ" if energy is not None else ""
         print(
-            f"[repro.exec] warning: {without} spec(s) carry no scenario "
-            "timeline; they run as plain static experiments",
-            file=sys.stderr,
+            f"  {phase['label']:24s} {window:>14s} "
+            f"created={phase['packets_created']:5d} "
+            f"delivered={phase['packets_delivered']:5d} "
+            f"avg_latency={latency_text}{energy_text}"
         )
-    if args.backend:
-        specs = [spec.with_(backend=args.backend) for spec in specs]
-    batch = _make_batch(args, specs)
-    outcomes = batch.run()
-    if args.json_output:
-        document = {
-            "command": "scenario",
-            "engine": _engine_document(batch),
-            "outcomes": [_outcome_document(outcome) for outcome in outcomes],
-        }
-        if batch.probe is not None:
-            document["probes"] = _probe_document(batch)
-        _print_json(document)
-        return 0
-    _report_engine(batch)
-    for outcome in outcomes:
-        spec = outcome.spec
-        events = len(spec.scenario.events) if spec.scenario is not None else 0
-        print(
-            f"{spec.placement.name} policy={spec.policy.name} "
-            f"traffic={spec.traffic.pattern} rate={spec.traffic.injection_rate:g} "
-            f"events={events} avg_latency={outcome.summary['average_latency']:.2f} "
-            f"delivery={outcome.summary['delivery_ratio'] * 100:.1f}%"
-        )
-        for phase in outcome.summary.get("phases", []):
-            end = phase["end_cycle"]
-            window = f"[{phase['start_cycle']},{'...' if end is None else end})"
-            latency = phase["average_latency"]
-            latency_text = f"{latency:9.2f}" if latency != float("inf") else "      inf"
-            energy = phase.get("energy_j")
-            energy_text = f"  energy={energy * 1e9:8.2f} nJ" if energy is not None else ""
-            print(
-                f"  {phase['label']:24s} {window:>14s} "
-                f"created={phase['packets_created']:5d} "
-                f"delivered={phase['packets_delivered']:5d} "
-                f"avg_latency={latency_text}{energy_text}"
-            )
-    return 0
 
 
 def _load_design_specs(path: str) -> List[DesignSpec]:
@@ -1009,9 +914,7 @@ def _run_optimize(args: argparse.Namespace) -> int:
     for spec in specs:
         OPTIMIZER_REGISTRY.entry(spec.optimizer)
 
-    _, design_cache = open_caches(
-        args.cache_dir, getattr(args, "cache_backend", "json")
-    )
+    _, design_cache = open_caches(args.cache_dir)
     if len(specs) == 1 and args.workers == 1 and args.seed is None:
         return _run_optimize_single(args, specs[0], design_cache)
     return _run_optimize_grid(args, specs, design_cache)
@@ -1167,22 +1070,23 @@ def _run_serve(args: argparse.Namespace) -> int:
 
 
 def _run_cache_stats(args: argparse.Namespace) -> int:
-    try:
-        stats = cache_stats(args.cache_dir, getattr(args, "cache_backend", "json"))
-    except ValueError as error:
-        raise SystemExit(str(error))
+    stats = cache_stats(args.cache_dir)
     if args.json_output:
         _print_json({"command": "cache-stats", **stats})
         return 0
     print(
         f"[repro.cache] {stats['cache_dir']} ({stats['backend']}): "
         f"{stats['results']} result(s), {stats['designs']} design(s), "
-        f"{stats['bytes']} byte(s)"
-        + (
-            f", {stats['manifests']} manifest(s)"
-            if "manifests" in stats else ""
-        )
+        f"{stats['bytes']} byte(s), {stats['manifests']} manifest(s)"
     )
+    store = stats.get("store")
+    if store is not None:
+        tables = store["tables"]
+        rows = " ".join(f"{name}={tables[name]}" for name in sorted(tables))
+        print(
+            f"[repro.cache] {os.path.join(stats['cache_dir'], DEFAULT_DB_FILENAME)} "
+            f"({store['backend']}): {rows} {store['bytes']} byte(s)"
+        )
     return 0
 
 
@@ -1288,52 +1192,6 @@ def _run_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_probe(args: argparse.Namespace) -> int:
-    specs = _load_spec_documents(args.spec)
-    if args.backend:
-        specs = [spec.with_(backend=args.backend) for spec in specs]
-    try:
-        channels = (
-            ProbeSpec.parse_channels(args.channels)
-            if args.channels else PROBE_CHANNELS
-        )
-        probe = ProbeSpec(
-            interval=args.interval,
-            channels=channels,
-            max_samples=args.max_samples,
-        )
-    except ValueError as error:
-        raise SystemExit(str(error))
-    lines: List[str] = []
-    for index, spec in enumerate(specs):
-        with span("probe.run", spec=index):
-            result = run_experiment(spec, probe=probe)
-        series = result.probe
-        if series is None:  # pragma: no cover - every backend fills it
-            raise SystemExit(
-                f"backend {spec.sim.backend!r} returned no probe series"
-            )
-        for row in series.rows():
-            document = {"spec": index, **row} if len(specs) > 1 else row
-            lines.append(json.dumps(document, sort_keys=True))
-        print(
-            f"[repro.probe] spec {index}: {len(series.cycles)} sample(s) "
-            f"every {probe.interval} cycle(s), {series.dropped} dropped",
-            file=sys.stderr,
-        )
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write("\n".join(lines) + ("\n" if lines else ""))
-        print(
-            f"[repro.probe] {len(lines)} row(s) -> {args.out}",
-            file=sys.stderr,
-        )
-    else:
-        for line in lines:
-            print(line)
-    return 0
-
-
 def _print_registry(title: str, registry) -> None:
     print(f"{title}:")
     for entry in registry.entries():
@@ -1390,8 +1248,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _run_compare(args)
     if args.command == "run":
         return _run_specs(args)
-    if args.command == "scenario":
-        return _run_scenario(args)
     if args.command == "optimize":
         return _run_optimize(args)
     if args.command == "serve":
@@ -1414,8 +1270,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )  # pragma: no cover
     if args.command == "stats":
         return _run_stats(args)
-    if args.command == "probe":
-        return _run_probe(args)
     if args.command == "list":
         return _run_list(args)
     raise SystemExit(f"unknown command {args.command!r}")  # pragma: no cover

@@ -28,14 +28,13 @@ to an unprobed one (pinned by ``tests/test_obs_neutrality.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Tuple
 
 __all__ = [
     "PROBE_CHANNELS",
     "ProbeSpec",
     "ProbeSeries",
     "network_reading",
-    "series_document",
 ]
 
 #: Every channel a kernel can fill, in canonical order.
@@ -120,23 +119,6 @@ class ProbeSeries:
             "samples": len(self.cycles),
             "dropped": self.dropped,
         }
-
-    def rows(self) -> List[Dict[str, Any]]:
-        """One dict per sample -- the ``repro probe`` JSONL row shape."""
-        out: List[Dict[str, Any]] = []
-        for index, cycle in enumerate(self.cycles):
-            row: Dict[str, Any] = {"cycle": cycle}
-            for channel in self.spec.channels:
-                row[channel] = self.values[channel][index]
-            out.append(row)
-        return out
-
-
-def series_document(series: Sequence[ProbeSeries]) -> Dict[str, Any]:
-    """The ``--json`` probe block: one entry per series."""
-    return {
-        "series": [s.to_dict() for s in series],
-    }
 
 
 def network_reading(network: Any) -> Dict[str, Any]:

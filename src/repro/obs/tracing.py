@@ -13,7 +13,10 @@ context while no tracer is installed (one global read -- the
 uninstrumented fast path costs a dict-free attribute check).  The tracer
 is process-local by design: spans record wall-clock boundaries, never
 anything fed back into a simulation, so instrumentation cannot perturb
-results (see :mod:`repro.obs`).
+results (see :mod:`repro.obs`).  A worker forked while a tracer is
+installed inherits a copy: its spans carry the worker's own pid and reach
+a :class:`JsonlRecorder`'s file, while a :class:`RingRecorder` copy dies
+with the worker.
 """
 
 from __future__ import annotations
@@ -161,7 +164,9 @@ class _Span:
                 name=self.name,
                 ts_us=(self._start_ns - self._tracer._epoch_ns) // 1000,
                 dur_us=max(0, (end_ns - self._start_ns) // 1000),
-                pid=self._tracer._pid,
+                # Read per span, not per tracer: a worker forked with an
+                # installed tracer records under its own pid.
+                pid=os.getpid(),
                 tid=threading.get_ident() & 0x7FFFFFFF,
                 depth=self._depth,
                 args=self.args,
@@ -175,7 +180,6 @@ class Tracer:
     def __init__(self, recorder: Optional[Any] = None) -> None:
         self.recorder = recorder if recorder is not None else RingRecorder()
         self._epoch_ns = time.perf_counter_ns()
-        self._pid = os.getpid()
         self._depths = threading.local()
 
     def span(self, name: str, **attrs: Any) -> _Span:

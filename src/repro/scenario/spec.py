@@ -14,7 +14,7 @@ entries) it has today.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Mapping, Tuple
+from typing import Any, Dict, Mapping, Tuple
 
 from repro.scenario.events import ScenarioEvent, event_from_dict
 
@@ -53,10 +53,6 @@ class ScenarioSpec:
     # ------------------------------------------------------------------ #
     # Derivation and queries
     # ------------------------------------------------------------------ #
-    def with_events(self, events: Iterable[ScenarioEvent]) -> "ScenarioSpec":
-        """A copy with the timeline replaced (same validation)."""
-        return ScenarioSpec(events=tuple(events))
-
     def last_cycle(self) -> int:
         """The largest cycle the timeline touches (0 when empty).
 

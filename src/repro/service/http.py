@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 import re
 import signal
 import sys
@@ -236,23 +235,8 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             "status": "ok",
             "workers": self.context.pool.workers,
             "tasks": self.context.queue.counts(),
-            "cache": self._cache_stats(),
+            "cache": self.context.store.stats(),
         }
-
-    def _cache_stats(self) -> Dict[str, Any]:
-        """Row counts and database size of the service store."""
-        store = self.context.store
-        stats: Dict[str, Any] = {
-            "backend": "sqlite",
-            "tables": store.table_counts(),
-            "bytes": 0,
-        }
-        for suffix in ("", "-wal", "-shm"):
-            try:
-                stats["bytes"] += os.path.getsize(store.path + suffix)
-            except OSError:
-                pass
-        return stats
 
     def _metrics(self) -> Tuple[int, str]:
         """Prometheus text exposition of the daemon's metrics.

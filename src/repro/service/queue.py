@@ -373,13 +373,6 @@ class JobQueue:
             raise KeyError(f"unknown job id {job_id}")
         return self._record(rows[0])
 
-    def find_by_hash(self, job_hash: str) -> Optional[JobRecord]:
-        """The job submitted under a hash, or ``None``."""
-        rows = self.store.query(
-            "SELECT * FROM jobs WHERE job_hash=?", (job_hash,)
-        )
-        return self._record(rows[0]) if rows else None
-
     def jobs(self) -> List[JobRecord]:
         """Every job, newest first."""
         return [

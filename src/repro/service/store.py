@@ -9,23 +9,24 @@ needs:
 
 * **Concurrent safety** -- WAL journal mode plus a generous busy timeout
   make simultaneous readers/writers from many threads *and* processes safe;
-  the JSON backend only guarantees atomic single-entry replacement (two
+  the JSON caches only guarantee atomic single-entry replacement (two
   processes may duplicate work; a reader listing the directory races
   writers).
 * **Identical keys** -- rows are indexed by the exact canonical hashes the
   JSON caches use (:func:`repro.exec.cache.config_key` for results,
   :func:`repro.exec.cache.design_key_hash` for designs), so warm JSON
-  entries migrate losslessly via :func:`migrate_json_cache` and every
-  cache-identity test keeps passing against either backend.
+  entries migrate losslessly via :func:`migrate_json_cache` (``repro cache
+  migrate``, the one bridge from a CLI cache directory to this store).
 * **Schema migrations** -- ``PRAGMA user_version`` tracks the schema; new
   versions append to :data:`MIGRATIONS` and existing databases upgrade in
   one transaction on open.
 
 :class:`SqliteResultCache` and :class:`SqliteDesignCache` implement the same
 interfaces as :class:`~repro.exec.cache.ResultCache` and
-:class:`~repro.exec.cache.DiskDesignCache`, so :class:`ExperimentBatch`,
-the CLI and the benchmarks work with either backend unchanged (see
-``--cache-backend`` and :func:`repro.exec.cache.open_caches`).
+:class:`~repro.exec.cache.DiskDesignCache`, so the daemon's workers run
+the same :class:`~repro.exec.batch.ExperimentBatch` code path as the CLI,
+whose entry points open the JSON layout
+(:func:`repro.exec.cache.open_caches`).
 """
 
 from __future__ import annotations
@@ -277,11 +278,29 @@ class SqliteStore:
     # Introspection
     # ------------------------------------------------------------------ #
     def table_counts(self) -> Dict[str, int]:
-        """Row counts of every schema table (``cache stats`` / ``/health``)."""
+        """Row counts of every schema table."""
         return {
             table: self.query(f"SELECT COUNT(*) AS n FROM {table}")[0]["n"]
             for table in ("results", "designs", "jobs", "tasks")
         }
+
+    def stats(self) -> Dict[str, Any]:
+        """Table row counts and on-disk bytes (WAL/SHM sidecars included).
+
+        The ``cache`` block of ``GET /api/health`` and the ``store`` block
+        of ``repro cache stats``.
+        """
+        stats: Dict[str, Any] = {
+            "backend": "sqlite",
+            "tables": self.table_counts(),
+            "bytes": 0,
+        }
+        for suffix in ("", "-wal", "-shm"):
+            try:
+                stats["bytes"] += os.path.getsize(self.path + suffix)
+            except OSError:
+                pass
+        return stats
 
 
 class _Transaction:
@@ -398,7 +417,7 @@ def migrate_json_cache(cache_dir: str, store: SqliteStore) -> Dict[str, int]:
     under its *unchanged* key/hash, so anything that hit the JSON cache hits
     the SQLite cache afterwards.  Unreadable files are skipped (same
     tolerance as the JSON readers); existing SQLite rows with the same key
-    are left alone -- both backends store deterministic functions of the
+    are left alone -- both layouts store deterministic functions of the
     key, so neither copy can be stale.
 
     Returns:

@@ -110,10 +110,6 @@ class WorkerPool:
         self._stop = threading.Event()
         self._threads: list[threading.Thread] = []
         self._supervisor: Optional[threading.Thread] = None
-        self._restarts = 0
-        #: Tasks executed (completed or failed) since start, all workers.
-        self.executed = 0
-        self._executed_lock = threading.Lock()
         #: Pool-wide metrics registry: worker gauges/counters plus the
         #: engine counters of every executed task (``GET /metrics``).
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -205,8 +201,6 @@ class WorkerPool:
             )
             task_hist.observe(time.perf_counter() - started)
             (completed_total if ok else failed_total).inc()
-            with self._executed_lock:
-                self.executed += 1
 
     def _supervise(self) -> None:
         # Lease sweeps are cheap; run them at a fraction of the lease so an
@@ -219,7 +213,6 @@ class WorkerPool:
                     # claim()/execute_claimed_task() contain all expected
                     # failures; an unhandled one (e.g. the database went
                     # away mid-claim) kills the thread -- replace it.
-                    self._restarts += 1
                     self.metrics.counter(
                         "repro_worker_restarts_total",
                         help="Worker threads replaced after unhandled errors.",

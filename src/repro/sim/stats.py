@@ -278,15 +278,6 @@ class SimulationStats:
     # ------------------------------------------------------------------ #
     # Recording
     # ------------------------------------------------------------------ #
-    def in_window(self, cycle: int) -> bool:
-        """Whether a cycle falls inside the measurement window.
-
-        The ``record_*`` methods below inline this comparison (it sits on
-        the simulation hot path); keep any change to the window semantics
-        in sync with them.
-        """
-        return cycle >= self.measurement_start
-
     def record_packet_created(self, packet: Packet, cycle: int) -> None:
         """A packet was created by the traffic source."""
         if cycle < self.measurement_start:

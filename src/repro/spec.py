@@ -38,7 +38,6 @@ from repro.scenario.spec import ScenarioSpec
 from repro.sim.backends import DEFAULT_BACKEND
 from repro.topology.elevators import PLACEMENT_REGISTRY, ElevatorPlacement
 from repro.topology.mesh3d import Mesh3D
-from repro.traffic.applications import APPLICATION_REGISTRY
 from repro.traffic.patterns import TrafficPattern
 
 #: Version tag of the canonical dictionary serialization.
@@ -260,11 +259,6 @@ class TrafficSpec:
         object.__setattr__(
             self, "options", _options_dict(self.options, "traffic options")
         )
-
-    @property
-    def is_application(self) -> bool:
-        """Whether the pattern name resolves to an application model."""
-        return self.pattern in APPLICATION_REGISTRY
 
     def build(self, placement: ElevatorPlacement, seed: int = 0) -> TrafficPattern:
         """Instantiate the traffic pattern on a placement's mesh.

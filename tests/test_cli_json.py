@@ -1,15 +1,18 @@
 """Tests for the CLI's machine-readable surfaces.
 
 ``--json`` must emit exactly one parseable JSON document on stdout for
-``sweep`` / ``compare`` / ``run`` / ``scenario`` (no human tables mixed
-in), ``optimize`` must fan multi-document spec files over the design
-batch, and ``cache migrate`` must carry JSON entries into SQLite from the
-command line.
+``sweep`` / ``compare`` / ``run`` (no human tables mixed in), ``run``
+must print a scenario spec's per-phase windows and carry probe series,
+``optimize`` must fan multi-document spec files over the design batch,
+``cache migrate`` must carry JSON entries into SQLite from the command
+line, and ``cache stats`` must report both.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import re
 
 import pytest
 
@@ -21,6 +24,39 @@ TINY = [
     "--mesh", "2", "2", "2", "--elevators", "0,0;1,1",
     "--warmup", "10", "--measure", "40", "--drain", "30",
 ]
+
+
+#: CI's fault/repair scenario spec (the ``cli-smoke`` job runs it).
+CI_SCENARIO = {
+    "format": 1,
+    "placement": {"name": "ci", "mesh": [2, 2, 2], "columns": [[0, 0], [1, 1]]},
+    "policy": {"name": "elevator_first", "options": {}},
+    "traffic": {"pattern": "uniform", "injection_rate": 0.05,
+                "min_packet_length": 10, "max_packet_length": 30,
+                "options": {}},
+    "sim": {"warmup_cycles": 20, "measurement_cycles": 100,
+            "drain_cycles": 100, "buffer_depth": 4, "seed": 1},
+    "scenario": {"events": [
+        {"kind": "elevator-fault", "cycle": 50, "elevator": 0},
+        {"kind": "elevator-repair", "cycle": 90, "elevator": 0},
+    ]},
+}
+
+#: The per-phase lines of CI_SCENARIO, as the retired ``repro scenario``
+#: command printed them; ``repro run`` prints them byte for byte.
+CI_SCENARIO_PHASE_LINES = [
+    "  baseline                         [0,50) created=   17 delivered=    2"
+    " avg_latency=    18.00  energy=   29.32 nJ",
+    "  fault:e0@50                     [50,90) created=   16 delivered=    4"
+    " avg_latency=    29.50  energy=   24.18 nJ",
+    "  repair:e0@90                   [90,220) created=   10 delivered=   15"
+    " avg_latency=    96.87  energy=   96.25 nJ",
+]
+
+
+def _static(document):
+    """A spec document without its scenario timeline."""
+    return {key: value for key, value in document.items() if key != "scenario"}
 
 
 def _capture_json(capsys):
@@ -93,16 +129,20 @@ class TestJsonOutput:
             ]
         }
         path = _spec_file(tmp_path, [document])
-        assert main(["scenario", "--spec", path, "--json"]) == 0
+        assert main(["run", "--spec", path, "--json"]) == 0
         parsed = _capture_json(capsys)
-        assert parsed["command"] == "scenario"
-        assert len(parsed["outcomes"]) == 1
+        assert parsed["command"] == "run"
+        (outcome,) = parsed["outcomes"]
+        assert [event["kind"] for event in outcome["spec"]["scenario"]["events"]] == [
+            "rate-ramp"
+        ]
+        labels = [phase["label"] for phase in outcome["summary"]["phases"]]
+        assert labels[0] == "baseline" and len(labels) == 2
 
-    def test_json_reruns_hit_the_sqlite_cache(self, tmp_path, capsys):
+    def test_json_reruns_hit_the_cache(self, tmp_path, capsys):
         args = [
             "compare", *TINY, "--policies", "elevator_first",
-            "--rate", "0.002", "--json",
-            "--cache-dir", str(tmp_path), "--cache-backend", "sqlite",
+            "--rate", "0.002", "--json", "--cache-dir", str(tmp_path),
         ]
         assert main(args) == 0
         first = _capture_json(capsys)
@@ -135,6 +175,39 @@ class TestJsonOutput:
             "memo_hits": 0, "memo_misses": 0,
         }
         assert first["policies"] == second["policies"]
+
+
+class TestRunSpecFiles:
+    def test_phase_lines_follow_their_scenario_row(self, tmp_path, capsys):
+        path = _spec_file(tmp_path, [CI_SCENARIO, _static(CI_SCENARIO)])
+        assert main(["run", "--spec", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = next(i for i, line in enumerate(lines) if line.startswith("placement"))
+        rows = lines[header + 1:]
+        # The scenario row, its three windows, then the static row with none.
+        assert len(rows) == 5
+        assert rows[0].startswith("ci ") and rows[4].startswith("ci ")
+        assert rows[1:4] == CI_SCENARIO_PHASE_LINES
+
+    def test_probe_flags_give_one_series_per_outcome(self, tmp_path, capsys):
+        other_rate = dict(_static(CI_SCENARIO), traffic=dict(
+            CI_SCENARIO["traffic"], injection_rate=0.02,
+        ))
+        path = _spec_file(tmp_path, [_static(CI_SCENARIO), other_rate])
+        assert main([
+            "run", "--spec", path, "--probe-interval", "25",
+            "--probe-channels", "in_flight_flits", "--json",
+        ]) == 0
+        document = _capture_json(capsys)
+        keys = [outcome["key"] for outcome in document["outcomes"]]
+        assert len(set(keys)) == 2
+        assert sorted(document["probes"]) == sorted(keys)
+        for series in document["probes"].values():
+            assert series["interval"] == 25
+            assert series["channels"] == ["in_flight_flits"]
+            assert list(series["values"]) == ["in_flight_flits"]
+            assert series["samples"] >= 1
+            assert len(series["values"]["in_flight_flits"]) == series["samples"]
 
 
 class TestOptimizeGrid:
@@ -183,3 +256,42 @@ class TestCacheMigrateCommand:
     def test_migrate_rejects_missing_directory(self, tmp_path):
         with pytest.raises(SystemExit, match="not a directory"):
             main(["cache", "migrate", "--cache-dir", str(tmp_path / "nope")])
+
+
+class TestCacheStatsCommand:
+    def test_reports_json_entries_and_the_migrated_store(self, tmp_path, capsys):
+        cache_dir = str(tmp_path / "cache")
+        path = _spec_file(tmp_path, [_static(CI_SCENARIO)])
+        assert main(["run", "--spec", path, "--cache-dir", cache_dir]) == 0
+        assert main(["cache", "stats", "--cache-dir", cache_dir, "--json"]) == 0
+        out = capsys.readouterr().out
+        before = json.loads(out[out.index("{"):])
+        assert before["results"] == 1 and "store" not in before
+
+        assert main(["cache", "migrate", "--cache-dir", cache_dir]) == 0
+        capsys.readouterr()
+        assert main(["cache", "stats", "--cache-dir", cache_dir, "--json"]) == 0
+        after = _capture_json(capsys)
+        assert after["command"] == "cache-stats"
+        assert after["backend"] == "json"
+        assert (after["results"], after["designs"], after["manifests"]) == (1, 0, 0)
+        assert after["bytes"] == before["bytes"] > 0
+        store = after["store"]
+        assert store["backend"] == "sqlite"
+        assert store["tables"] == {"results": 1, "designs": 0, "jobs": 0, "tasks": 0}
+        assert store["bytes"] > 0
+
+        assert main(["cache", "stats", "--cache-dir", cache_dir]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        # CI's resume-smoke job greps "<n> result(s)" on the first line.
+        assert lines[0] == (
+            f"[repro.cache] {cache_dir} (json): 1 result(s), 0 design(s), "
+            f"{after['bytes']} byte(s), 0 manifest(s)"
+        )
+        db_path = os.path.join(cache_dir, "repro.sqlite3")
+        assert re.fullmatch(
+            re.escape(f"[repro.cache] {db_path} (sqlite): ")
+            + r"designs=0 jobs=0 results=1 tasks=0 \d+ byte\(s\)",
+            lines[1],
+        )

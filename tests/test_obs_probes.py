@@ -16,7 +16,6 @@ from repro.obs.probes import (
     PROBE_CHANNELS,
     ProbeSeries,
     ProbeSpec,
-    series_document,
 )
 from repro.spec import ExperimentSpec, PlacementSpec, PolicySpec, SimSpec, TrafficSpec
 
@@ -86,22 +85,6 @@ class TestProbeSeries:
         assert series.dropped == 7
         assert series.to_dict()["samples"] == 3
         assert series.to_dict()["dropped"] == 7
-
-    def test_rows_shape(self):
-        series = ProbeSpec(interval=1, channels=("in_flight_flits",)).series()
-        series.append(0, {"in_flight_flits": 4})
-        series.append(1, {"in_flight_flits": 7})
-        assert series.rows() == [
-            {"cycle": 0, "in_flight_flits": 4},
-            {"cycle": 1, "in_flight_flits": 7},
-        ]
-
-    def test_series_document(self):
-        series = ProbeSpec(interval=2, channels=("active_routers",)).series()
-        series.append(0, {"active_routers": 1})
-        document = series_document([series])
-        assert len(document["series"]) == 1
-        assert document["series"][0]["interval"] == 2
 
 
 class TestBackendsFillChannels:

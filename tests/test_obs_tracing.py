@@ -10,6 +10,8 @@ boundary family -- setup, kernel, cache, chunk flush, queue, HTTP -- so
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 import threading
 
 import pytest
@@ -115,6 +117,28 @@ class TestTracerMechanics:
         path.write_text('{"name": "ok", "ts_us": 0, "dur_us": 1}\nnot json\n')
         with pytest.raises(ValueError, match=r"bad\.jsonl:2"):
             load_span_records(str(path))
+
+
+class TestWorkerSpans:
+    def test_forked_workers_stamp_their_own_pid(self, tmp_path):
+        # Forked workers inherit the installed tracer and the JSONL log's
+        # file handle; each span must carry the pid of the process that
+        # recorded it, or the Chrome export draws every worker on one lane.
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("workers inherit the tracer only under fork")
+        log = str(tmp_path / "trace.jsonl")
+        tracer = install_tracer(Tracer(JsonlRecorder(log)))
+        try:
+            ExperimentBatch(
+                [_spec(rate) for rate in (0.001, 0.002, 0.003, 0.004)],
+                workers=2,
+            ).run()
+        finally:
+            uninstall_tracer()
+            tracer.close()
+        kernel = [r for r in load_span_records(log) if r.name == "kernel.run"]
+        assert len(kernel) == 4
+        assert os.getpid() not in {record.pid for record in kernel}
 
 
 class TestExports:

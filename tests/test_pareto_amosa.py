@@ -96,12 +96,12 @@ class TestParetoArchive:
         with pytest.raises(ValueError):
             ParetoArchive(hard_limit=5, soft_limit=2)
 
-    def test_counters(self):
+    def test_rejects_vectors_without_two_objectives(self):
         archive = ParetoArchive(hard_limit=5)
-        archive.add("a", (1, 5))
-        archive.add("b", (5, 1))
-        assert archive.dominated_by_archive((6, 6)) == 2
-        assert archive.dominates_in_archive((0, 0)) == 2
+        for vector in ((1.0,), (1.0, 2.0, 3.0)):
+            with pytest.raises(ValueError, match="two-objective"):
+                archive.add("a", vector)
+        assert len(archive) == 0
 
 
 class _ToyProblem:

@@ -16,7 +16,7 @@ from typing import ClassVar
 import pytest
 
 from repro.analysis.runner import run_experiment
-from repro.api import run_scenario
+from repro import api
 from repro.exec.cache import canonical_config, config_key, derive_seed
 from repro.registry import UnknownComponentError
 from repro.scenario import (
@@ -484,16 +484,15 @@ class TestRuntime:
 
 
 # ---------------------------------------------------------------------- #
-# api.run_scenario
+# Scenarios through api.run
 # ---------------------------------------------------------------------- #
 class TestRunScenarioApi:
-    def test_requires_a_scenario(self):
-        with pytest.raises(ValueError, match="scenario"):
-            run_scenario(_spec())
-
     def test_argument_overrides_spec(self):
+        spec = _spec(scenario=ScenarioSpec(events=(
+            StatsMarker(cycle=40, label="early"),
+        )))
         scenario = ScenarioSpec(events=(StatsMarker(cycle=50, label="mid"),))
-        result = run_scenario(_spec(), scenario=scenario)
+        result = api.run(spec.with_(scenario=scenario))
         assert [phase.label for phase in result.stats.phases] == [
             BASELINE_PHASE_LABEL,
             "mid",

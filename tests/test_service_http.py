@@ -60,6 +60,12 @@ class TestServiceEndToEnd:
         health = service.health()
         assert health["status"] == "ok"
         assert health["workers"] == 2
+        # The cache block is SqliteStore.stats() of the daemon's store.
+        cache = health["cache"]
+        assert set(cache) == {"backend", "tables", "bytes"}
+        assert cache["backend"] == "sqlite"
+        assert set(cache["tables"]) == {"results", "designs", "jobs", "tasks"}
+        assert cache["bytes"] > 0
 
     def test_submit_wait_results_bit_identical_to_direct_run(self, service):
         specs = [_spec(0.001), _spec(0.002, policy="adele")]

@@ -1,7 +1,7 @@
 """Tests for the SQLite-backed service store and its cache adapters.
 
 Covers the schema-migration machinery, parity between the JSON and SQLite
-cache backends (same keys, same entries -- including the ``Infinity``
+cache layouts (same keys, same entries -- including the ``Infinity``
 round-trip saturated runs need), the JSON -> SQLite migration path, and a
 multi-process stress test hammering one database from several writers.
 
@@ -161,23 +161,10 @@ class TestCacheAdapters:
         migrate_json_cache(str(tmp_path / "json"), store)
         assert SqliteResultCache(store).get(key) == {"average_latency": 9.0}
 
-    def test_open_caches_backends(self, tmp_path):
-        result_cache, design_cache = open_caches(str(tmp_path / "a"), "json")
-        assert isinstance(result_cache, ResultCache)
-        assert isinstance(design_cache, DiskDesignCache)
-        result_cache, design_cache = open_caches(str(tmp_path / "b"), "sqlite")
-        assert isinstance(result_cache, SqliteResultCache)
-        assert isinstance(design_cache, SqliteDesignCache)
-        design_cache.store.close()
-
     def test_open_caches_without_directory(self):
         result_cache, design_cache = open_caches(None)
         assert isinstance(result_cache, ResultCache)
         assert design_cache is None
-
-    def test_open_caches_rejects_unknown_backend(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown cache backend"):
-            open_caches(str(tmp_path), "parquet")
 
 
 # ---------------------------------------------------------------------- #
