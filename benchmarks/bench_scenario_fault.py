@@ -18,7 +18,7 @@ Run it directly (tiny windows for a CI smoke, defaults for a real number)::
         --warmup 50 --measure 300 --drain 200
 
 Results land in ``benchmarks/results/BENCH_scenario_fault.json``.  Workers
-and disk caching follow the engine flags (``--workers`` / ``--cache-dir``,
+and caching follow the engine flags (``--workers`` / ``--cache-dir``,
 defaulting to ``REPRO_BENCH_WORKERS`` / ``REPRO_BENCH_CACHE``).
 """
 
@@ -30,7 +30,7 @@ import os
 from typing import Dict, List
 
 from repro.exec.batch import ExperimentBatch
-from repro.exec.cache import DiskDesignCache, ResultCache
+from repro.exec.cache import open_caches
 from repro.scenario import ElevatorFault, ElevatorRepair, ScenarioSpec
 from repro.spec import ExperimentSpec, PlacementSpec, PolicySpec, SimSpec, TrafficSpec
 
@@ -80,11 +80,12 @@ def run_benchmark(args: argparse.Namespace) -> Dict:
         for policy in POLICIES
         for name, scenario in scenarios.items()
     ]
+    result_cache, design_cache = open_caches(args.cache_dir)
     batch = ExperimentBatch(
         [spec for _, _, spec in grid],
         workers=args.workers,
-        result_cache=ResultCache(args.cache_dir),
-        design_cache=DiskDesignCache(args.cache_dir) if args.cache_dir else None,
+        result_cache=result_cache,
+        design_cache=design_cache,
         base_seed=args.seed,
     )
     outcomes = batch.run()

@@ -11,7 +11,7 @@ Each bench writes its reproduction rows both to stdout and to
 Execution routes through the parallel experiment engine (:mod:`repro.exec`):
 set ``REPRO_BENCH_WORKERS=N`` to fan simulations out over N processes and
 ``REPRO_BENCH_CACHE=DIR`` to persist summary rows and AdEle offline designs
-to disk so repeated bench runs skip finished work.
+in that directory's SQLite store so repeated bench runs skip finished work.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Iterable, List, Optional, Sequence
 import pytest
 
 from repro.exec.batch import ExperimentBatch, ExperimentOutcome
-from repro.exec.cache import DiskDesignCache, ResultCache
+from repro.exec.cache import open_caches
 from repro.spec import ExperimentSpec, PlacementSpec, PolicySpec, SimSpec, TrafficSpec
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
@@ -31,10 +31,10 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "1"))
 _CACHE_DIR = os.environ.get("REPRO_BENCH_CACHE") or None
 
-#: Session-wide caches: memory-only by default, disk-backed when
-#: ``REPRO_BENCH_CACHE`` is set (shared across bench files and re-runs).
-RESULT_CACHE = ResultCache(_CACHE_DIR)
-DESIGN_CACHE = DiskDesignCache(_CACHE_DIR) if _CACHE_DIR else None
+#: Caches shared by every bench of a pytest run: memory-only by default, the
+#: directory's store when ``REPRO_BENCH_CACHE`` is set (shared across bench
+#: files and re-runs).
+RESULT_CACHE, DESIGN_CACHE = open_caches(_CACHE_DIR)
 
 
 def run_grid(specs: Sequence[ExperimentSpec]) -> List[ExperimentOutcome]:

@@ -3,7 +3,7 @@
 Runs a Fig. 4-style latency sweep (three policies, several injection rates
 on PS1) through :class:`~repro.exec.batch.ExperimentBatch`, fanning the grid
 out over worker processes and persisting every summary row -- plus AdEle's
-offline design -- to a disk cache.  Run it twice: the second invocation
+offline design -- in a cache directory's SQLite store.  Run it twice: the second invocation
 performs zero new simulations and replays bit-identical results from the
 cache.
 
@@ -21,8 +21,7 @@ import os
 import time
 
 from repro import ExperimentBatch
-from repro.api import ExperimentSpec, PlacementSpec, SimSpec, TrafficSpec
-from repro.exec.cache import DiskDesignCache, ResultCache
+from repro.api import ExperimentSpec, PlacementSpec, SimSpec, TrafficSpec, open_caches
 
 CACHE_DIR = os.path.join(os.path.dirname(__file__), ".repro-cache")
 POLICIES = ("elevator_first", "cda", "adele")
@@ -40,11 +39,12 @@ def main() -> None:
         for policy in POLICIES
         for rate in RATES
     ]
+    result_cache, design_cache = open_caches(CACHE_DIR)
     batch = ExperimentBatch(
         specs,
         workers=4,
-        result_cache=ResultCache(CACHE_DIR),
-        design_cache=DiskDesignCache(CACHE_DIR),
+        result_cache=result_cache,
+        design_cache=design_cache,
         base_seed=1,  # per-task seeds derive from the config hash + 1
     )
 

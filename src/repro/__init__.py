@@ -17,7 +17,7 @@ complete system described in the paper:
   (:mod:`repro.analysis`, plus the ``benchmarks/`` directory of the source
   repository);
 * the parallel experiment engine -- batched, deterministically seeded,
-  disk-cached execution of whole experiment grids, also exposed as the
+  cached execution of whole experiment grids, also exposed as the
   ``python -m repro`` CLI (:mod:`repro.exec`);
 * event-driven dynamic scenarios -- typed timelines of traffic phases,
   injection-rate ramps and runtime elevator faults/repairs with per-phase
@@ -76,7 +76,6 @@ from repro.analysis import (
     saturation_rate,
 )
 from repro.exec import (
-    DiskDesignCache,
     ExperimentBatch,
     ExperimentOutcome,
     ResultCache,
@@ -95,7 +94,7 @@ from repro.spec import (
 )
 from repro import api
 
-__version__ = "1.17.0"
+__version__ = "1.18.0"
 
 __all__ = [
     "Coordinate",
@@ -143,7 +142,6 @@ __all__ = [
     "ExperimentBatch",
     "ExperimentOutcome",
     "ResultCache",
-    "DiskDesignCache",
     "run_batch",
     "config_key",
     "derive_seed",

@@ -16,8 +16,9 @@ assembled so every bench and example builds identical networks:
 offline design, cached in a :class:`DesignCache` so a latency sweep over
 ten injection rates runs AMOSA once, exactly like the paper runs the
 offline stage once per configuration.  The cache is an injectable,
-clearable object (callers can pass their own, e.g. the disk-backed
-:class:`repro.exec.cache.DiskDesignCache`); a module-level default instance
+clearable object (callers can pass their own, e.g. the design cache of a
+cache directory's store, :func:`repro.exec.cache.open_caches`); a
+module-level default instance
 preserves the historical run-AMOSA-once-per-process behaviour.
 """
 

@@ -119,8 +119,9 @@ def latency_sweep(
         injection_rates: Packet injection rates per node per cycle.
         energy_model: Optional energy model recorded into each result.
         workers: Worker processes (``1`` = serial).
-        result_cache: Optional summary-row cache (disk-backed caches make
-            repeated sweeps skip finished points).
+        result_cache: Optional summary-row cache (a cache directory's store,
+            :func:`~repro.exec.cache.open_caches`, makes repeated sweeps
+            skip finished points).
         design_cache: Optional AdEle offline-design cache.
 
     Returns:

@@ -14,7 +14,7 @@
   CLI.
 * **Execution** -- :func:`run` for a single spec,
   :func:`run_specs` / :class:`~repro.exec.batch.ExperimentBatch` for
-  parallel, deterministically seeded, disk-cached grids, and
+  parallel, deterministically seeded, cached grids, and
   :func:`run_designs` / :class:`~repro.exec.designs.DesignBatch` for
   offline design grids.
 * **Service** -- :func:`connect` / :func:`submit` / :func:`wait` /
@@ -78,7 +78,6 @@ from repro.exec.batch import (
     key_extra_for,
 )
 from repro.exec.cache import (
-    DiskDesignCache,
     ResultCache,
     cache_stats,
     canonical_config,
@@ -196,13 +195,14 @@ def run_design(
     cache_dir: Optional[str] = None,
     on_iteration=None,
 ) -> AdEleDesign:
-    """Run (or fetch from the disk design cache) one offline design stage.
+    """Run (or fetch from the design cache) one offline design stage.
 
     Args:
         spec: Typed description of the offline stage -- placement, assumed
             traffic, optimizer name/options and selection strategy.
-        cache_dir: Optional directory for the disk-backed design cache; a
-            warm directory skips the search entirely.
+        cache_dir: Optional cache directory whose store holds design
+            records (see :func:`~repro.exec.cache.open_caches`); a warm
+            directory skips the search entirely.
         on_iteration: Optional ``(stage, archive_size, best)`` progress
             callback forwarded to the optimizer.
 
@@ -210,7 +210,7 @@ def run_design(
         The :class:`~repro.core.pipeline.AdEleDesign` with the Pareto
         archive, representatives and the strategy-selected solution.
     """
-    cache = DiskDesignCache(cache_dir) if cache_dir else None
+    _, cache = open_caches(cache_dir or None)
     return design_for(spec, cache=cache, on_iteration=on_iteration)
 
 
@@ -251,8 +251,8 @@ def run_specs(
     Args:
         specs: Experiment specs.
         workers: Worker processes (``1`` = serial fallback).
-        cache_dir: Optional directory for disk-backed result *and* AdEle
-            design caching (one JSON file per entry, see
+        cache_dir: Optional cache directory for result *and* AdEle design
+            caching (its one SQLite store, shared with ``repro serve``; see
             :func:`~repro.exec.cache.open_caches`); a warm directory skips
             finished work entirely.
         base_seed: When given, per-task seeds derive from the canonical
@@ -443,7 +443,6 @@ __all__ = [
     "DesignBatch",
     "DesignOutcome",
     "ResultCache",
-    "DiskDesignCache",
     "DesignCache",
     "cache_stats",
     "open_caches",

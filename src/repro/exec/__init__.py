@@ -1,7 +1,7 @@
 """Parallel experiment execution engine.
 
 ``repro.exec`` turns lists of declarative experiment configurations into
-results -- in parallel, deterministically, and with disk-backed caching:
+results -- in parallel, deterministically, and cached:
 
 * :class:`~repro.exec.batch.ExperimentBatch` fans configs out over a process
   pool (serial fallback at ``workers=1``) and returns summary rows in input
@@ -10,12 +10,12 @@ results -- in parallel, deterministically, and with disk-backed caching:
   :class:`~repro.spec.DesignSpec` grids (per-design derived optimizer
   seeds, design-cache deduplication);
 * :mod:`repro.exec.cache` provides the canonical config serialization and
-  hash every cache key and derived seed is built from, plus the
-  :class:`~repro.exec.cache.ResultCache` (summary rows), the
-  :class:`~repro.exec.cache.DiskDesignCache` (AdEle offline designs),
-  both opened on a JSON cache directory by
-  :func:`~repro.exec.cache.open_caches`, and
-  :func:`~repro.exec.cache.cache_stats` (what a cache directory holds);
+  hash every cache key and derived seed is built from, the memory-only
+  :class:`~repro.exec.cache.ResultCache`,
+  :func:`~repro.exec.cache.open_caches` (a cache directory's one SQLite
+  store of summary rows and AdEle offline designs, shared with
+  ``repro serve``) and :func:`~repro.exec.cache.cache_stats` (what a
+  cache directory holds);
 * chunked checkpoints (``chunk_size`` / ``--chunk-size``) flush rows to
   the result cache as each chunk completes, with a ``manifest-*.json``
   progress record, so a killed run resumes from its last chunk
@@ -41,14 +41,12 @@ from repro.exec.batch import (
     summaries_by_policy,
 )
 from repro.exec.cache import (
-    DiskDesignCache,
     ResultCache,
     cache_stats,
     canonical_config,
     canonical_json,
     config_key,
     derive_seed,
-    iter_json_cache_entries,
     open_caches,
     spec_from_canonical,
 )
@@ -71,9 +69,7 @@ __all__ = [
     "derive_design_seed",
     "run_design_batch",
     "ResultCache",
-    "DiskDesignCache",
     "cache_stats",
-    "iter_json_cache_entries",
     "open_caches",
     "canonical_config",
     "canonical_json",

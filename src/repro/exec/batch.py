@@ -13,13 +13,14 @@ Determinism guarantee
     ``seed`` field, or a seed derived from the canonical spec hash when a
     batch-level ``base_seed`` is given), so a batch produces *bit-identical*
     ``SimulationResult.summary()`` rows whether it runs serially, with N
-    workers, or from a warm disk cache.
+    workers, or from a warm cache directory.
 
 Caching
-    Outcomes are stored in a :class:`~repro.exec.cache.ResultCache` keyed by
-    the canonical config hash; warm entries skip simulation entirely
-    (``from_cache=True``).  AdEle's expensive offline stage is resolved
-    *once in the parent process* per unique design key -- through
+    Outcomes are stored in a result cache keyed by the canonical config
+    hash -- in memory by default, or in a cache directory's SQLite store
+    (:func:`~repro.exec.cache.open_caches`); warm entries skip simulation
+    entirely (``from_cache=True``).  AdEle's expensive offline stage is
+    resolved *once in the parent process* per unique design key -- through
     :func:`~repro.analysis.runner.design_for` and the injectable design
     cache -- and shipped to workers as plain per-router subsets, so worker
     processes never re-run AMOSA.
@@ -334,11 +335,10 @@ class ExperimentBatch:
             single-flush behaviour.  Chunking never changes results -- only
             when they reach the cache.
         manifest_dir: Where to write the ``manifest-<grid>.json`` checkpoint
-            during chunked runs; defaults to the result cache's directory
-            (no manifest is written for memory-only caches).  The *cache*
-            is the resume source of truth -- rerunning the same grid skips
-            every flushed row; the manifest is the inspectable progress
-            record.
+            during chunked runs (usually the cache directory; ``None``
+            writes no manifest).  The *cache* is the resume source of
+            truth -- rerunning the same grid skips every flushed row; the
+            manifest is the inspectable progress record.
         replica_batch: Accepted and validated because the benchmark of
             record still passes it; it has no effect.
         probe: Optional :class:`~repro.obs.probes.ProbeSpec` attached to
@@ -473,17 +473,12 @@ class ExperimentBatch:
         completed run's manifest has identical bytes whether it ran
         straight through or resumed.
         """
-        directory = self.manifest_dir
-        if directory is None:
-            directory = self.result_cache.cache_dir if isinstance(
-                self.result_cache, ResultCache
-            ) else None
-        if directory is None:
+        if self.manifest_dir is None:
             return None
         grid_id = hashlib.sha256(
             "\n".join(sorted(grid_keys)).encode("utf-8")
         ).hexdigest()[:16]
-        return os.path.join(directory, f"manifest-{grid_id}.json")
+        return os.path.join(self.manifest_dir, f"manifest-{grid_id}.json")
 
     def _execute_pending(
         self, pending: Dict[str, _Task], grid_keys: Set[str]

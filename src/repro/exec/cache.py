@@ -1,4 +1,4 @@
-"""Canonical configuration hashing, deterministic seeding and disk caches.
+"""Canonical configuration hashing, deterministic seeding and the caches.
 
 The parallel experiment engine (:mod:`repro.exec.batch`) needs three things
 from this module:
@@ -11,16 +11,17 @@ from this module:
 * a *deterministic per-task seed* derived from that serialization plus a
   batch-level base seed (:func:`derive_seed`), so re-runs -- serial, parallel
   or cross-process -- regenerate bit-identical traffic;
-* *disk-backed caches* keyed by the canonical hash: :class:`ResultCache`
-  persists ``SimulationResult.summary()`` rows and :class:`DiskDesignCache`
-  persists completed AdEle offline designs, so warm re-runs and cross-process
-  sweeps skip finished work entirely.
+* *caches* keyed by the canonical hash: :func:`open_caches` opens a cache
+  directory's one SQLite store (``repro.sqlite3``, the database the
+  ``repro serve`` daemon runs on) for ``SimulationResult.summary()`` rows
+  and completed AdEle offline designs, so warm re-runs, cross-process
+  sweeps and the daemon skip finished work entirely.  Without a directory,
+  :class:`ResultCache` keeps rows in memory (deduplication within one
+  batch).
 
-Cache files are plain JSON (one file per entry, written atomically via
-rename), which keeps concurrent writers from different worker processes safe:
-the worst case is two processes computing the same entry and one rename
-winning, which is harmless because entries are deterministic functions of
-their key.
+Entries are deterministic functions of their key, so concurrent writers are
+harmless: the worst case is two processes computing the same entry and the
+last write winning.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ import hashlib
 import json
 import os
 import tempfile
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
-from repro.analysis.runner import DesignCache, DesignKey
+from repro.analysis.runner import DesignKey
 from repro.core.amosa import AmosaResult, ArchiveEntry
 from repro.core.optimizers import OPTIMIZER_REGISTRY, canonical_optimizer_options
 from repro.core.pipeline import AdEleDesign, assumed_traffic_matrix
@@ -233,7 +234,7 @@ def derive_seed(config: ExperimentSpec, base_seed: int = 0) -> int:
 
 
 # ---------------------------------------------------------------------- #
-# Atomic JSON helpers
+# Atomic JSON writes (chunk manifests)
 # ---------------------------------------------------------------------- #
 def _write_json_atomic(path: str, payload: Any) -> None:
     """Write JSON to ``path`` via a temp file + rename (crash/race safe)."""
@@ -250,129 +251,28 @@ def _write_json_atomic(path: str, payload: Any) -> None:
         raise
 
 
-def _read_json(path: str) -> Optional[Any]:
-    """Load JSON from ``path``; ``None`` when missing or unreadable."""
-    try:
-        with open(path, "r") as handle:
-            return json.load(handle)
-    except (OSError, ValueError):
-        return None
-
-
-def iter_json_cache_entries(
-    cache_dir: str, prefix: str
-) -> Iterator[Tuple[str, Dict[str, Any]]]:
-    """Walk a JSON cache directory's ``<prefix><key>.json`` entries.
-
-    Yields ``(key, record)`` pairs in sorted-filename order, skipping
-    unreadable or non-dict files (same tolerance as the cache readers).
-    The SQLite migration (``repro cache migrate``) walks it to enumerate a
-    cache directory rather than probe known keys.
-    """
-    if not os.path.isdir(cache_dir):
-        return
-    for name in sorted(os.listdir(cache_dir)):
-        if not (name.startswith(prefix) and name.endswith(".json")):
-            continue
-        record = _read_json(os.path.join(cache_dir, name))
-        if isinstance(record, dict):
-            yield name[len(prefix):-len(".json")], record
-
-
-def cache_stats(cache_dir: str) -> Dict[str, Any]:
-    """What a cache directory holds.
-
-    Returns:
-        JSON-native ``{"backend": "json", "cache_dir", "results",
-        "designs", "manifests", "bytes"}`` counting the directory's
-        ``result-*.json`` / ``design-*.json`` entries and its
-        ``manifest-*.json`` checkpoints (not part of the result set).  When
-        the ``repro serve`` database is present, ``"store"`` adds
-        :meth:`repro.service.store.SqliteStore.stats` of it.
-    """
-    # Imported lazily: repro.service.store imports this module.
-    from repro.service.store import DEFAULT_DB_FILENAME, SqliteStore
-
-    stats: Dict[str, Any] = {
-        "backend": "json",
-        "cache_dir": cache_dir,
-        "results": 0,
-        "designs": 0,
-        "manifests": 0,
-        "bytes": 0,
-    }
-    if os.path.isdir(cache_dir):
-        for entry_name in os.listdir(cache_dir):
-            if not entry_name.endswith(".json"):
-                continue
-            if entry_name.startswith("result-"):
-                stats["results"] += 1
-            elif entry_name.startswith("design-"):
-                stats["designs"] += 1
-            elif entry_name.startswith("manifest-"):
-                stats["manifests"] += 1
-            else:
-                continue
-            try:
-                stats["bytes"] += os.path.getsize(
-                    os.path.join(cache_dir, entry_name)
-                )
-            except OSError:
-                pass
-    db_path = os.path.join(cache_dir, DEFAULT_DB_FILENAME)
-    if os.path.exists(db_path):
-        store = SqliteStore(db_path)
-        try:
-            stats["store"] = store.stats()
-        finally:
-            store.close()
-    return stats
-
-
 # ---------------------------------------------------------------------- #
 # Result cache
 # ---------------------------------------------------------------------- #
 class ResultCache:
-    """Cache of ``SimulationResult.summary()`` rows keyed by config hash.
+    """In-memory cache of ``SimulationResult.summary()`` rows keyed by config hash.
 
-    Args:
-        cache_dir: Optional directory for disk persistence.  Without it the
-            cache is memory-only (still useful for deduplication inside one
-            batch); with it entries survive the process and are shared by
-            concurrent sweeps.  Non-finite floats (``inf`` latencies of
-            saturated runs) survive the JSON round trip because Python's
-            ``json`` emits/parses ``Infinity``.
+    The default of :class:`~repro.exec.batch.ExperimentBatch`: it
+    deduplicates identical specs within one batch and lives as long as the
+    object.  Rows that outlive the process go to a cache directory's store
+    (:func:`open_caches`).
     """
 
-    def __init__(self, cache_dir: Optional[str] = None) -> None:
-        self.cache_dir = cache_dir
+    def __init__(self) -> None:
         self._memory: Dict[str, Dict[str, float]] = {}
-        if cache_dir is not None:
-            os.makedirs(cache_dir, exist_ok=True)
-
-    # ------------------------------------------------------------------ #
-    def _path(self, key: str) -> str:
-        assert self.cache_dir is not None
-        return os.path.join(self.cache_dir, f"result-{key}.json")
 
     def get(self, key: str) -> Optional[Dict[str, float]]:
         """The cached summary row for a config hash, or ``None``."""
-        with span("cache.get", backend="json", key=key[:12]) as record_span:
-            if key in self._memory:
-                if record_span is not None:
-                    record_span.args["hit"] = True
-                return dict(self._memory[key])
-            if self.cache_dir is not None:
-                record = _read_json(self._path(key))
-                if isinstance(record, dict) and "summary" in record:
-                    summary = dict(record["summary"])
-                    self._memory[key] = summary
-                    if record_span is not None:
-                        record_span.args["hit"] = True
-                    return dict(summary)
+        with span("cache.get", backend="memory", key=key[:12]) as record_span:
+            summary = self._memory.get(key)
             if record_span is not None:
-                record_span.args["hit"] = False
-            return None
+                record_span.args["hit"] = summary is not None
+            return None if summary is None else dict(summary)
 
     def put(
         self,
@@ -380,37 +280,23 @@ class ResultCache:
         config_data: Optional[Dict[str, Any]],
         summary: Dict[str, float],
     ) -> None:
-        """Store a summary row (with its canonical config, for debugging)."""
-        with span("cache.put", backend="json", key=key[:12]):
+        """Store a summary row (``config_data`` is kept only by the store)."""
+        with span("cache.put", backend="memory", key=key[:12]):
             self._memory[key] = dict(summary)
-            if self.cache_dir is not None:
-                _write_json_atomic(
-                    self._path(key),
-                    {"key": key, "config": config_data, "summary": summary},
-                )
 
     def __contains__(self, key: str) -> bool:
         return self.get(key) is not None
 
     def __len__(self) -> int:
-        keys = set(self._memory)
-        if self.cache_dir is not None and os.path.isdir(self.cache_dir):
-            for name in os.listdir(self.cache_dir):
-                if name.startswith("result-") and name.endswith(".json"):
-                    keys.add(name[len("result-"):-len(".json")])
-        return len(keys)
+        return len(self._memory)
 
     def clear(self) -> None:
-        """Drop every entry (memory and disk)."""
+        """Drop every entry."""
         self._memory.clear()
-        if self.cache_dir is not None and os.path.isdir(self.cache_dir):
-            for name in os.listdir(self.cache_dir):
-                if name.startswith("result-") and name.endswith(".json"):
-                    os.unlink(os.path.join(self.cache_dir, name))
 
 
 # ---------------------------------------------------------------------- #
-# Disk-backed design cache
+# Design records
 # ---------------------------------------------------------------------- #
 def design_to_record(key: DesignKey, design: AdEleDesign) -> Dict[str, Any]:
     """Serialize an AdEle offline design to a JSON-native record.
@@ -520,61 +406,22 @@ def _jsonify(value: Any) -> Any:
 
 
 def design_key_hash(key: DesignKey) -> str:
-    """Stable content hash of a design-cache key (for filenames)."""
+    """Stable content hash of a design-cache key (the store's ``key_hash``)."""
     blob = json.dumps(_jsonify(key), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-class DiskDesignCache(DesignCache):
-    """A :class:`~repro.analysis.runner.DesignCache` with JSON persistence.
-
-    Completed designs are written to ``<cache_dir>/design-<hash>.json`` and
-    reloaded lazily, so a warm cache directory lets new processes (parallel
-    workers, repeated CLI invocations) skip the expensive offline search
-    entirely.  The record stores the assumed-traffic label, and the matrix
-    rebuilds deterministically from it (seed 0).
-    """
-
-    def __init__(self, cache_dir: str) -> None:
-        super().__init__()
-        self.cache_dir = cache_dir
-        os.makedirs(cache_dir, exist_ok=True)
-
-    def _path(self, key: DesignKey) -> str:
-        return os.path.join(self.cache_dir, f"design-{design_key_hash(key)}.json")
-
-    def get(self, key: DesignKey) -> Optional[AdEleDesign]:
-        design = super().get(key)
-        if design is not None:
-            return design
-        record = _read_json(self._path(key))
-        # Only format-2 records are reachable: the key layout (and hence
-        # the file name hash) changed together with the format bump, so
-        # pre-format-2 files can never resolve here.
-        if not isinstance(record, dict) or record.get("format") != 2:
-            return None
-        design = design_from_record(record)
-        super().put(key, design)
-        return design
-
-    def put(self, key: DesignKey, design: AdEleDesign) -> None:
-        super().put(key, design)
-        _write_json_atomic(self._path(key), design_to_record(key, design))
-
-    def clear(self) -> None:
-        super().clear()
-        if os.path.isdir(self.cache_dir):
-            for name in os.listdir(self.cache_dir):
-                if name.startswith("design-") and name.endswith(".json"):
-                    os.unlink(os.path.join(self.cache_dir, name))
-
-
+# ---------------------------------------------------------------------- #
+# Cache directories
+# ---------------------------------------------------------------------- #
 def open_caches(cache_dir: Optional[str]):
-    """Open the result and design caches of a JSON cache directory.
+    """Open the result and design caches of a cache directory.
 
     Args:
-        cache_dir: Cache directory (one ``result-*.json`` /
-            ``design-*.json`` file per entry); ``None`` returns a
+        cache_dir: Cache directory; its one SQLite store
+            (``<cache_dir>/repro.sqlite3``, created on first use) holds
+            summary rows and design records, and ``repro serve
+            --cache-dir`` runs on the same file.  ``None`` returns a
             memory-only :class:`ResultCache` and no design cache (in-batch
             deduplication only).
 
@@ -584,7 +431,53 @@ def open_caches(cache_dir: Optional[str]):
     """
     if cache_dir is None:
         return ResultCache(), None
-    return ResultCache(cache_dir), DiskDesignCache(cache_dir)
+    # Imported lazily: repro.service.store imports this module.
+    from repro.service.store import (
+        DEFAULT_DB_FILENAME,
+        SqliteDesignCache,
+        SqliteResultCache,
+        SqliteStore,
+    )
+
+    store = SqliteStore(os.path.join(cache_dir, DEFAULT_DB_FILENAME))
+    return SqliteResultCache(store), SqliteDesignCache(store)
+
+
+def cache_stats(cache_dir: str) -> Dict[str, Any]:
+    """What a cache directory holds.
+
+    Returns:
+        JSON-native ``{"backend": "sqlite", "cache_dir", "results",
+        "designs", "jobs", "tasks", "manifests", "bytes"}``: the row counts
+        of the directory's store, its ``manifest-*.json`` checkpoints, and
+        the bytes of both on disk.  A directory without a store reports
+        zero rows and is left without one; the store's bytes are measured
+        after this call's own connection closes, so they count WAL/SHM
+        sidecars only while another process (a live daemon) holds them.
+    """
+    # Imported lazily: repro.service.store imports this module.
+    from repro.service.store import DEFAULT_DB_FILENAME, SqliteStore, database_bytes
+
+    stats: Dict[str, Any] = {"backend": "sqlite", "cache_dir": cache_dir}
+    db_path = os.path.join(cache_dir, DEFAULT_DB_FILENAME)
+    tables = dict.fromkeys(("results", "designs", "jobs", "tasks"), 0)
+    if os.path.exists(db_path):
+        store = SqliteStore(db_path)
+        try:
+            tables = store.table_counts()
+        finally:
+            store.close()
+    stats.update(tables)
+    manifests = [
+        os.path.join(cache_dir, name)
+        for name in os.listdir(cache_dir)
+        if name.startswith("manifest-") and name.endswith(".json")
+    ]
+    stats["manifests"] = len(manifests)
+    stats["bytes"] = database_bytes(db_path) + sum(
+        os.path.getsize(path) for path in manifests
+    )
+    return stats
 
 
 __all__ = [
@@ -595,11 +488,9 @@ __all__ = [
     "spec_from_canonical",
     "derive_seed",
     "ResultCache",
-    "DiskDesignCache",
     "design_to_record",
     "design_from_record",
     "design_key_hash",
     "open_caches",
-    "iter_json_cache_entries",
     "cache_stats",
 ]

@@ -20,14 +20,14 @@ every figure of the paper is built from, plus the component registries:
     printed beneath its row.
 
 ``optimize``
-    Run (or fetch from the disk design cache) the paper's offline stage for
+    Run (or fetch from the design cache) the paper's offline stage for
     one placement: a registered optimizer (``amosa`` by default;
     ``random-search`` / ``greedy-swap`` as baselines) searches the
     per-router elevator-subset space, prints the Pareto front, the
     representative (S0...) points and the strategy-selected solution.
     ``--spec FILE`` reads a ``DesignSpec`` JSON document; flags override
     its fields, ``--progress`` streams per-iteration progress, and a warm
-    ``--cache-dir`` serves the whole design from disk.
+    ``--cache-dir`` serves the whole design from its store.
 
 ``serve``
     Run the persistent experiment service: a ``ThreadingHTTPServer`` front
@@ -35,17 +35,14 @@ every figure of the paper is built from, plus the component registries:
     durable SQLite-backed job queue drained by a supervised worker pool.
     Jobs dedup by spec hash, completed tasks are recorded individually so
     interrupted sweeps resume, and results are bit-identical to direct
-    ``repro run`` invocations of the same specs.
-
-``cache migrate``
-    Carry a warm JSON cache directory (``result-*.json`` /
-    ``design-*.json``) into the ``serve`` daemon's SQLite store under
-    unchanged keys, so the daemon serves what the CLI already computed.
+    ``repro run`` invocations of the same specs.  Its ``--cache-dir`` is
+    the same store the other commands write, so rows a sweep cached are
+    served without simulating.
 
 ``cache stats``
-    What a cache directory holds: its JSON entries (results, designs,
-    ``manifest-*.json`` checkpoints, bytes) and, when the daemon's store is
-    present, the row counts and bytes of its tables.
+    What a cache directory holds, on one line: the row counts of its store
+    (results, designs, jobs, tasks), its ``manifest-*.json`` checkpoints
+    and their bytes on disk.
 
 ``trace export`` / ``trace report``
     Inspect a span log written by ``--trace FILE``: ``export`` converts
@@ -80,10 +77,11 @@ imported first, so its ``@register_policy`` / ``@register_pattern`` /
     Fan the experiment grid out over N processes (``1`` = serial).
 
 ``--cache-dir DIR``
-    Disk-backed caching of summary rows *and* AdEle offline designs, one
-    JSON file per entry; a warm directory makes re-runs skip every finished
-    simulation and the AMOSA stage.  Without it, caching is in-memory
-    (deduplication only).
+    Caching of summary rows *and* AdEle offline designs in the directory's
+    SQLite store (``DIR/repro.sqlite3``, the ``serve`` daemon's database);
+    a warm directory makes re-runs skip every finished simulation and the
+    AMOSA stage.  The directory must be on a local filesystem.  Without it,
+    caching is in-memory (deduplication only).
 
 ``--seed S``
     Batch-level base seed: every task's RNG seed is derived from the
@@ -153,7 +151,7 @@ from repro.routing.base import POLICY_REGISTRY
 from repro.scenario.events import SCENARIO_EVENT_REGISTRY
 from repro.service import http as service_http
 from repro.service.client import DEFAULT_SERVICE_URL, ServiceClient, ServiceError
-from repro.service.store import DEFAULT_DB_FILENAME, SqliteStore, migrate_json_cache
+from repro.service.store import DEFAULT_DB_FILENAME, SqliteStore
 from repro.sim.backends import BACKEND_REGISTRY, DEFAULT_BACKEND
 from repro.spec import DesignSpec, ExperimentSpec, PlacementSpec, SimSpec, TrafficSpec
 from repro.topology.elevators import PLACEMENT_REGISTRY
@@ -234,8 +232,8 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
 def _add_backend_argument(target) -> None:
     target.add_argument(
         "--backend", default=None, metavar="NAME",
-        help="simulation kernel (see `repro list`; backends are "
-             f"result-equivalent, default: {DEFAULT_BACKEND})",
+        help="simulation kernel (see `repro list`; backends are result-"
+             f"equivalent, default: {DEFAULT_BACKEND})",
     )
 
 
@@ -247,7 +245,7 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     )
     engine.add_argument(
         "--cache-dir", default=None,
-        help="directory for disk-backed result/design caching",
+        help=f"cache directory (results and designs persist in {DEFAULT_DB_FILENAME})",
     )
     engine.add_argument(
         "--seed", type=int, default=None,
@@ -426,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     optimize.add_argument(
         "--cache-dir", default=None,
-        help="directory for the disk-backed design cache",
+        help=f"cache directory (designs persist in {DEFAULT_DB_FILENAME})",
     )
     optimize.add_argument(
         "--progress", action="store_true",
@@ -480,23 +478,10 @@ def build_parser() -> argparse.ArgumentParser:
         "cache", help="cache maintenance (migration, stats)"
     )
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
-    migrate = cache_sub.add_parser(
-        "migrate",
-        help="copy a warm JSON cache directory into the serve daemon's "
-             "SQLite store under unchanged keys",
-    )
-    migrate.add_argument(
-        "--cache-dir", required=True,
-        help="JSON cache directory (result-*.json / design-*.json)",
-    )
-    migrate.add_argument(
-        "--db", default=None, metavar="FILE",
-        help=f"SQLite store to fill (default: CACHE_DIR/{DEFAULT_DB_FILENAME})",
-    )
     stats = cache_sub.add_parser(
         "stats",
-        help="entry counts and bytes of a cache directory (plus its "
-             f"{DEFAULT_DB_FILENAME} tables when present)",
+        help=f"row counts of a cache directory's {DEFAULT_DB_FILENAME}, "
+             "its manifests and their bytes",
     )
     stats.add_argument(
         "--cache-dir", required=True,
@@ -1070,6 +1055,8 @@ def _run_serve(args: argparse.Namespace) -> int:
 
 
 def _run_cache_stats(args: argparse.Namespace) -> int:
+    if not os.path.isdir(args.cache_dir):
+        raise SystemExit(f"--cache-dir {args.cache_dir!r} is not a directory")
     stats = cache_stats(args.cache_dir)
     if args.json_output:
         _print_json({"command": "cache-stats", **stats})
@@ -1077,32 +1064,8 @@ def _run_cache_stats(args: argparse.Namespace) -> int:
     print(
         f"[repro.cache] {stats['cache_dir']} ({stats['backend']}): "
         f"{stats['results']} result(s), {stats['designs']} design(s), "
-        f"{stats['bytes']} byte(s), {stats['manifests']} manifest(s)"
-    )
-    store = stats.get("store")
-    if store is not None:
-        tables = store["tables"]
-        rows = " ".join(f"{name}={tables[name]}" for name in sorted(tables))
-        print(
-            f"[repro.cache] {os.path.join(stats['cache_dir'], DEFAULT_DB_FILENAME)} "
-            f"({store['backend']}): {rows} {store['bytes']} byte(s)"
-        )
-    return 0
-
-
-def _run_cache_migrate(args: argparse.Namespace) -> int:
-    if not os.path.isdir(args.cache_dir):
-        raise SystemExit(f"--cache-dir {args.cache_dir!r} is not a directory")
-    db_path = args.db or os.path.join(args.cache_dir, DEFAULT_DB_FILENAME)
-    store = SqliteStore(db_path)
-    try:
-        counts = migrate_json_cache(args.cache_dir, store)
-    finally:
-        store.close()
-    print(
-        f"[repro.cache] migrated {counts['results']} result(s) and "
-        f"{counts['designs']} design(s) into {db_path} "
-        f"({counts['skipped']} skipped)"
+        f"{stats['jobs']} job(s), {stats['tasks']} task(s), "
+        f"{stats['manifests']} manifest(s), {stats['bytes']} byte(s)"
     )
     return 0
 
@@ -1253,8 +1216,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "serve":
         return _run_serve(args)
     if args.command == "cache":
-        if args.cache_command == "migrate":
-            return _run_cache_migrate(args)
         if args.cache_command == "stats":
             return _run_cache_stats(args)
         raise SystemExit(

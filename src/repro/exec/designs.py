@@ -111,8 +111,8 @@ class DesignBatch:
         workers: Process count (``1`` = serial fallback, no subprocess).
         cache: Design cache consulted before and populated after execution;
             defaults to a fresh in-memory cache (which still deduplicates
-            identical specs within the batch).  Pass a disk- or
-            SQLite-backed cache to persist.
+            identical specs within the batch).  Pass the design cache of
+            :func:`~repro.exec.cache.open_caches` to persist.
         base_seed: When given, each spec's optimizer seed is replaced by
             :func:`derive_design_seed`; when ``None``, specs keep their
             own seeds.

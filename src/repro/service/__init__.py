@@ -5,9 +5,9 @@ system that many clients share:
 
 * :mod:`repro.service.store` -- one SQLite database (WAL mode, schema
   migrations) holding the result/design caches *and* the job queue, keyed
-  by the exact canonical hashes of :mod:`repro.exec.cache`, so warm JSON
-  cache directories migrate losslessly (``repro cache migrate``) and every
-  cache-identity guarantee carries over;
+  by the canonical hashes of :mod:`repro.exec.cache`; it is the store every
+  ``--cache-dir`` opens, so the daemon serves what the CLI, the API and the
+  benches already computed;
 * :mod:`repro.service.queue` -- a durable job queue with states
   ``queued -> running -> done/failed``, dedup by spec hash (resubmitting an
   identical job attaches to the existing one or returns the cached result),
@@ -31,7 +31,6 @@ from repro.service.store import (
     SqliteDesignCache,
     SqliteResultCache,
     SqliteStore,
-    migrate_json_cache,
 )
 from repro.service.workers import WorkerPool
 
@@ -39,7 +38,6 @@ __all__ = [
     "SqliteStore",
     "SqliteResultCache",
     "SqliteDesignCache",
-    "migrate_json_cache",
     "JobQueue",
     "JobRecord",
     "TaskRecord",

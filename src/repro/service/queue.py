@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.exec.batch import key_extra_for
-from repro.exec.cache import config_key, derive_seed
+from repro.exec.cache import canonical_config, config_key, derive_seed
 from repro.obs.tracing import span
 from repro.service.store import SqliteStore, _dumps
 from repro.spec import ExperimentSpec, as_spec
@@ -270,21 +270,18 @@ class JobQueue:
                 attempts=row["attempts"] + 1,
             )
 
-    def complete(
-        self,
-        task: TaskRecord,
-        summary: Dict[str, float],
-        config_data: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        """Record a finished task: result row + per-task completion."""
+    def complete(self, task: TaskRecord, summary: Dict[str, float]) -> None:
+        """Record a finished task: result row + per-task completion.
+
+        The row carries ``canonical_config(task.spec)``, so it equals the
+        row a direct batch run of the same effective spec writes.
+        """
         with span("queue.complete", job=task.job_id, idx=task.index), \
                 self.store.transaction() as conn:
             conn.execute(
                 "INSERT OR REPLACE INTO results(key, config, summary) "
                 "VALUES(?,?,?)",
-                (task.key,
-                 None if config_data is None else _dumps(config_data),
-                 _dumps(summary)),
+                (task.key, _dumps(canonical_config(task.spec)), _dumps(summary)),
             )
             # This completion satisfies every queued task on the same key.
             conn.execute(

@@ -1,32 +1,29 @@
-"""SQLite-backed result/design store (the service's durable backbone).
+"""SQLite-backed result/design store: the one durable cache layout.
 
-One database file holds everything the experiment service persists: the
-summary-row result cache, the AdEle offline-design cache, and the durable
-job queue (tables owned by :mod:`repro.service.queue` but migrated here so
-there is a single schema authority).  Compared with the JSON-per-key caches
-of :mod:`repro.exec.cache` it adds what a long-running, many-client service
-needs:
+One database file (``repro.sqlite3`` in a ``--cache-dir``) holds everything
+the repository persists: the summary-row result cache, the AdEle
+offline-design cache, and the durable job queue (tables owned by
+:mod:`repro.service.queue` but migrated here so there is a single schema
+authority).  The CLI, :mod:`repro.api` and the paper benches open it through
+:func:`repro.exec.cache.open_caches`; the ``repro serve`` daemon runs on the
+same file, so a CLI sweep's rows are served by a daemon on the same
+directory.
 
 * **Concurrent safety** -- WAL journal mode plus a generous busy timeout
-  make simultaneous readers/writers from many threads *and* processes safe;
-  the JSON caches only guarantee atomic single-entry replacement (two
-  processes may duplicate work; a reader listing the directory races
-  writers).
-* **Identical keys** -- rows are indexed by the exact canonical hashes the
-  JSON caches use (:func:`repro.exec.cache.config_key` for results,
-  :func:`repro.exec.cache.design_key_hash` for designs), so warm JSON
-  entries migrate losslessly via :func:`migrate_json_cache` (``repro cache
-  migrate``, the one bridge from a CLI cache directory to this store).
+  make simultaneous readers/writers from many threads *and* processes safe.
+  WAL needs shared memory between those processes, so the directory must be
+  on a local filesystem.
+* **Canonical keys** -- result rows are indexed by
+  :func:`repro.exec.cache.config_key`, design records by
+  :func:`repro.exec.cache.design_key_hash`.
 * **Schema migrations** -- ``PRAGMA user_version`` tracks the schema; new
   versions append to :data:`MIGRATIONS` and existing databases upgrade in
   one transaction on open.
 
-:class:`SqliteResultCache` and :class:`SqliteDesignCache` implement the same
-interfaces as :class:`~repro.exec.cache.ResultCache` and
-:class:`~repro.exec.cache.DiskDesignCache`, so the daemon's workers run
-the same :class:`~repro.exec.batch.ExperimentBatch` code path as the CLI,
-whose entry points open the JSON layout
-(:func:`repro.exec.cache.open_caches`).
+:class:`SqliteResultCache` has the interface of
+:class:`~repro.exec.cache.ResultCache` and :class:`SqliteDesignCache` that
+of :class:`~repro.analysis.runner.DesignCache`, so every entry point runs
+the same :class:`~repro.exec.batch.ExperimentBatch` code path.
 """
 
 from __future__ import annotations
@@ -41,12 +38,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.analysis.runner import DesignCache, DesignKey
 from repro.core.pipeline import AdEleDesign
 from repro.obs.tracing import span
-from repro.exec.cache import (
-    design_from_record,
-    design_key_hash,
-    design_to_record,
-    iter_json_cache_entries,
-)
+from repro.exec.cache import design_from_record, design_key_hash, design_to_record
 
 #: File name of the service database inside a ``--cache-dir``.
 DEFAULT_DB_FILENAME = "repro.sqlite3"
@@ -113,7 +105,7 @@ BUSY_TIMEOUT_S = 30.0
 
 def _dumps(value: Any) -> str:
     """Canonical JSON text (sorted keys; ``Infinity`` allowed -- saturated
-    runs carry infinite latencies and must round-trip like the JSON caches)."""
+    runs carry infinite latencies and must round-trip)."""
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
@@ -238,7 +230,7 @@ class SqliteStore:
         summary: Dict[str, float],
     ) -> None:
         # Entries are deterministic functions of their key, so last-write-
-        # wins replacement is harmless (same contract as the JSON backend).
+        # wins replacement is harmless.
         self.execute(
             "INSERT OR REPLACE INTO results(key, config, summary) VALUES(?,?,?)",
             (key, None if config_data is None else _dumps(config_data),
@@ -287,20 +279,24 @@ class SqliteStore:
     def stats(self) -> Dict[str, Any]:
         """Table row counts and on-disk bytes (WAL/SHM sidecars included).
 
-        The ``cache`` block of ``GET /api/health`` and the ``store`` block
-        of ``repro cache stats``.
+        The ``cache`` block of ``GET /api/health``.
         """
-        stats: Dict[str, Any] = {
+        return {
             "backend": "sqlite",
             "tables": self.table_counts(),
-            "bytes": 0,
+            "bytes": database_bytes(self.path),
         }
-        for suffix in ("", "-wal", "-shm"):
-            try:
-                stats["bytes"] += os.path.getsize(self.path + suffix)
-            except OSError:
-                pass
-        return stats
+
+
+def database_bytes(path: str) -> int:
+    """Bytes on disk of a database file plus its WAL/SHM sidecars."""
+    total = 0
+    for suffix in ("", "-wal", "-shm"):
+        try:
+            total += os.path.getsize(path + suffix)
+        except OSError:
+            pass
+    return total
 
 
 class _Transaction:
@@ -323,29 +319,22 @@ class _Transaction:
 
 
 # ---------------------------------------------------------------------- #
-# Cache adapters (drop-in for the JSON backends)
+# Cache adapters
 # ---------------------------------------------------------------------- #
 class SqliteResultCache:
     """:class:`~repro.exec.cache.ResultCache` interface over a SqliteStore.
 
-    Keys are the same canonical config hashes; a small per-instance memory
-    layer keeps warm re-reads free, exactly like the JSON backend.
+    Every read goes to the store, so rows another process wrote (a daemon,
+    a concurrent sweep) are visible at once.
     """
 
     def __init__(self, store: SqliteStore) -> None:
         self.store = store
-        self._memory: Dict[str, Dict[str, float]] = {}
 
     def get(self, key: str) -> Optional[Dict[str, float]]:
         """The cached summary row for a config hash, or ``None``."""
         with span("cache.get", backend="sqlite", key=key[:12]) as record_span:
-            if key in self._memory:
-                if record_span is not None:
-                    record_span.args["hit"] = True
-                return dict(self._memory[key])
             summary = self.store.get_result(key)
-            if summary is not None:
-                self._memory[key] = dict(summary)
             if record_span is not None:
                 record_span.args["hit"] = summary is not None
             return summary
@@ -356,9 +345,8 @@ class SqliteResultCache:
         config_data: Optional[Dict[str, Any]],
         summary: Dict[str, float],
     ) -> None:
-        """Store a summary row (with its canonical config, for debugging)."""
+        """Store a summary row with its canonical config."""
         with span("cache.put", backend="sqlite", key=key[:12]):
-            self._memory[key] = dict(summary)
             self.store.put_result(key, config_data, summary)
 
     def __contains__(self, key: str) -> bool:
@@ -368,17 +356,16 @@ class SqliteResultCache:
         return self.store.result_count()
 
     def clear(self) -> None:
-        """Drop every entry (memory and database)."""
-        self._memory.clear()
+        """Drop every result row."""
         self.store.clear_results()
 
 
 class SqliteDesignCache(DesignCache):
     """:class:`~repro.analysis.runner.DesignCache` over a SqliteStore.
 
-    Records use the exact JSON document format of
-    :class:`~repro.exec.cache.DiskDesignCache` (format 2), keyed by the same
-    :func:`~repro.exec.cache.design_key_hash`.
+    Records are :func:`~repro.exec.cache.design_to_record` documents
+    (format 2) keyed by :func:`~repro.exec.cache.design_key_hash`; a design
+    read once stays in the in-memory layer of the base class.
     """
 
     def __init__(self, store: SqliteStore) -> None:
@@ -407,46 +394,11 @@ class SqliteDesignCache(DesignCache):
         self.store.clear_designs()
 
 
-# ---------------------------------------------------------------------- #
-# JSON -> SQLite migration
-# ---------------------------------------------------------------------- #
-def migrate_json_cache(cache_dir: str, store: SqliteStore) -> Dict[str, int]:
-    """Carry a warm JSON cache directory into a SQLite store.
-
-    Every ``result-<key>.json`` and ``design-<hash>.json`` entry is inserted
-    under its *unchanged* key/hash, so anything that hit the JSON cache hits
-    the SQLite cache afterwards.  Unreadable files are skipped (same
-    tolerance as the JSON readers); existing SQLite rows with the same key
-    are left alone -- both layouts store deterministic functions of the
-    key, so neither copy can be stale.
-
-    Returns:
-        ``{"results": n, "designs": n, "skipped": n}`` migration counts.
-    """
-    migrated = {"results": 0, "designs": 0, "skipped": 0}
-    for key, record in iter_json_cache_entries(cache_dir, "result-"):
-        summary = record.get("summary")
-        if not isinstance(summary, dict):
-            migrated["skipped"] += 1
-            continue
-        if store.get_result(key) is None:
-            store.put_result(key, record.get("config"), summary)
-            migrated["results"] += 1
-    for key_hash, record in iter_json_cache_entries(cache_dir, "design-"):
-        if record.get("format") != 2:
-            migrated["skipped"] += 1
-            continue
-        if store.get_design_record(key_hash) is None:
-            store.put_design_record(key_hash, record)
-            migrated["designs"] += 1
-    return migrated
-
-
 __all__ = [
     "DEFAULT_DB_FILENAME",
     "SCHEMA_VERSION",
     "SqliteStore",
     "SqliteResultCache",
     "SqliteDesignCache",
-    "migrate_json_cache",
+    "database_bytes",
 ]

@@ -3,11 +3,13 @@
 Workers are threads inside the daemon process; each loops claim -> execute
 -> report.  Execution goes through the existing
 :class:`~repro.exec.batch.ExperimentBatch` machinery (one task at a time,
-``workers=1``) against the shared SQLite caches, so a service run takes the
+``workers=1``) with the store's design cache, so a service run takes the
 *exact* code path of a direct ``repro run`` -- same design resolution, same
-seeding, same cache keys -- and stays bit-identical to it.  Seeds were
-already derived at submit time (the task row stores the effective spec), so
-workers never need the job's base seed.
+seeding, same cache keys -- and stays bit-identical to it.  The batch keeps
+its row in memory; :meth:`JobQueue.complete` writes it to the store once, in
+the transaction that marks the task done.  Seeds were already derived at
+submit time (the task row stores the effective spec), so workers never need
+the job's base seed.
 
 Supervision: a supervisor thread restarts workers that died from an
 unhandled error and periodically re-queues lease-expired ``running`` tasks
@@ -28,7 +30,7 @@ from typing import Optional, Sequence, Tuple
 from repro.exec.batch import ExperimentBatch
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, MetricsRegistry
 from repro.service.queue import JobQueue, TaskRecord
-from repro.service.store import SqliteDesignCache, SqliteResultCache, SqliteStore
+from repro.service.store import SqliteDesignCache, SqliteStore
 
 #: Default seconds before a claimed-but-silent task is considered orphaned.
 DEFAULT_LEASE_SECONDS = 600.0
@@ -37,7 +39,6 @@ DEFAULT_LEASE_SECONDS = 600.0
 def execute_claimed_task(
     queue: JobQueue,
     task: TaskRecord,
-    result_cache: SqliteResultCache,
     design_cache: SqliteDesignCache,
     plugins: Sequence[str] = (),
     metrics: Optional[MetricsRegistry] = None,
@@ -55,7 +56,6 @@ def execute_claimed_task(
         batch = ExperimentBatch(
             [task.spec],
             workers=1,
-            result_cache=result_cache,
             design_cache=design_cache,
             plugins=tuple(plugins),
             metrics=metrics,
@@ -105,7 +105,6 @@ class WorkerPool:
         self.poll_interval = poll_interval
         self.lease_seconds = lease_seconds
         self.plugins: Tuple[str, ...] = tuple(plugins)
-        self.result_cache = SqliteResultCache(store)
         self.design_cache = SqliteDesignCache(store)
         self._stop = threading.Event()
         self._threads: list[threading.Thread] = []
@@ -194,7 +193,6 @@ class WorkerPool:
             ok = execute_claimed_task(
                 self.queue,
                 task,
-                self.result_cache,
                 self.design_cache,
                 plugins=self.plugins,
                 metrics=self.metrics,

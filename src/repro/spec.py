@@ -416,8 +416,9 @@ class DesignSpec:
     placement is optimized, which assumed traffic pattern drives the
     objectives, which registered optimizer searches the subset space with
     which options, and which archive-selection strategy picks the deployed
-    solution.  The canonical ``to_dict`` form keys the disk design cache
-    (:class:`repro.exec.cache.DiskDesignCache`), and nested into an
+    solution.  The canonical ``to_dict`` form keys the design cache (the
+    ``designs`` table of a cache directory's store, see
+    :func:`repro.exec.cache.open_caches`), and nested into an
     :class:`ExperimentSpec` it overrides how AdEle policies obtain their
     offline design.
 
@@ -513,8 +514,8 @@ class DesignSpec:
             "max_subset_size": self.max_subset_size,
             "selection": self.selection,
         }
-        # Both knobs predate no one: they entered the spec after the disk
-        # caches existed, so they appear only when non-default -- keys of
+        # Both knobs predate no one: they entered the spec after the design
+        # cache existed, so they appear only when non-default -- keys of
         # every previously cached design stay byte-identical.
         if self.weight_distance_by_traffic:
             data["weight_distance_by_traffic"] = True

@@ -7,11 +7,14 @@ paper's evaluation relies on.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.analysis.runner import clear_design_cache
 from repro.energy.model import EnergyModel
 from repro.routing.elevator_first import ElevatorFirstPolicy
+from repro.service.store import DEFAULT_DB_FILENAME, SqliteStore
 from repro.sim.network import Network
 from repro.topology.elevators import ElevatorPlacement, standard_placement
 from repro.topology.mesh3d import Mesh3D
@@ -78,3 +81,27 @@ def _clear_offline_cache():
     clear_design_cache()
     yield
     clear_design_cache()
+
+
+def _store_rows(cache_dir: str):
+    """The rows of a cache directory's store, as stored.
+
+    Returns ``(results, designs)``: ``(key, config, summary)`` and
+    ``(key_hash, record)`` tuples sorted by key, with every JSON column as
+    its stored text, so two directories' lists compare byte for byte.
+    """
+    path = os.path.join(cache_dir, DEFAULT_DB_FILENAME)
+    assert os.path.exists(path), f"no store at {path}"
+    store = SqliteStore(path)
+    try:
+        results = store.query("SELECT key, config, summary FROM results ORDER BY key")
+        designs = store.query("SELECT key_hash, record FROM designs ORDER BY key_hash")
+        return [tuple(row) for row in results], [tuple(row) for row in designs]
+    finally:
+        store.close()
+
+
+@pytest.fixture
+def store_rows():
+    """:func:`_store_rows`: list a cache directory's result and design rows."""
+    return _store_rows

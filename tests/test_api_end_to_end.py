@@ -24,7 +24,7 @@ from repro.api import (
     run_specs,
 )
 from repro.exec.batch import ExperimentBatch
-from repro.exec.cache import ResultCache
+from repro.exec.cache import open_caches
 from repro.exec.cli import main as cli_main
 from repro.routing.base import POLICY_REGISTRY, ElevatorSelectionPolicy
 from repro.traffic.patterns import PATTERN_REGISTRY, TrafficPattern, UniformTraffic
@@ -94,9 +94,9 @@ class TestCustomComponentsThroughTheEngine:
         parallel_rows = [o.summary for o in parallel.run()]
         assert serial_rows == parallel_rows  # bit-identical, not approximate
 
-        cold = ExperimentBatch(grid, workers=1, result_cache=ResultCache(str(tmp_path)))
+        cold = ExperimentBatch(grid, workers=1, result_cache=open_caches(str(tmp_path))[0])
         cold_rows = [o.summary for o in cold.run()]
-        warm = ExperimentBatch(grid, workers=4, result_cache=ResultCache(str(tmp_path)))
+        warm = ExperimentBatch(grid, workers=4, result_cache=open_caches(str(tmp_path))[0])
         warm_outcomes = warm.run()
         assert warm.last_executed == 0
         assert all(o.from_cache for o in warm_outcomes)

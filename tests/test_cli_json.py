@@ -4,19 +4,19 @@
 ``sweep`` / ``compare`` / ``run`` (no human tables mixed in), ``run``
 must print a scenario spec's per-phase windows and carry probe series,
 ``optimize`` must fan multi-document spec files over the design batch,
-``cache migrate`` must carry JSON entries into SQLite from the command
-line, and ``cache stats`` must report both.
+and ``cache stats`` must report a cache directory's store on one line.  A
+sweep's ``--cache-dir`` is the store the ``serve`` daemon's queue reads.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import re
 
 import pytest
 
 from repro.exec.cli import main
+from repro.service.queue import DONE, QUEUED, JobQueue
 from repro.service.store import SqliteStore
 from repro.spec import ExperimentSpec, PlacementSpec, SimSpec, TrafficSpec
 
@@ -237,61 +237,76 @@ class TestOptimizeGrid:
         assert "[repro.exec] design served from cache" in capsys.readouterr().out
 
 
-class TestCacheMigrateCommand:
-    def test_migrate_via_cli(self, tmp_path, capsys):
-        cache_dir = tmp_path / "cache"
-        cache_dir.mkdir()
-        (cache_dir / "result-abc.json").write_text(
-            json.dumps({"summary": {"average_latency": 4.0}})
-        )
-        assert main(["cache", "migrate", "--cache-dir", str(cache_dir)]) == 0
-        out = capsys.readouterr().out
-        assert "migrated 1 result(s) and 0 design(s)" in out
-        store = SqliteStore(str(cache_dir / "repro.sqlite3"))
-        try:
-            assert store.get_result("abc") == {"average_latency": 4.0}
-        finally:
-            store.close()
-
-    def test_migrate_rejects_missing_directory(self, tmp_path):
-        with pytest.raises(SystemExit, match="not a directory"):
-            main(["cache", "migrate", "--cache-dir", str(tmp_path / "nope")])
-
-
 class TestCacheStatsCommand:
-    def test_reports_json_entries_and_the_migrated_store(self, tmp_path, capsys):
+    def test_reports_the_store_on_one_line(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")
         path = _spec_file(tmp_path, [_static(CI_SCENARIO)])
         assert main(["run", "--spec", path, "--cache-dir", cache_dir]) == 0
-        assert main(["cache", "stats", "--cache-dir", cache_dir, "--json"]) == 0
-        out = capsys.readouterr().out
-        before = json.loads(out[out.index("{"):])
-        assert before["results"] == 1 and "store" not in before
-
-        assert main(["cache", "migrate", "--cache-dir", cache_dir]) == 0
         capsys.readouterr()
         assert main(["cache", "stats", "--cache-dir", cache_dir, "--json"]) == 0
-        after = _capture_json(capsys)
-        assert after["command"] == "cache-stats"
-        assert after["backend"] == "json"
-        assert (after["results"], after["designs"], after["manifests"]) == (1, 0, 0)
-        assert after["bytes"] == before["bytes"] > 0
-        store = after["store"]
-        assert store["backend"] == "sqlite"
-        assert store["tables"] == {"results": 1, "designs": 0, "jobs": 0, "tasks": 0}
-        assert store["bytes"] > 0
+        stats = _capture_json(capsys)
+        assert stats["command"] == "cache-stats"
+        assert stats["backend"] == "sqlite"
+        assert (stats["results"], stats["designs"], stats["jobs"], stats["tasks"]) == (
+            1, 0, 0, 0,
+        )
+        assert stats["manifests"] == 0
+        assert stats["bytes"] > 0
 
         assert main(["cache", "stats", "--cache-dir", cache_dir]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 2
-        # CI's resume-smoke job greps "<n> result(s)" on the first line.
-        assert lines[0] == (
-            f"[repro.cache] {cache_dir} (json): 1 result(s), 0 design(s), "
-            f"{after['bytes']} byte(s), 0 manifest(s)"
-        )
-        db_path = os.path.join(cache_dir, "repro.sqlite3")
-        assert re.fullmatch(
-            re.escape(f"[repro.cache] {db_path} (sqlite): ")
-            + r"designs=0 jobs=0 results=1 tasks=0 \d+ byte\(s\)",
-            lines[1],
-        )
+        # CI's smoke jobs grep "<n> result(s)" on this one line.
+        assert lines == [
+            f"[repro.cache] {cache_dir} (sqlite): 1 result(s), 0 design(s), "
+            f"0 job(s), 0 task(s), 0 manifest(s), {stats['bytes']} byte(s)"
+        ]
+
+    def test_missing_directory_is_rejected_and_not_created(self, tmp_path):
+        missing = tmp_path / "nope"
+        with pytest.raises(SystemExit, match="not a directory"):
+            main(["cache", "stats", "--cache-dir", str(missing)])
+        assert not missing.exists()
+
+    def test_directory_without_a_store_is_left_without_one(self, tmp_path, capsys):
+        assert main(["cache", "stats", "--cache-dir", str(tmp_path), "--json"]) == 0
+        stats = _capture_json(capsys)
+        assert (stats["results"], stats["designs"], stats["bytes"]) == (0, 0, 0)
+        assert os.listdir(tmp_path) == []
+
+    def test_bytes_are_what_stays_on_disk(self, tmp_path, capsys):
+        # The command's own connection creates WAL/SHM sidecars and its
+        # close removes them: they are not part of the reported bytes.
+        store = SqliteStore(str(tmp_path / "repro.sqlite3"))
+        store.put_result("k", None, {"average_latency": 1.0})
+        store.close()
+        assert main(["cache", "stats", "--cache-dir", str(tmp_path), "--json"]) == 0
+        stats = _capture_json(capsys)
+        assert os.listdir(tmp_path) == ["repro.sqlite3"]
+        assert stats["results"] == 1
+        assert stats["bytes"] == os.path.getsize(tmp_path / "repro.sqlite3")
+
+
+class TestSweepSharesTheDaemonStore:
+    def test_sweep_rows_are_served_to_a_queue_on_its_directory(self, tmp_path, capsys):
+        cache_dir = str(tmp_path / "cache")
+        assert main([
+            "sweep", *TINY, "--policies", "elevator_first", "--rates", "0.02",
+            "--cache-dir", cache_dir, "--seed", "1",
+        ]) == 0
+        assert "1 simulated" in capsys.readouterr().out
+        # The spec `repro sweep` builds for that grid point.
+        spec = ExperimentSpec(
+            placement=PlacementSpec(
+                name="cli-custom", mesh=(2, 2, 2), columns=((0, 0), (1, 1))
+            ),
+            traffic=TrafficSpec(pattern="uniform"),
+            sim=SimSpec(warmup_cycles=10, measurement_cycles=40, drain_cycles=30),
+        ).with_(policy="elevator_first", injection_rate=0.02)
+        store = SqliteStore(os.path.join(cache_dir, "repro.sqlite3"))
+        try:
+            queue = JobQueue(store)
+            job = queue.submit([spec], base_seed=1).job
+            assert job.state == DONE
+            assert queue.counts()[QUEUED] == 0
+        finally:
+            store.close()

@@ -7,7 +7,7 @@ import pytest
 from repro.analysis import runner
 from repro.analysis.runner import design_for, design_key_for
 from repro.core.optimizers import DEFAULT_OFFLINE_AMOSA
-from repro.exec.cache import DiskDesignCache, canonical_config, config_key
+from repro.exec.cache import canonical_config, config_key, open_caches
 from repro.exec.cli import main as cli_main
 from repro.registry import UnknownComponentError
 from repro.spec import DesignSpec, ExperimentSpec, PlacementSpec
@@ -150,32 +150,32 @@ class TestDesignCacheRoundTrip:
             design_for(FAST_DESIGN.with_(optimizer="amosaa"))
 
     def test_disk_round_trip_skips_reoptimization(self, tmp_path, monkeypatch):
-        warm = DiskDesignCache(str(tmp_path))
+        warm = open_caches(str(tmp_path))[1]
         original = design_for(FAST_DESIGN, cache=warm)
 
         def _fail(*args, **kwargs):  # pragma: no cover - defensive
             raise AssertionError("offline optimization re-ran on a warm cache")
 
         monkeypatch.setattr(runner, "optimize_elevator_subsets", _fail)
-        fresh = DiskDesignCache(str(tmp_path))
+        fresh = open_caches(str(tmp_path))[1]
         reloaded = design_for(FAST_DESIGN, cache=fresh)
         assert reloaded.pareto_points() == original.pareto_points()
         assert reloaded.selected_subsets() == original.selected_subsets()
 
     def test_non_uniform_named_pattern_round_trips(self, tmp_path, monkeypatch):
         spec = FAST_DESIGN.with_(traffic="shuffle")
-        warm = DiskDesignCache(str(tmp_path))
+        warm = open_caches(str(tmp_path))[1]
         original = design_for(spec, cache=warm)
         monkeypatch.setattr(
             runner,
             "optimize_elevator_subsets",
             lambda *a, **k: (_ for _ in ()).throw(AssertionError("re-ran")),
         )
-        reloaded = design_for(spec, cache=DiskDesignCache(str(tmp_path)))
+        reloaded = design_for(spec, cache=open_caches(str(tmp_path))[1])
         assert reloaded.pareto_points() == original.pareto_points()
 
     def test_selection_reapplied_on_warm_fetch(self, tmp_path):
-        cache = DiskDesignCache(str(tmp_path))
+        cache = open_caches(str(tmp_path))[1]
         design_for(FAST_DESIGN, cache=cache)
         energy = design_for(FAST_DESIGN.with_(selection="energy"), cache=cache)
         archive = energy.result.archive
@@ -192,7 +192,7 @@ class TestDesignCacheRoundTrip:
     ):
         # A later caller's selection must not flip `selected` underneath a
         # design already handed to an earlier caller.
-        cache = DiskDesignCache(str(tmp_path))
+        cache = open_caches(str(tmp_path))[1]
         latency = design_for(FAST_DESIGN.with_(selection="latency"), cache=cache)
         held = latency.selected
         energy = design_for(FAST_DESIGN.with_(selection="energy"), cache=cache)
@@ -344,10 +344,10 @@ class TestPromotedOfflineKnobs:
         assert len(again.representatives) == len(baseline.representatives)
 
     def test_weighted_design_survives_disk_round_trip(self, tmp_path):
-        cache = DiskDesignCache(str(tmp_path / "designs"))
+        cache = open_caches(str(tmp_path / "designs"))[1]
         spec = FAST_DESIGN.with_(weight_distance_by_traffic=True)
         first = runner.design_for(spec, cache=cache)
-        fresh = DiskDesignCache(str(tmp_path / "designs"))
+        fresh = open_caches(str(tmp_path / "designs"))[1]
         second = runner.design_for(spec, cache=fresh)
         assert second.result.evaluations == first.result.evaluations
         assert [e.objectives for e in second.result.archive] == [

@@ -3,7 +3,8 @@
 Covers the cache-key contract (order-insensitive canonicalization, JSON
 round-trips, no collisions on the benchmark grid), the injectable
 :class:`~repro.analysis.runner.DesignCache` that replaced the old
-module-global dict, and the disk persistence of results and designs.
+module-global dict, and the persistence of results and designs in a cache
+directory's store.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ from repro.analysis.runner import (
 from repro.core.amosa import AmosaConfig
 from repro.core.optimizers import AmosaSearch
 from repro.exec.cache import (
-    DiskDesignCache,
     ResultCache,
     canonical_json,
     config_key,
     derive_seed,
+    open_caches,
     spec_from_canonical,
     SEED_SPACE,
 )
@@ -147,7 +148,7 @@ class TestKeyExtras:
             policy="elevator_first", injection_rate=0.05,
             warmup_cycles=10, measurement_cycles=80, drain_cycles=80,
         )
-        cache = ResultCache(str(tmp_path))
+        cache, _ = open_caches(str(tmp_path))
         default_run = ExperimentBatch([spec], result_cache=cache)
         default_run.run()
 
@@ -194,22 +195,22 @@ class TestResultCache:
         assert cache.get("k") == summary
 
     def test_disk_round_trip_preserves_infinities(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
+        cache, _ = open_caches(str(tmp_path))
         summary = {"average_latency": float("inf"), "delivery_ratio": 0.0}
         cache.put("sat", {"policy": "cda"}, summary)
-        fresh = ResultCache(str(tmp_path))
+        fresh, _ = open_caches(str(tmp_path))
         assert fresh.get("sat") == summary
         assert fresh.get("sat")["average_latency"] == float("inf")
 
     def test_len_and_clear(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
+        cache, _ = open_caches(str(tmp_path))
         cache.put("a", None, {"x": 1.0})
         cache.put("b", None, {"x": 2.0})
         assert len(cache) == 2
         assert "a" in cache and "missing" not in cache
         cache.clear()
         assert len(cache) == 0
-        assert ResultCache(str(tmp_path)).get("a") is None
+        assert open_caches(str(tmp_path))[0].get("a") is None
 
 
 # ---------------------------------------------------------------------- #
@@ -267,16 +268,16 @@ class TestDesignCache:
 
     def test_disk_design_cache_survives_processes(self, tmp_path, monkeypatch):
         placement = _tiny_placement()
-        warm = DiskDesignCache(str(tmp_path))
+        _, warm = open_caches(str(tmp_path))
         original = design_for(_tiny_design(), placement, cache=warm)
 
         # A fresh cache over the same directory must reload the design from
-        # disk without ever invoking the AMOSA stage again.
+        # its store without ever invoking the AMOSA stage again.
         def _fail(*args, **kwargs):  # pragma: no cover - defensive
             raise AssertionError("offline optimization re-ran on a warm cache")
 
         monkeypatch.setattr(runner, "optimize_elevator_subsets", _fail)
-        fresh = DiskDesignCache(str(tmp_path))
+        _, fresh = open_caches(str(tmp_path))
         reloaded = design_for(_tiny_design(), placement, cache=fresh)
         assert reloaded.selected_subsets() == original.selected_subsets()
         assert reloaded.pareto_points() == original.pareto_points()

@@ -3,19 +3,17 @@
 The engine's contract: an identical spec + seed produces a
 *bit-identical* ``SimulationResult.summary()`` row whether the batch runs
 serially (``workers=1``), fanned out over worker processes, or replayed from
-a warm disk cache -- and a warm cache performs zero new simulations.
+a warm cache directory -- and a warm cache performs zero new simulations.
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
 from repro.core.amosa import AmosaConfig
 from repro.core.optimizers import AmosaSearch
 from repro.exec.batch import ExperimentBatch, clear_setup_memo, run_batch
-from repro.exec.cache import DiskDesignCache, ResultCache, config_key, derive_seed
+from repro.exec.cache import config_key, derive_seed, open_caches
 from repro.spec import ExperimentSpec, PlacementSpec, PolicySpec, SimSpec, TrafficSpec
 from repro.topology.elevators import ElevatorPlacement
 from repro.topology.mesh3d import Mesh3D
@@ -38,6 +36,11 @@ TINY_AMOSA = AmosaConfig(
 #: keys stay servable only while the hashes hold byte for byte.
 PM_KNEE_KEY = "9cf6db3c9dd6f19483b92fa628b5426a6653f1e866aaecc069ae5d1aef90d58e"
 PAPER_APPS_KEY = "797c9ada42f42b93bdd9dd292230c156512acf2cce147439cc8817fc0e77af18"
+
+
+def _results(directory: str):
+    """The result cache of a cache directory's store."""
+    return open_caches(directory)[0]
 
 
 def _tiny_placement() -> ElevatorPlacement:
@@ -79,21 +82,21 @@ class TestSerialParallelCacheIdentity:
         assert not any(o.from_cache for o in serial + parallel)
 
     def test_warm_disk_cache_is_bit_identical_and_runs_nothing(self, grid, tmp_path):
-        cold = ExperimentBatch(grid, workers=1, result_cache=ResultCache(str(tmp_path)))
+        cold = ExperimentBatch(grid, workers=1, result_cache=_results(str(tmp_path)))
         cold_outcomes = cold.run()
         assert cold.last_executed == len(grid)
 
         # A fresh cache object over the same directory: everything must come
-        # off disk, with zero new simulations.
-        warm = ExperimentBatch(grid, workers=1, result_cache=ResultCache(str(tmp_path)))
+        # from its store, with zero new simulations.
+        warm = ExperimentBatch(grid, workers=1, result_cache=_results(str(tmp_path)))
         warm_outcomes = warm.run()
         assert warm.last_executed == 0
         assert all(o.from_cache for o in warm_outcomes)
         assert [o.summary for o in cold_outcomes] == [o.summary for o in warm_outcomes]
 
     def test_parallel_run_against_warm_cache(self, grid, tmp_path):
-        run_batch(grid, workers=1, result_cache=ResultCache(str(tmp_path)))
-        warm = ExperimentBatch(grid, workers=4, result_cache=ResultCache(str(tmp_path)))
+        run_batch(grid, workers=1, result_cache=_results(str(tmp_path)))
+        warm = ExperimentBatch(grid, workers=4, result_cache=_results(str(tmp_path)))
         outcomes = warm.run()
         assert warm.last_executed == 0
         assert all(o.from_cache for o in outcomes)
@@ -120,23 +123,23 @@ class TestAdEleDeterminism:
             policy=PolicySpec(name="adele", options={"max_subset_size": 2})
         )
         specs = [base.with_(injection_rate=rate) for rate in (0.02, 0.05)]
-        design_cache = DiskDesignCache(str(tmp_path))
+        result_cache, design_cache = open_caches(str(tmp_path))
 
         serial = run_batch(specs, workers=1, design_cache=design_cache)
         parallel = run_batch(specs, workers=4, design_cache=design_cache)
         assert [o.summary for o in serial] == [o.summary for o in parallel]
 
         # Warm result cache on top: identical rows, zero new simulations.
-        result_cache = ResultCache(str(tmp_path))
         cold = ExperimentBatch(
             specs, workers=1, result_cache=result_cache, design_cache=design_cache
         )
         cold_rows = [o.summary for o in cold.run()]
+        warm_results, warm_designs = open_caches(str(tmp_path))
         warm = ExperimentBatch(
             specs,
             workers=4,
-            result_cache=ResultCache(str(tmp_path)),
-            design_cache=DiskDesignCache(str(tmp_path)),
+            result_cache=warm_results,
+            design_cache=warm_designs,
         )
         warm_outcomes = warm.run()
         assert warm.last_executed == 0
@@ -158,11 +161,11 @@ class TestCrossBackendDeterminism:
     def test_warm_cache_matches_both_backends(self, grid, tmp_path):
         cold = run_batch(
             [s.with_(backend="reference") for s in grid],
-            result_cache=ResultCache(str(tmp_path)),
+            result_cache=_results(str(tmp_path)),
         )
         warm_batch = ExperimentBatch(
             [s.with_(backend="reference") for s in grid],
-            result_cache=ResultCache(str(tmp_path)),
+            result_cache=_results(str(tmp_path)),
         )
         warm = warm_batch.run()
         assert warm_batch.last_executed == 0
@@ -252,36 +255,29 @@ class TestBaseSeedDerivation:
         assert [config_key(s) for s in effective] != [config_key(s) for s in grid]
 
 
-def _cache_bytes(directory: str) -> dict:
-    return {
-        name: open(os.path.join(directory, name), "rb").read()
-        for name in sorted(os.listdir(directory))
-        if name.startswith(("result-", "design-"))
-    }
-
-
 class TestSetupMemo:
     """The warm-worker setup memo reuses networks and route tables without
     changing results."""
 
-    def test_memo_hits_on_rerun_and_results_match(self, tmp_path):
+    def test_memo_hits_on_rerun_and_results_match(self, tmp_path, store_rows):
         clear_setup_memo()
         grid = [_base_spec(seed=seed) for seed in (1, 2, 3)]
         cold_dir = str(tmp_path / "cold")
-        cold = ExperimentBatch(grid, result_cache=ResultCache(cold_dir))
+        cold = ExperimentBatch(grid, result_cache=_results(cold_dir))
         cold.run()
         assert cold.last_memo_misses >= 1
 
         warm_dir = str(tmp_path / "warm")
-        warm = ExperimentBatch(grid, result_cache=ResultCache(warm_dir))
+        warm = ExperimentBatch(grid, result_cache=_results(warm_dir))
         warm.run()
         assert warm.last_memo_hits >= 1
-        assert _cache_bytes(warm_dir) == _cache_bytes(cold_dir)
+        assert store_rows(warm_dir) == store_rows(cold_dir)
+        assert len(store_rows(cold_dir)[0]) == len(grid)
 
     def test_timing_counters_accumulate(self, tmp_path):
         grid = [_base_spec(seed=seed) for seed in (1, 2)]
         batch = ExperimentBatch(
-            grid, result_cache=ResultCache(str(tmp_path / "cache"))
+            grid, result_cache=_results(str(tmp_path / "cache"))
         )
         batch.run()
         assert batch.last_setup_s > 0.0
@@ -290,7 +286,7 @@ class TestSetupMemo:
 
         # Fully cached reruns execute nothing and reset the counters.
         rerun = ExperimentBatch(
-            grid, result_cache=ResultCache(str(tmp_path / "cache"))
+            grid, result_cache=_results(str(tmp_path / "cache"))
         )
         rerun.run()
         assert rerun.last_executed == 0

@@ -12,7 +12,7 @@ import math
 
 from repro.analysis.runner import run_experiment
 from repro.exec.batch import ExperimentBatch, run_batch
-from repro.exec.cache import ResultCache
+from repro.exec.cache import open_caches
 from repro.sim.engine import SimulationResult
 from repro.sim.stats import SimulationStats
 from repro.spec import ExperimentSpec, PlacementSpec
@@ -68,13 +68,13 @@ class TestZeroTraffic:
 
     def test_zero_injection_summary_survives_the_batch_and_cache(self, tmp_path):
         spec = _tiny_spec(injection_rate=0.0)
-        outcomes = run_batch([spec], result_cache=ResultCache(str(tmp_path)))
+        outcomes = run_batch([spec], result_cache=open_caches(str(tmp_path))[0])
         summary = outcomes[0].summary
         assert summary["packets_created"] == 0.0
         assert summary["delivery_ratio"] == 1.0
         assert math.isinf(summary["average_latency"])
 
-        warm = ExperimentBatch([spec], result_cache=ResultCache(str(tmp_path)))
+        warm = ExperimentBatch([spec], result_cache=open_caches(str(tmp_path))[0])
         warm_outcomes = warm.run()
         assert warm.last_executed == 0
         assert warm_outcomes[0].summary == summary
@@ -122,8 +122,8 @@ class TestNeverDrains:
             measurement_cycles=150,
             drain_cycles=0,
         )
-        cold = run_batch([spec], result_cache=ResultCache(str(tmp_path)))
-        warm = run_batch([spec], result_cache=ResultCache(str(tmp_path)))
+        cold = run_batch([spec], result_cache=open_caches(str(tmp_path))[0])
+        warm = run_batch([spec], result_cache=open_caches(str(tmp_path))[0])
         assert warm[0].from_cache
         assert warm[0].summary == cold[0].summary
         assert warm[0].summary["delivery_ratio"] < 0.5

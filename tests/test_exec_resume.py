@@ -5,7 +5,7 @@
 ``REPRO_EXEC_ABORT_AFTER_CHUNKS`` env var kills a run at a deterministic
 chunk boundary.  The invariant every test here pins: rerunning the killed
 grid serves the flushed rows from cache, simulates only the rest, and
-leaves a cache byte-identical to an uninterrupted run's.
+leaves store rows byte-identical to an uninterrupted run's.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import sys
 import pytest
 
 from repro.exec.batch import ABORT_AFTER_CHUNKS_ENV, ChunkAbort, ExperimentBatch
-from repro.exec.cache import ResultCache
+from repro.exec.cache import open_caches
 from repro.spec import ExperimentSpec, PlacementSpec, SimSpec, TrafficSpec
 
 
@@ -40,37 +40,31 @@ def _grid(n_rates: int = 3):
     ]
 
 
-def _cache_files(directory: str):
-    return sorted(
-        name for name in os.listdir(directory)
-        if name.startswith("result-") or name.startswith("design-")
-    )
-
-
-def _read_bytes(directory: str, name: str) -> bytes:
-    with open(os.path.join(directory, name), "rb") as handle:
-        return handle.read()
+def _results(directory: str):
+    return open_caches(directory)[0]
 
 
 class TestChunkedCheckpointing:
-    def test_abort_env_raises_after_first_chunk(self, tmp_path, monkeypatch):
+    def test_abort_env_raises_after_first_chunk(
+        self, tmp_path, monkeypatch, store_rows
+    ):
         monkeypatch.setenv(ABORT_AFTER_CHUNKS_ENV, "1")
         batch = ExperimentBatch(
             _grid(), base_seed=7, chunk_size=1,
-            result_cache=ResultCache(str(tmp_path / "cache")),
+            result_cache=_results(str(tmp_path / "cache")),
         )
         with pytest.raises(ChunkAbort):
             batch.run()
-        flushed = _cache_files(str(tmp_path / "cache"))
-        assert any(name.startswith("result-") for name in flushed)
+        flushed, _ = store_rows(str(tmp_path / "cache"))
+        assert flushed
 
     def test_killed_run_resumes_and_matches_uninterrupted(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, store_rows
     ):
         grid = _grid()
         full_dir = str(tmp_path / "full")
         ExperimentBatch(
-            grid, base_seed=7, result_cache=ResultCache(full_dir)
+            grid, base_seed=7, result_cache=_results(full_dir)
         ).run()
 
         cache_dir = str(tmp_path / "resume")
@@ -78,27 +72,26 @@ class TestChunkedCheckpointing:
         with pytest.raises(ChunkAbort):
             ExperimentBatch(
                 grid, base_seed=7, chunk_size=1,
-                result_cache=ResultCache(cache_dir),
+                result_cache=_results(cache_dir),
             ).run()
         monkeypatch.delenv(ABORT_AFTER_CHUNKS_ENV)
 
         resumed = ExperimentBatch(
             grid, base_seed=7, chunk_size=1,
-            result_cache=ResultCache(cache_dir),
+            result_cache=_results(cache_dir),
         )
         outcomes = resumed.run()
         assert resumed.last_cached >= 2  # the pre-kill chunks were not redone
         assert len(outcomes) == len(grid)
-        for name in (
-            n for n in _cache_files(full_dir) if n.startswith("result-")
-        ):
-            assert _read_bytes(cache_dir, name) == _read_bytes(full_dir, name)
+        full_rows, _ = store_rows(full_dir)
+        assert len(full_rows) == len(grid)
+        assert store_rows(cache_dir)[0] == full_rows
 
     def test_manifest_written_per_chunk(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
         batch = ExperimentBatch(
             _grid(2), base_seed=7, chunk_size=2,
-            result_cache=ResultCache(cache_dir),
+            result_cache=_results(cache_dir), manifest_dir=cache_dir,
         )
         batch.run()
         manifests = [
@@ -131,7 +124,7 @@ class TestCliResume:
             assert result.returncode == 0, result.stderr
         return result
 
-    def test_killed_sweep_resumes_byte_identical(self, tmp_path):
+    def test_killed_sweep_resumes_byte_identical(self, tmp_path, store_rows):
         common = (
             "sweep", "--mesh", "2", "2", "2", "--elevators", "0,0;1,1",
             "--policies", "elevator_first,adele", "--rates", "0.01,0.02",
@@ -151,11 +144,9 @@ class TestCliResume:
         resume = self._cli(*common, "--cache-dir", resumed, "--chunk-size", "1")
         assert "3 simulated, 1 served from cache" in resume.stdout
 
-        full_files = _cache_files(full)
-        assert any(name.startswith("design-") for name in full_files)
-        assert _cache_files(resumed) == full_files
-        for name in full_files:
-            assert _read_bytes(resumed, name) == _read_bytes(full, name)
+        full_rows = store_rows(full)
+        assert len(full_rows[0]) == 4 and len(full_rows[1]) == 1
+        assert store_rows(resumed) == full_rows
 
         warm = self._cli(*common, "--cache-dir", resumed)
         assert "0 simulated, 4 served from cache" in warm.stdout
@@ -163,12 +154,14 @@ class TestCliResume:
     def test_cache_stats_cli_json(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
         ExperimentBatch(
-            _grid(1), base_seed=7, result_cache=ResultCache(cache_dir)
+            _grid(1), base_seed=7, chunk_size=1,
+            result_cache=_results(cache_dir), manifest_dir=cache_dir,
         ).run()
         result = self._cli(
             "cache", "stats", "--cache-dir", cache_dir, "--json"
         )
         document = json.loads(result.stdout)
-        assert document["backend"] == "json"
-        assert document["results"] == 2
+        assert document["backend"] == "sqlite"
+        assert (document["results"], document["designs"]) == (2, 0)
+        assert (document["jobs"], document["tasks"], document["manifests"]) == (0, 0, 1)
         assert document["bytes"] > 0

@@ -17,7 +17,7 @@ import threading
 import pytest
 
 from repro.exec.batch import ExperimentBatch
-from repro.exec.cache import DiskDesignCache, ResultCache
+from repro.exec.cache import open_caches
 from repro.obs.tracing import (
     JsonlRecorder,
     RingRecorder,
@@ -171,11 +171,12 @@ class TestExports:
 
 class TestSpanCoverage:
     def test_stack_exercise_covers_every_boundary_family(self, tmp_path, tracer):
-        # Batch engine against a warm disk cache: setup/kernel/cache/flush.
+        # Batch engine against a cache directory: setup/kernel/cache/flush.
+        result_cache, design_cache = open_caches(str(tmp_path / "cache"))
         batch = ExperimentBatch(
             [_spec(0.001), _spec(0.002)],
-            result_cache=ResultCache(str(tmp_path / "cache")),
-            design_cache=DiskDesignCache(str(tmp_path / "cache")),
+            result_cache=result_cache,
+            design_cache=design_cache,
             chunk_size=1,
         )
         batch.run()

@@ -16,7 +16,7 @@ import math
 import pytest
 
 from repro.exec.batch import ExperimentBatch
-from repro.exec.cache import ResultCache
+from repro.exec.cache import open_caches
 from repro.scenario import (
     BASELINE_PHASE_LABEL,
     ElevatorFault,
@@ -112,10 +112,10 @@ class TestBatchBitIdentity:
         parallel = ExperimentBatch(specs, workers=4, base_seed=3).run()
         cache_dir = str(tmp_path / "cache")
         cold = ExperimentBatch(
-            specs, workers=2, base_seed=3, result_cache=ResultCache(cache_dir)
+            specs, workers=2, base_seed=3, result_cache=open_caches(cache_dir)[0]
         ).run()
         warm_batch = ExperimentBatch(
-            specs, workers=1, base_seed=3, result_cache=ResultCache(cache_dir)
+            specs, workers=1, base_seed=3, result_cache=open_caches(cache_dir)[0]
         )
         warm = warm_batch.run()
 

@@ -4,19 +4,24 @@ Exercises the queue purely at the store level (completions are injected
 with synthetic summaries, no simulations run), plus one subprocess test
 where a worker claims a task and is hard-killed mid-run to prove that
 ``recover_running`` / ``requeue_stale`` resume the sweep without losing
-completed work or looping forever on a crashing task.
+completed work or looping forever on a crashing task.  One test runs a
+real task through the worker pool: the rows it leaves equal the rows a
+direct engine run writes to a cache directory.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import subprocess
 import sys
 import textwrap
 
 import pytest
 
+from repro.api import run_specs
 from repro.exec.batch import key_extra_for
-from repro.exec.cache import config_key, derive_seed
+from repro.exec.cache import canonical_config, config_key, derive_seed
 from repro.service.queue import (
     CANCELLED,
     DONE,
@@ -26,7 +31,8 @@ from repro.service.queue import (
     JobQueue,
     job_hash_for,
 )
-from repro.service.store import SqliteStore
+from repro.service.store import DEFAULT_DB_FILENAME, SqliteStore
+from repro.service.workers import WorkerPool
 from repro.spec import ExperimentSpec, PlacementSpec, TrafficSpec
 
 
@@ -187,6 +193,43 @@ class TestLifecycle:
             seen += 1
             queue.complete(task, {"average_latency": 1.0})
         assert seen == len(specs)
+
+
+    def test_completion_stores_the_canonical_config(self, queue, store):
+        queue.submit([_spec()], base_seed=4)
+        task = queue.claim("w")
+        queue.complete(task, {"average_latency": 1.0})
+        row = store.query("SELECT config FROM results WHERE key=?", (task.key,))[0]
+        assert json.loads(row["config"]) == canonical_config(task.spec)
+
+
+# ---------------------------------------------------------------------- #
+# Daemon rows == engine rows
+# ---------------------------------------------------------------------- #
+class TestDaemonRows:
+    def test_daemon_rows_equal_the_run_specs_rows(self, tmp_path, store_rows):
+        spec = _spec(0.02, policy="adele").with_(
+            warmup_cycles=10, measurement_cycles=40, drain_cycles=30
+        )
+        daemon_dir = str(tmp_path / "daemon")
+        store = SqliteStore(os.path.join(daemon_dir, DEFAULT_DB_FILENAME))
+        queue = JobQueue(store)
+        queue.submit([spec], base_seed=3)
+        pool = WorkerPool(store, workers=1, queue=queue, poll_interval=0.02)
+        pool.start()
+        try:
+            assert pool.drain(timeout=120)
+        finally:
+            pool.stop()
+            store.close()
+        assert queue.counts()[DONE] == 1
+
+        direct_dir = str(tmp_path / "direct")
+        run_specs([spec], cache_dir=direct_dir, base_seed=3)
+        daemon_rows = store_rows(daemon_dir)
+        assert len(daemon_rows[0]) == 1 and len(daemon_rows[1]) == 1
+        assert daemon_rows[0][0][1] is not None  # the config column
+        assert daemon_rows == store_rows(direct_dir)
 
 
 # ---------------------------------------------------------------------- #

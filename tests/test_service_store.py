@@ -1,19 +1,14 @@
-"""Tests for the SQLite-backed service store and its cache adapters.
+"""Tests for the SQLite store every cache directory opens, and its adapters.
 
-Covers the schema-migration machinery, parity between the JSON and SQLite
-cache layouts (same keys, same entries -- including the ``Infinity``
-round-trip saturated runs need), the JSON -> SQLite migration path, and a
-multi-process stress test hammering one database from several writers.
-
-The stress test is the guarantee the JSON backend explicitly does *not*
-make: the JSON caches only promise atomic single-entry replacement (two
-processes may duplicate work, and directory listings race writers), while
-the SQLite store serializes concurrent writers via WAL + busy timeout.
+Covers the schema-migration machinery, the result and design cache
+adapters (including the ``Infinity`` round-trip saturated runs need) and a
+multi-process stress test hammering one database from several writers:
+the store serializes concurrent writers via WAL + busy timeout, so no row
+is lost.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sqlite3
 import threading
@@ -24,7 +19,6 @@ import pytest
 from repro.analysis.runner import design_for, design_key_for
 from repro.exec.batch import key_extra_for
 from repro.exec.cache import (
-    DiskDesignCache,
     ResultCache,
     config_key,
     design_to_record,
@@ -36,7 +30,6 @@ from repro.service.store import (
     SqliteDesignCache,
     SqliteResultCache,
     SqliteStore,
-    migrate_json_cache,
 )
 from repro.spec import DesignSpec, ExperimentSpec, PlacementSpec, TrafficSpec
 
@@ -99,7 +92,7 @@ class TestSqliteStore:
 
     def test_infinite_floats_round_trip(self, store):
         # Saturated runs carry infinite latencies; the store must not
-        # corrupt them (same contract as the JSON backend).
+        # corrupt them.
         summary = {"average_latency": float("inf"), "throughput": 0.0}
         store.put_result("sat", None, summary)
         assert store.get_result("sat") == summary
@@ -115,7 +108,7 @@ class TestSqliteStore:
 
 
 # ---------------------------------------------------------------------- #
-# Cache adapters: parity with the JSON backends
+# Cache adapters
 # ---------------------------------------------------------------------- #
 class TestCacheAdapters:
     def test_result_cache_interface(self, store):
@@ -151,62 +144,18 @@ class TestCacheAdapters:
         key = design_key_for(spec)
         assert design_to_record(key, rebuilt) == design_to_record(key, design)
 
-    def test_same_keys_as_json_backend(self, tmp_path, store):
-        # The two backends must agree on identity: an entry written through
-        # the JSON cache and migrated hits under the same key in SQLite.
-        spec = _tiny_spec()
-        key = config_key(spec, extra=key_extra_for(None))
-        json_cache = ResultCache(str(tmp_path / "json"))
-        json_cache.put(key, None, {"average_latency": 9.0})
-        migrate_json_cache(str(tmp_path / "json"), store)
-        assert SqliteResultCache(store).get(key) == {"average_latency": 9.0}
-
     def test_open_caches_without_directory(self):
         result_cache, design_cache = open_caches(None)
         assert isinstance(result_cache, ResultCache)
         assert design_cache is None
 
-
-# ---------------------------------------------------------------------- #
-# JSON -> SQLite migration
-# ---------------------------------------------------------------------- #
-class TestMigration:
-    def test_migrates_results_and_designs(self, tmp_path, store):
-        cache_dir = str(tmp_path / "json")
-        json_results = ResultCache(cache_dir)
-        json_results.put("aaa", {"policy": "cda"}, {"average_latency": 1.0})
-        json_results.put("bbb", None, {"average_latency": float("inf")})
-        spec = _tiny_design_spec()
-        json_designs = DiskDesignCache(cache_dir)
-        design_for(spec, cache=json_designs)
-
-        counts = migrate_json_cache(cache_dir, store)
-        assert counts == {"results": 2, "designs": 1, "skipped": 0}
-        assert store.get_result("bbb") == {"average_latency": float("inf")}
-        assert SqliteDesignCache(store).get(design_key_for(spec)) is not None
-
-    def test_migration_is_idempotent(self, tmp_path, store):
-        cache_dir = str(tmp_path / "json")
-        ResultCache(cache_dir).put("k", None, {"average_latency": 2.0})
-        assert migrate_json_cache(cache_dir, store)["results"] == 1
-        again = migrate_json_cache(cache_dir, store)
-        assert again == {"results": 0, "designs": 0, "skipped": 0}
-
-    def test_skips_unreadable_and_foreign_records(self, tmp_path, store):
-        cache_dir = tmp_path / "json"
-        cache_dir.mkdir()
-        (cache_dir / "result-bad.json").write_text("{not json")
-        (cache_dir / "result-odd.json").write_text(json.dumps({"summary": 3}))
-        (cache_dir / "design-old.json").write_text(json.dumps({"format": 1}))
-        counts = migrate_json_cache(str(cache_dir), store)
-        assert counts["results"] == 0 and counts["designs"] == 0
-        # format-1 designs and non-dict summaries are counted as skipped;
-        # unparseable files are silently ignored like the JSON readers do.
-        assert counts["skipped"] == 2
-
-    def test_missing_directory_is_empty_migration(self, tmp_path, store):
-        counts = migrate_json_cache(str(tmp_path / "nope"), store)
-        assert counts == {"results": 0, "designs": 0, "skipped": 0}
+    def test_open_caches_opens_the_directory_store(self, tmp_path):
+        result_cache, design_cache = open_caches(str(tmp_path / "cache"))
+        assert isinstance(result_cache, SqliteResultCache)
+        assert isinstance(design_cache, SqliteDesignCache)
+        assert result_cache.store is design_cache.store
+        assert result_cache.store.path == str(tmp_path / "cache" / DEFAULT_DB_FILENAME)
+        result_cache.store.close()
 
 
 # ---------------------------------------------------------------------- #
@@ -230,12 +179,7 @@ def _hammer(args):
 
 class TestMultiProcessStress:
     def test_concurrent_writers_from_processes(self, tmp_path):
-        """Several processes write the same database; nothing is lost.
-
-        This is exactly the scenario the JSON backend does not guarantee
-        (concurrent writers racing a directory); the SQLite store must
-        survive it with every row intact.
-        """
+        """Several processes write the same database; nothing is lost."""
         path = str(tmp_path / "stress.sqlite3")
         SqliteStore(path).close()  # migrate once up front
         workers, per_worker = 4, 25
