@@ -19,9 +19,9 @@ complete system described in the paper:
 * the parallel experiment engine -- batched, deterministically seeded,
   cached execution of whole experiment grids, also exposed as the
   ``python -m repro`` CLI (:mod:`repro.exec`);
-* event-driven dynamic scenarios -- typed timelines of traffic phases,
-  injection-rate ramps and runtime elevator faults/repairs with per-phase
-  measurement windows (:mod:`repro.scenario`, paper Section V);
+* runtime fault injection -- typed timelines of elevator faults and
+  repairs with per-phase measurement windows (:mod:`repro.scenario`, paper
+  Section V);
 * the public API -- typed :class:`~repro.spec.ExperimentSpec` experiment
   descriptions over pluggable component registries (:mod:`repro.api`,
   :mod:`repro.spec`, :mod:`repro.registry`).
@@ -94,7 +94,7 @@ from repro.spec import (
 )
 from repro import api
 
-__version__ = "1.18.0"
+__version__ = "1.19.0"
 
 __all__ = [
     "Coordinate",

@@ -32,7 +32,6 @@ from repro.analysis.sweep import (
 from repro.analysis.load import elevator_load_distribution
 from repro.analysis.comparison import (
     normalize_to_baseline,
-    policy_comparison_from_outcomes,
     policy_comparison_from_summaries,
     policy_comparison_table,
     relative_improvement,
@@ -60,5 +59,4 @@ __all__ = [
     "relative_improvement",
     "policy_comparison_table",
     "policy_comparison_from_summaries",
-    "policy_comparison_from_outcomes",
 ]

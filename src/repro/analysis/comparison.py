@@ -8,12 +8,9 @@ benches and examples print the same kind of rows the paper tabulates.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.sim.engine import SimulationResult
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (exec -> runner)
-    from repro.exec.batch import ExperimentOutcome
 
 
 def normalize_to_baseline(
@@ -113,27 +110,6 @@ def policy_comparison_from_summaries(
             if policy in normalized:
                 row[metric + "_norm"] = normalized[policy]
     return table
-
-
-def policy_comparison_from_outcomes(
-    outcomes: Sequence["ExperimentOutcome"],
-    baseline: str = "elevator_first",
-    metrics: Optional[Sequence[str]] = None,
-) -> Dict[str, Dict[str, float]]:
-    """Like :func:`policy_comparison_table`, straight from batch outcomes.
-
-    Each outcome's policy name (one outcome per policy) keys its summary
-    row; this is the one-call path from
-    :class:`~repro.exec.batch.ExperimentBatch` results to a comparison
-    table, used by the CLI and the :mod:`repro.api` facade.
-    """
-    # Imported lazily: repro.exec.batch imports the runner module, so a
-    # module-level import here would be circular via repro.analysis.
-    from repro.exec.batch import summaries_by_policy
-
-    return policy_comparison_from_summaries(
-        summaries_by_policy(outcomes), baseline=baseline, metrics=metrics
-    )
 
 
 def format_table(

@@ -370,7 +370,6 @@ def run_experiment(
         ),
         backend=spec.sim.backend,
         scenario=spec.scenario,
-        scenario_seed=spec.sim.seed,
         probe=probe,
     )
     return simulator.run()

@@ -53,7 +53,6 @@ Registering a custom policy (see ``examples/custom_policy.py``)::
 
 from __future__ import annotations
 
-import json
 from typing import Dict, Iterable, List, Optional, Union
 
 from repro.analysis.runner import (
@@ -126,16 +125,10 @@ from repro.service.client import (
     ServiceError,
 )
 from repro.scenario import (
-    SCENARIO_EVENT_REGISTRY,
     ElevatorFault,
     ElevatorRepair,
-    RateRamp,
     ScenarioEvent,
     ScenarioSpec,
-    StatsMarker,
-    TrafficPhase,
-    available_scenario_events,
-    register_scenario_event,
 )
 from repro.sim.backends import (
     BACKEND_REGISTRY,
@@ -175,19 +168,6 @@ from repro.traffic.patterns import (
 def available_policies() -> List[str]:
     """Sorted canonical names of every registered policy."""
     return POLICY_REGISTRY.names()
-
-
-def available_components() -> Dict[str, List[str]]:
-    """Every registered component name, grouped by kind."""
-    return {
-        "policies": available_policies(),
-        "patterns": available_patterns(),
-        "applications": available_applications(),
-        "placements": available_placements(),
-        "backends": available_backends(),
-        "optimizers": available_optimizers(),
-        "scenario_events": available_scenario_events(),
-    }
 
 
 def run_design(
@@ -357,22 +337,6 @@ def results(
     return connect(base_url).results(job_id)
 
 
-# ---------------------------------------------------------------------- #
-# Spec files
-# ---------------------------------------------------------------------- #
-def load_spec(path: str) -> ExperimentSpec:
-    """Load a single spec from a ``--spec``-style JSON file."""
-    with open(path, "r") as handle:
-        return ExperimentSpec.from_dict(json.load(handle))
-
-
-def save_spec(spec: ExperimentSpec, path: str) -> None:
-    """Write a spec's canonical JSON document to a file."""
-    with open(path, "w") as handle:
-        json.dump(as_spec(spec).to_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
 __all__ = [
     # specs
     "ExperimentSpec",
@@ -383,18 +347,13 @@ __all__ = [
     "DesignSpec",
     "ScenarioSpec",
     "ScenarioEvent",
-    "TrafficPhase",
-    "RateRamp",
     "ElevatorFault",
     "ElevatorRepair",
-    "StatsMarker",
     "as_spec",
     "spec_from_canonical",
     "canonical_config",
     "config_key",
     "derive_seed",
-    "load_spec",
-    "save_spec",
     # registries
     "Registry",
     "RegistryEntry",
@@ -406,7 +365,6 @@ __all__ = [
     "PLACEMENT_REGISTRY",
     "BACKEND_REGISTRY",
     "OPTIMIZER_REGISTRY",
-    "SCENARIO_EVENT_REGISTRY",
     "DEFAULT_BACKEND",
     "SimulatorBackend",
     "SubsetOptimizer",
@@ -416,7 +374,6 @@ __all__ = [
     "register_placement",
     "register_backend",
     "register_optimizer",
-    "register_scenario_event",
     "resolve_backend",
     "make_optimizer",
     "available_policies",
@@ -425,8 +382,6 @@ __all__ = [
     "available_placements",
     "available_backends",
     "available_optimizers",
-    "available_scenario_events",
-    "available_components",
     # execution
     "run",
     "run_specs",

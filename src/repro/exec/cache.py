@@ -143,26 +143,6 @@ def canonical_config(config: ExperimentSpec) -> Dict[str, Any]:
                 pass
         if _design_is_redundant(design, data["policy"]):
             del data["design"]
-    # Scenario events naming a traffic pattern (traffic-phase) normalize it
-    # like the experiment's own traffic field: aliases and case variants
-    # never split the cache.  The scenario key itself exists only when a
-    # timeline is attached, so plain specs keep their historical hash.
-    scenario = data.get("scenario")
-    if scenario is not None:
-        for event in scenario.get("events", ()):
-            if not isinstance(event, dict) or event.get("kind") != "traffic-phase":
-                # Only the bundled traffic-phase kind is known to carry a
-                # registry pattern name; a custom kind's 'pattern' field may
-                # mean something else entirely and must hash verbatim.
-                continue
-            pattern = event.get("pattern")
-            if isinstance(pattern, str):
-                if pattern in APPLICATION_REGISTRY:
-                    event["pattern"] = APPLICATION_REGISTRY.entry(pattern).name
-                else:
-                    event["pattern"] = _canonical_name(
-                        PATTERN_REGISTRY, pattern, str.lower
-                    )
     return data
 
 

@@ -15,9 +15,8 @@ every figure of the paper is built from, plus the component registries:
     Execute experiment specs from a ``--spec`` JSON file (a single
     :meth:`repro.spec.ExperimentSpec.to_dict` document or a list of them)
     through the batch engine and print one summary row per spec.  A spec
-    carrying a ``scenario`` timeline (traffic phases, rate ramps, elevator
-    faults/repairs, markers) gets its per-phase measurement windows
-    printed beneath its row.
+    carrying a ``scenario`` timeline of elevator faults and repairs gets
+    its per-phase measurement windows printed beneath its row.
 
 ``optimize``
     Run (or fetch from the design cache) the paper's offline stage for
@@ -57,9 +56,9 @@ every figure of the paper is built from, plus the component registries:
 
 ``list``
     Show every registered policy, traffic pattern, application model,
-    placement, simulation backend, offline optimizer and scenario event
-    kind with its aliases and description -- including components
-    registered by ``--plugin`` modules.
+    placement, simulation backend and offline optimizer with its aliases
+    and description -- including components registered by ``--plugin``
+    modules.
 
 ``sweep``/``compare``/``run`` also accept ``--backend NAME`` selecting the
 simulation kernel (``optimized`` by default; ``reference`` for the original
@@ -148,7 +147,6 @@ from repro.obs.tracing import (
     trace_report,
 )
 from repro.routing.base import POLICY_REGISTRY
-from repro.scenario.events import SCENARIO_EVENT_REGISTRY
 from repro.service import http as service_http
 from repro.service.client import DEFAULT_SERVICE_URL, ServiceClient, ServiceError
 from repro.service.store import DEFAULT_DB_FILENAME, SqliteStore
@@ -459,10 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"service state directory (holds {DEFAULT_DB_FILENAME})",
     )
     serve.add_argument(
-        "--db", default=None, metavar="FILE",
-        help=f"explicit SQLite path (default: CACHE_DIR/{DEFAULT_DB_FILENAME})",
-    )
-    serve.add_argument(
         "--max-attempts", type=int, default=None, metavar="N",
         help="times a task may be claimed before it is marked failed "
              "(default: 3)",
@@ -475,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_trace_argument(serve)
 
     cache = subparsers.add_parser(
-        "cache", help="cache maintenance (migration, stats)"
+        "cache", help="inspect a cache directory (stats)"
     )
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
     stats = cache_sub.add_parser(
@@ -1041,8 +1035,7 @@ def _run_optimize_grid(
 
 def _run_serve(args: argparse.Namespace) -> int:
     os.makedirs(args.cache_dir, exist_ok=True)
-    db_path = args.db or os.path.join(args.cache_dir, DEFAULT_DB_FILENAME)
-    store = SqliteStore(db_path)
+    store = SqliteStore(os.path.join(args.cache_dir, DEFAULT_DB_FILENAME))
     return service_http.serve(
         store,
         host=args.host,
@@ -1182,7 +1175,6 @@ def _run_list(args: argparse.Namespace) -> int:
         ("placements", PLACEMENT_REGISTRY),
         ("simulation backends", BACKEND_REGISTRY),
         ("optimizers", OPTIMIZER_REGISTRY),
-        ("scenario events", SCENARIO_EVENT_REGISTRY),
     )
     if getattr(args, "json_output", False):
         _print_json({

@@ -1,15 +1,13 @@
-"""Event-driven dynamic scenarios: traffic phases + runtime fault injection.
+"""Runtime fault injection: elevator faults and repairs on a timeline.
 
-The paper's evaluation runs each configuration against one static traffic
-pattern on one static, healthy network.  This subsystem makes the *dynamic*
-case -- "AdEle can be easily adjusted to consider faults, which is of great
-interest in PC-3DNoCs" (Section V) -- a first-class, typed, cacheable part
-of the experiment model:
+The paper's evaluation runs each configuration on one static, healthy
+network.  This subsystem makes the *dynamic* case -- "AdEle can be easily
+adjusted to consider faults, which is of great interest in PC-3DNoCs"
+(Section V) -- a first-class, typed, cacheable part of the experiment
+model:
 
-* :mod:`repro.scenario.events` -- the registered event vocabulary
-  (:class:`TrafficPhase`, :class:`RateRamp`, :class:`ElevatorFault`,
-  :class:`ElevatorRepair`, :class:`StatsMarker`) and
-  :func:`register_scenario_event` for plugins;
+* :mod:`repro.scenario.events` -- the two event kinds,
+  :class:`ElevatorFault` and :class:`ElevatorRepair`;
 * :mod:`repro.scenario.spec` -- :class:`ScenarioSpec`, the ordered timeline
   that nests into :class:`repro.spec.ExperimentSpec` and enters canonical
   serialization (cache keys, derived seeds) only when set;
@@ -19,39 +17,25 @@ of the experiment model:
 """
 
 from repro.scenario.events import (
-    SCENARIO_EVENT_REGISTRY,
     ElevatorFault,
     ElevatorRepair,
-    RateRamp,
     ScenarioEvent,
-    StatsMarker,
-    TrafficPhase,
-    available_scenario_events,
     event_from_dict,
-    register_scenario_event,
 )
 from repro.scenario.runtime import (
     BASELINE_PHASE_LABEL,
     ScenarioPacketSource,
     ScenarioRuntime,
-    phase_pattern_seed,
 )
 from repro.scenario.spec import ScenarioSpec
 
 __all__ = [
-    "SCENARIO_EVENT_REGISTRY",
     "BASELINE_PHASE_LABEL",
     "ScenarioEvent",
     "ScenarioSpec",
     "ScenarioRuntime",
     "ScenarioPacketSource",
-    "TrafficPhase",
-    "RateRamp",
     "ElevatorFault",
     "ElevatorRepair",
-    "StatsMarker",
-    "available_scenario_events",
     "event_from_dict",
-    "phase_pattern_seed",
-    "register_scenario_event",
 ]

@@ -1,126 +1,83 @@
-"""Typed, serializable scenario events.
+"""Typed, serializable scenario events: elevator faults and repairs.
 
-A scenario event is a point on a simulation's cycle timeline that changes
-the world mid-run: the traffic pattern or injection rate switches
-(:class:`TrafficPhase`), the rate ramps linearly (:class:`RateRamp`), an
-elevator column fails or is repaired (:class:`ElevatorFault` /
-:class:`ElevatorRepair`), or a named measurement window simply begins
-(:class:`StatsMarker`).
+A scenario event is a point on a simulation's cycle timeline where an
+elevator column fails (:class:`ElevatorFault`) or is repaired
+(:class:`ElevatorRepair`) -- the dynamic case of the paper's Section V
+note that AdEle "can be easily adjusted to consider faults".
 
-Events are frozen dataclasses registered by *kind* in
-:data:`SCENARIO_EVENT_REGISTRY` -- the same :class:`~repro.registry.Registry`
-machinery behind policies, patterns, placements, backends and optimizers --
-so ``python -m repro list`` shows them and plugins can contribute new kinds
-with :func:`register_scenario_event`.  Every event round-trips losslessly
-through ``to_dict()`` / ``from_dict()``; the dictionary form is what a
+Events are frozen dataclasses whose ``kind`` string names them in the
+dictionary form.  Every event round-trips losslessly through
+``to_dict()`` / :func:`event_from_dict`; the dictionary form is what a
 :class:`~repro.scenario.spec.ScenarioSpec` embeds into the canonical
 experiment serialization (and therefore into cache keys and derived seeds).
 
-Semantics shared by all events:
+Semantics shared by both kinds:
 
 * ``cycle`` is the simulation cycle the event fires at.  Events are applied
   at the *start* of their cycle, before any packet of that cycle is
   created, injected or moved -- on every simulation backend, which is what
   keeps scenario runs bit-identical across kernels.
 * Events may only fire during the injection window (warm-up + measurement
-  cycles); the runtime rejects timelines that extend into the drain phase.
-* An event whose ``starts_phase`` flag is set opens a new per-phase
-  measurement window (:class:`~repro.sim.stats.PhaseStats`) labelled by
+  cycles); :class:`~repro.spec.ExperimentSpec` and the runtime reject
+  timelines that extend into the drain phase.
+* Every event opens a new per-phase measurement window
+  (:class:`~repro.sim.stats.PhaseStats`) labelled by
   :meth:`ScenarioEvent.phase_label`.
-
-Registering a custom event kind::
-
-    from repro.scenario import ScenarioEvent, register_scenario_event
-
-    @register_scenario_event("my-event", description="...")
-    @dataclass(frozen=True)
-    class MyEvent(ScenarioEvent):
-        kind = "my-event"
-
-        def apply(self, runtime, cycle):
-            ...  # mutate runtime.network / runtime.source
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, fields as dataclass_fields
 from typing import TYPE_CHECKING, Any, ClassVar, Dict, Mapping, Optional
 
-from repro.jsonutil import check_json_native
-from repro.registry import Registry
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.scenario.runtime import ScenarioRuntime
-
-#: Registry of scenario event kinds.  Entries are event *classes* keyed by
-#: their ``kind`` string; :meth:`ScenarioSpec.from_dict` resolves kinds
-#: through it, and ``python -m repro list`` renders it.
-SCENARIO_EVENT_REGISTRY: Registry = Registry("scenario event")
-
-#: Decorator registering a scenario event class by kind::
-#:
-#:     @register_scenario_event("my-event", description="...")
-#:     class MyEvent(ScenarioEvent): ...
-register_scenario_event = SCENARIO_EVENT_REGISTRY.register
+    from repro.sim.network import Network
 
 
-def _require_cycle(value: Any, what: str) -> int:
+def _require_index(value: Any, what: str) -> None:
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise ValueError(f"{what} must be a non-negative integer, got {value!r}")
-    return value
-
-
-def _optional_rate(value: Any, what: str) -> Optional[float]:
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value < 0:
-        raise ValueError(f"{what} must be a non-negative number, got {value!r}")
-    return float(value)
 
 
 @dataclass(frozen=True)
 class ScenarioEvent:
-    """Base class of scenario events (see module docstring).
+    """Base class of the elevator events (see module docstring).
 
     Attributes:
         cycle: Simulation cycle the event fires at (applied at the start of
             that cycle, before any traffic of the cycle exists).
-        kind: Registry kind string of the event class.
-        starts_phase: Whether firing opens a new per-phase measurement
-            window.
+        elevator: Dense elevator index within the experiment's placement.
+        label: Optional label of the measurement window the event opens.
+        kind: The event's kind string in the dictionary form.
     """
 
     cycle: int = 0
+    elevator: int = 0
+    label: Optional[str] = None
+
     kind: ClassVar[str] = "event"
-    starts_phase: ClassVar[bool] = True
+    #: Prefix of the default phase label (``fault:e0@50``).
+    label_prefix: ClassVar[str] = "event"
 
     def __post_init__(self) -> None:
-        _require_cycle(self.cycle, f"{self.kind} event cycle")
+        _require_index(self.cycle, f"{self.kind} event cycle")
+        _require_index(self.elevator, "elevator index")
 
-    # ------------------------------------------------------------------ #
-    # Behaviour
-    # ------------------------------------------------------------------ #
-    def apply(self, runtime: "ScenarioRuntime", cycle: int) -> None:
-        """Apply the event's effect through the runtime (default: none)."""
+    def apply(self, network: "Network") -> None:
+        """Apply the event's effect to the network under test."""
+        raise NotImplementedError
 
     def phase_label(self) -> str:
         """Label of the measurement window this event opens."""
-        label = getattr(self, "label", None)
-        if label:
-            return str(label)
-        return f"{self.kind}@{self.cycle}"
+        if self.label:
+            return self.label
+        return f"{self.label_prefix}:e{self.elevator}@{self.cycle}"
 
-    # ------------------------------------------------------------------ #
-    # Serialization
-    # ------------------------------------------------------------------ #
     def to_dict(self) -> Dict[str, Any]:
         """JSON-native canonical form (``kind`` + every dataclass field)."""
         data: Dict[str, Any] = {"kind": self.kind}
         for spec_field in dataclass_fields(self):
-            value = getattr(self, spec_field.name)
-            if isinstance(value, dict):
-                value = dict(value)
-            data[spec_field.name] = value
+            data[spec_field.name] = getattr(self, spec_field.name)
         return data
 
     @classmethod
@@ -141,137 +98,6 @@ class ScenarioEvent:
         return cls(**payload)
 
 
-@register_scenario_event(
-    "traffic-phase",
-    aliases=("traffic_phase",),
-    description="switch the traffic pattern and/or injection rate at a cycle",
-)
-@dataclass(frozen=True)
-class TrafficPhase(ScenarioEvent):
-    """Switch the traffic pattern and/or injection rate at a cycle.
-
-    The underlying Bernoulli packet source keeps its RNG stream (injection
-    coin flips and packet lengths continue uninterrupted); only the
-    destination pattern object and/or the per-cycle injection probability
-    change.  A new pattern is built with a seed derived deterministically
-    from the experiment seed and the event cycle, so runs stay reproducible
-    across processes and backends.
-
-    Attributes:
-        pattern: Registered traffic pattern or application name to switch
-            to, or ``None`` to keep the current pattern.
-        injection_rate: New packet injection rate, or ``None`` to keep the
-            current rate.
-        options: Extra keyword arguments for the pattern constructor (must
-            be empty for application traffic or when ``pattern`` is None).
-        label: Optional label of the measurement window this phase opens.
-    """
-
-    pattern: Optional[str] = None
-    injection_rate: Optional[float] = None
-    options: Dict[str, Any] = field(default_factory=dict)
-    label: Optional[str] = None
-
-    kind: ClassVar[str] = "traffic-phase"
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.pattern is None and self.injection_rate is None:
-            raise ValueError(
-                "a traffic-phase event must change the pattern, the "
-                "injection rate, or both"
-            )
-        if self.pattern is not None and (
-            not isinstance(self.pattern, str) or not self.pattern
-        ):
-            raise ValueError(f"pattern must be a non-empty string, got {self.pattern!r}")
-        object.__setattr__(
-            self, "injection_rate", _optional_rate(self.injection_rate, "injection_rate")
-        )
-        options = self.options or {}
-        if not isinstance(options, Mapping):
-            raise ValueError(f"options must be a mapping, got {type(options).__name__}")
-        if options and self.pattern is None:
-            raise ValueError("traffic-phase options require a pattern")
-        object.__setattr__(
-            self, "options", dict(check_json_native(dict(options), "traffic-phase options"))
-        )
-
-    def apply(self, runtime: "ScenarioRuntime", cycle: int) -> None:
-        runtime.set_traffic(
-            pattern=self.pattern,
-            options=self.options,
-            injection_rate=self.injection_rate,
-            event_cycle=self.cycle,
-        )
-
-    def phase_label(self) -> str:
-        if self.label:
-            return self.label
-        if self.pattern is not None:
-            return f"{self.pattern}@{self.cycle}"
-        return f"rate={self.injection_rate:g}@{self.cycle}"
-
-
-@register_scenario_event(
-    "rate-ramp",
-    aliases=("rate_ramp",),
-    description="linearly ramp the injection rate over a cycle window",
-)
-@dataclass(frozen=True)
-class RateRamp(ScenarioEvent):
-    """Linearly ramp the injection rate between two cycles.
-
-    From ``cycle`` to ``end_cycle`` the packet injection probability is
-    re-interpolated every cycle; at ``end_cycle`` it settles on
-    ``end_rate``.  The destination pattern (and its RNG stream) is never
-    touched.
-
-    Attributes:
-        end_cycle: Cycle the ramp completes at (exclusive of further
-            interpolation; must be greater than ``cycle``).
-        end_rate: Injection rate reached at ``end_cycle``.
-        start_rate: Rate at ``cycle``; ``None`` starts from whatever the
-            rate is when the ramp begins.
-        label: Optional label of the measurement window the ramp opens.
-    """
-
-    end_cycle: int = 0
-    end_rate: float = 0.0
-    start_rate: Optional[float] = None
-    label: Optional[str] = None
-
-    kind: ClassVar[str] = "rate-ramp"
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        _require_cycle(self.end_cycle, "rate-ramp end_cycle")
-        if self.end_cycle <= self.cycle:
-            raise ValueError(
-                f"rate-ramp end_cycle ({self.end_cycle}) must be greater "
-                f"than its start cycle ({self.cycle})"
-            )
-        rate = _optional_rate(self.end_rate, "end_rate")
-        if rate is None:
-            raise ValueError("rate-ramp end_rate is required")
-        object.__setattr__(self, "end_rate", rate)
-        object.__setattr__(self, "start_rate", _optional_rate(self.start_rate, "start_rate"))
-
-    def apply(self, runtime: "ScenarioRuntime", cycle: int) -> None:
-        runtime.start_ramp(self, cycle)
-
-    def phase_label(self) -> str:
-        if self.label:
-            return self.label
-        return f"ramp->{self.end_rate:g}@{self.cycle}"
-
-
-@register_scenario_event(
-    "elevator-fault",
-    aliases=("elevator_fault", "fault"),
-    description="mark an elevator faulty mid-run (selection excluded, TSV "
-    "links severed)",
-)
 @dataclass(frozen=True)
 class ElevatorFault(ScenarioEvent):
     """Mark an elevator column faulty at a cycle.
@@ -286,36 +112,15 @@ class ElevatorFault(ScenarioEvent):
     multi-layer mesh is rejected with a :class:`ValueError` -- inter-layer
     packets could not even be assigned an elevator, so the degenerate
     network cannot be simulated.
-
-    Attributes:
-        elevator: Dense elevator index within the experiment's placement.
-        label: Optional label of the measurement window the fault opens.
     """
 
-    elevator: int = 0
-    label: Optional[str] = None
-
     kind: ClassVar[str] = "elevator-fault"
+    label_prefix: ClassVar[str] = "fault"
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        _require_cycle(self.elevator, "elevator index")
-
-    def apply(self, runtime: "ScenarioRuntime", cycle: int) -> None:
-        runtime.apply_fault(self.elevator)
-
-    def phase_label(self) -> str:
-        if self.label:
-            return self.label
-        return f"fault:e{self.elevator}@{self.cycle}"
+    def apply(self, network: "Network") -> None:
+        network.fail_elevator(self.elevator)
 
 
-@register_scenario_event(
-    "elevator-repair",
-    aliases=("elevator_repair", "repair"),
-    description="repair a faulty elevator mid-run (selection and TSV links "
-    "restored)",
-)
 @dataclass(frozen=True)
 class ElevatorRepair(ScenarioEvent):
     """Restore a faulty elevator column at a cycle.
@@ -323,72 +128,34 @@ class ElevatorRepair(ScenarioEvent):
     The inverse of :class:`ElevatorFault`: the elevator re-enters selection
     (AdEle routers rebuild their subset tables) and its vertical links are
     reconnected, so flits stalled at the column resume.
-
-    Attributes:
-        elevator: Dense elevator index within the experiment's placement.
-        label: Optional label of the measurement window the repair opens.
     """
-
-    elevator: int = 0
-    label: Optional[str] = None
 
     kind: ClassVar[str] = "elevator-repair"
+    label_prefix: ClassVar[str] = "repair"
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        _require_cycle(self.elevator, "elevator index")
-
-    def apply(self, runtime: "ScenarioRuntime", cycle: int) -> None:
-        runtime.apply_repair(self.elevator)
-
-    def phase_label(self) -> str:
-        if self.label:
-            return self.label
-        return f"repair:e{self.elevator}@{self.cycle}"
+    def apply(self, network: "Network") -> None:
+        network.repair_elevator(self.elevator)
 
 
-@register_scenario_event(
-    "stats-marker",
-    aliases=("stats_marker", "marker"),
-    description="open a named per-phase measurement window at a cycle",
-)
-@dataclass(frozen=True)
-class StatsMarker(ScenarioEvent):
-    """Open a named measurement window without changing anything else.
-
-    Attributes:
-        label: Name of the window (required).
-    """
-
-    label: str = ""
-
-    kind: ClassVar[str] = "stats-marker"
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not isinstance(self.label, str) or not self.label:
-            raise ValueError("a stats-marker event needs a non-empty label")
-
-    def phase_label(self) -> str:
-        return self.label
+#: The event classes by their ``kind`` string.
+EVENT_KINDS = {cls.kind: cls for cls in (ElevatorFault, ElevatorRepair)}
 
 
 def event_from_dict(data: Mapping[str, Any]) -> ScenarioEvent:
-    """Rebuild any registered event from its canonical dictionary.
+    """Rebuild an elevator event from its canonical dictionary.
 
     Raises:
-        repro.registry.UnknownComponentError: For unregistered kinds.
-        ValueError: For malformed event payloads.
+        ValueError: For a kind other than ``elevator-fault`` /
+            ``elevator-repair`` and for malformed event payloads.
     """
     if not isinstance(data, Mapping):
         raise ValueError(f"scenario event must be a mapping, got {type(data).__name__}")
     kind = data.get("kind")
     if not isinstance(kind, str) or not kind:
         raise ValueError(f"scenario event needs a 'kind' string, got {kind!r}")
-    event_cls = SCENARIO_EVENT_REGISTRY.get(kind)
-    return event_cls.from_dict(data)
-
-
-def available_scenario_events() -> list:
-    """Sorted canonical kinds of every registered scenario event."""
-    return SCENARIO_EVENT_REGISTRY.names()
+    if kind not in EVENT_KINDS:
+        raise ValueError(
+            f"unknown scenario event kind {kind!r}; expected one of "
+            f"{', '.join(repr(name) for name in EVENT_KINDS)}"
+        )
+    return EVENT_KINDS[kind].from_dict(data)

@@ -1,8 +1,8 @@
 """The cycle-indexed scenario event dispatcher.
 
 :class:`ScenarioRuntime` executes a :class:`~repro.scenario.spec.ScenarioSpec`
-against a live :class:`~repro.sim.network.Network` and packet source.  It is
-threaded through **every** simulation backend without changing the
+against a live :class:`~repro.sim.network.Network`.  It is threaded through
+**every** simulation backend without changing the
 :class:`~repro.sim.backends.SimulatorBackend` contract: the runtime wraps the
 packet source, and since both the ``reference`` and ``optimized`` kernels
 poll ``packet_source.requests(cycle)`` exactly once at the start of every
@@ -11,51 +11,29 @@ every kernel -- before any packet of that cycle is created, injected or
 moved.  That single dispatch point is what makes scenario runs bit-identical
 across backends.
 
-Determinism:
+Events go through :meth:`Network.fail_elevator` /
+:meth:`Network.repair_elevator`, which mutate shared network state and
+notify registered kernels so cached routing structures are rebuilt
+incrementally.  The packet source itself is never touched.
 
-* Traffic-phase pattern objects are built with a seed derived from the
-  experiment seed and the event cycle (:func:`phase_pattern_seed`), so a
-  scenario produces the same destinations on every process and worker.
-* The Bernoulli injection RNG stream is never restarted by an event: rate
-  changes move the coin threshold, pattern changes swap the destination
-  object.
-* Topology events go through :meth:`Network.fail_elevator` /
-  :meth:`Network.repair_elevator`, which mutate shared network state and
-  notify registered kernels so cached routing structures are rebuilt
-  incrementally.
-
-The runtime restores everything it changed (fault markings, severed links,
-pattern and rate) when :meth:`finalize` runs, so placements shared between
-runs -- e.g. instances registered in the placement registry -- never leak
-scenario state into the next experiment.
+The runtime restores the fault markings and severed links it changed when
+:meth:`finalize` runs, so placements shared between runs -- e.g. instances
+registered in the placement registry -- never leak scenario state into the
+next experiment.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.scenario.events import RateRamp
 from repro.scenario.spec import ScenarioSpec
-from repro.traffic.generator import BernoulliPacketSource, PacketSource
-from repro.traffic.patterns import TrafficPattern
+from repro.traffic.generator import PacketSource
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.network import Network
 
 #: Label of the implicit first measurement window every scenario run opens.
 BASELINE_PHASE_LABEL = "baseline"
-
-#: Multiplier mixing the event cycle into phase pattern seeds (a large prime
-#: keeps nearby (seed, cycle) pairs from colliding).
-_PHASE_SEED_MIX = 1_000_003
-
-#: Modulus keeping derived seeds in ``random.Random``-friendly range.
-_SEED_SPACE = 2 ** 32
-
-
-def phase_pattern_seed(base_seed: int, event_cycle: int) -> int:
-    """Deterministic seed of a traffic pattern introduced at a cycle."""
-    return (base_seed * _PHASE_SEED_MIX + event_cycle + 1) % _SEED_SPACE
 
 
 class ScenarioPacketSource(PacketSource):
@@ -84,19 +62,16 @@ class ScenarioRuntime:
 
     Args:
         scenario: The timeline to execute.
-        network: The network under test (topology events mutate it).
-        source: The experiment's packet source.  Traffic events
-            (:class:`~repro.scenario.events.TrafficPhase` /
-            :class:`~repro.scenario.events.RateRamp`) require a
-            :class:`~repro.traffic.generator.BernoulliPacketSource`.
-        base_seed: Experiment seed; phase pattern seeds derive from it.
+        network: The network under test (events mutate it).
+        source: The experiment's packet source, wrapped as
+            :attr:`packet_source` so its polls dispatch the timeline.
         injection_end: Warm-up + measurement cycles.  The timeline must fit
             inside it -- events can never fire during drain (no backend
             polls the packet source there).
 
     Raises:
-        ValueError: When the timeline reaches past ``injection_end`` or a
-            traffic event targets a non-Bernoulli source.
+        ValueError: When the timeline reaches past ``injection_end`` or
+            names an elevator the placement does not have.
     """
 
     def __init__(
@@ -104,57 +79,28 @@ class ScenarioRuntime:
         scenario: ScenarioSpec,
         network: "Network",
         source: PacketSource,
-        base_seed: int = 0,
         injection_end: Optional[int] = None,
     ) -> None:
         if not isinstance(scenario, ScenarioSpec):
             raise ValueError(f"scenario must be a ScenarioSpec, got {scenario!r}")
         self.scenario = scenario
         self.network = network
-        self.source = source
-        self.base_seed = base_seed
-        if injection_end is not None and scenario.events:
-            last = scenario.last_cycle()
-            if last >= injection_end:
-                raise ValueError(
-                    f"scenario timeline reaches cycle {last} but injection "
-                    f"stops at cycle {injection_end}; events cannot fire "
-                    "during the drain phase"
-                )
-        needs_bernoulli = any(
-            event.kind in ("traffic-phase", "rate-ramp")
-            for event in scenario.events
-        )
-        if needs_bernoulli and not isinstance(source, BernoulliPacketSource):
-            raise ValueError(
-                "traffic-phase / rate-ramp events require a Bernoulli "
-                f"packet source, got {type(source).__name__}"
-            )
+        if injection_end is not None:
+            scenario.check_injection_window(injection_end)
         for event in scenario.events:
-            index = getattr(event, "elevator", None)
-            if index is not None:
-                # Fail fast on bad elevator indices instead of deep inside
-                # the cycle loop (elevator_by_index raises ValueError).
-                network.placement.elevator_by_index(index)
+            # Fail fast on bad elevator indices instead of deep inside the
+            # cycle loop (elevator_by_index raises ValueError).
+            network.placement.elevator_by_index(event.elevator)
         self._events = scenario.events
         self._pointer = 0
-        self._ramp: Optional[RateRamp] = None
-        self._ramp_start_rate = 0.0
         self.packet_source = ScenarioPacketSource(self, source)
 
-        # Pre-run snapshot, restored by finalize()/rewind() so scenario
-        # mutations never leak into placements or sources shared with
-        # later runs.
+        # Pre-run fault marks, restored by finalize()/rewind() so scenario
+        # mutations never leak into placements shared with later runs.
         placement = network.placement
         self._initial_faults = {
             e.index for e in placement.elevators if placement.is_faulty(e.index)
         }
-        if isinstance(source, BernoulliPacketSource):
-            self._initial_pattern = source.pattern
-            self._initial_rate = source.packet_probability
-        else:
-            self._initial_pattern = None
-            self._initial_rate = 0.0
         self._finalized = False
 
     # ------------------------------------------------------------------ #
@@ -165,24 +111,17 @@ class ScenarioRuntime:
         self.network.stats.begin_phase(BASELINE_PHASE_LABEL, 0)
 
     def advance(self, cycle: int) -> None:
-        """Fire every event due at ``cycle`` and update an active ramp.
+        """Fire every event due at ``cycle``.
 
         Called once per injection cycle by the packet-source wrapper,
         before the cycle's traffic exists.
         """
         events = self._events
-        pointer = self._pointer
-        while pointer < len(events) and events[pointer].cycle <= cycle:
-            event = events[pointer]
-            pointer += 1
-            self._pointer = pointer
-            event.apply(self, cycle)
-            if event.starts_phase:
-                self.network.stats.begin_phase(event.phase_label(), cycle)
-        self._pointer = pointer
-        ramp = self._ramp
-        if ramp is not None:
-            self._apply_ramp_rate(ramp, cycle)
+        while self._pointer < len(events) and events[self._pointer].cycle <= cycle:
+            event = events[self._pointer]
+            self._pointer += 1
+            event.apply(self.network)
+            self.network.stats.begin_phase(event.phase_label(), cycle)
 
     def finalize(self, end_cycle: int) -> None:
         """Close the last measurement window and undo scenario mutations."""
@@ -195,109 +134,11 @@ class ScenarioRuntime:
     def rewind(self) -> None:
         """Reset the timeline and undo mutations (packet-source ``reset``)."""
         self._pointer = 0
-        self._ramp = None
         self._finalized = False
         self._restore()
 
-    # ------------------------------------------------------------------ #
-    # Event effects (called by the event classes)
-    # ------------------------------------------------------------------ #
-    def set_traffic(
-        self,
-        pattern: Optional[str],
-        options: Dict[str, Any],
-        injection_rate: Optional[float],
-        event_cycle: int,
-    ) -> None:
-        """Switch the Bernoulli source's pattern and/or rate in place."""
-        source = self._bernoulli()
-        if pattern is not None:
-            seed = phase_pattern_seed(self.base_seed, event_cycle)
-            source.pattern = self._build_pattern(pattern, options, seed)
-        if injection_rate is not None:
-            source.injection_rate = injection_rate
-            source.packet_probability = injection_rate
-            # An explicit rate overrides a running ramp; a pattern-only
-            # phase is orthogonal to it and leaves the ramp running.
-            self._ramp = None
-
-    def start_ramp(self, ramp: RateRamp, cycle: Optional[int] = None) -> None:
-        """Activate a rate ramp (interpolated on every following cycle).
-
-        Overlap semantics: starting a ramp while another is active chains
-        deterministically -- the outgoing ramp is first advanced to the
-        handover cycle, so an implicit ``start_rate=None`` reads the old
-        ramp's interpolated value *at* that cycle (not whatever rate the
-        previous injection cycle happened to leave behind).  An explicit
-        ``start_rate`` always wins, and :meth:`set_traffic` with an
-        explicit rate still cancels any running ramp.
-        """
-        source = self._bernoulli()
-        handover = ramp.cycle if cycle is None else cycle
-        if self._ramp is not None:
-            self._apply_ramp_rate(self._ramp, handover)
-        self._ramp = ramp
-        self._ramp_start_rate = (
-            ramp.start_rate if ramp.start_rate is not None
-            else source.packet_probability
-        )
-
-    def apply_fault(self, elevator_index: int) -> None:
-        """Fail an elevator through the network (selection + links)."""
-        self.network.fail_elevator(elevator_index)
-
-    def apply_repair(self, elevator_index: int) -> None:
-        """Repair an elevator through the network (selection + links)."""
-        self.network.repair_elevator(elevator_index)
-
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-    def _bernoulli(self) -> BernoulliPacketSource:
-        if not isinstance(self.source, BernoulliPacketSource):
-            raise ValueError(
-                "traffic events require a Bernoulli packet source, got "
-                f"{type(self.source).__name__}"
-            )
-        return self.source
-
-    def _build_pattern(
-        self, name: str, options: Dict[str, Any], seed: int
-    ) -> TrafficPattern:
-        """Instantiate a pattern/application on the network's mesh.
-
-        Delegates to the same resolution rule as
-        :meth:`repro.spec.TrafficSpec.build` (applications win when a name
-        is registered in both registries), so an event's pattern name can
-        never build something different than the same name in the spec's
-        own traffic field.
-        """
-        from repro.traffic import build_traffic_pattern
-
-        return build_traffic_pattern(
-            name, self.network.mesh, seed=seed, options=options
-        )
-
-    def _apply_ramp_rate(self, ramp: RateRamp, cycle: int) -> None:
-        if cycle >= ramp.end_cycle:
-            rate = ramp.end_rate
-            self._ramp = None
-        elif cycle <= ramp.cycle:
-            # Boundary: at exactly the ramp's start cycle (events fire at
-            # the start of their cycle) the source runs at the start rate.
-            rate = self._ramp_start_rate
-        else:
-            span = ramp.end_cycle - ramp.cycle
-            fraction = (cycle - ramp.cycle) / span
-            rate = self._ramp_start_rate + fraction * (
-                ramp.end_rate - self._ramp_start_rate
-            )
-        source = self._bernoulli()
-        source.injection_rate = rate
-        source.packet_probability = rate
-
     def _restore(self) -> None:
-        """Undo fault/link/traffic mutations (shared objects stay clean)."""
+        """Undo fault marks and severed links (shared objects stay clean)."""
         network = self.network
         placement = network.placement
         # Repairs first: re-failing an initially faulty elevator could trip
@@ -317,9 +158,3 @@ class ScenarioRuntime:
         # last to return re-marked elevators to their marked-but-linked
         # pre-run state.
         network.restore_all_links()
-        source = self.source
-        if isinstance(source, BernoulliPacketSource):
-            if self._initial_pattern is not None:
-                source.pattern = self._initial_pattern
-            source.injection_rate = self._initial_rate
-            source.packet_probability = self._initial_rate

@@ -1,14 +1,12 @@
 """The typed scenario timeline (:class:`ScenarioSpec`).
 
-A :class:`ScenarioSpec` is an ordered timeline of
-:class:`~repro.scenario.events.ScenarioEvent` values describing how an
-experiment's world changes while the simulation runs: traffic phases,
-injection-rate ramps, elevator faults and repairs, named measurement
-windows.  It nests optionally into :class:`repro.spec.ExperimentSpec`
-(``scenario`` field) and enters the canonical experiment serialization --
-and therefore cache keys and derived seeds -- **only when set**, so every
-spec without a scenario keeps the exact serialization (and disk-cache
-entries) it has today.
+A :class:`ScenarioSpec` is an ordered timeline of elevator faults and
+repairs (:class:`~repro.scenario.events.ScenarioEvent` values) applied
+while the simulation runs.  It nests optionally into
+:class:`repro.spec.ExperimentSpec` (``scenario`` field) and enters the
+canonical experiment serialization -- and therefore cache keys and derived
+seeds -- **only when set**, so every spec without a scenario keeps the
+exact serialization (and cache entries) it has today.
 """
 
 from __future__ import annotations
@@ -54,16 +52,29 @@ class ScenarioSpec:
     # Derivation and queries
     # ------------------------------------------------------------------ #
     def last_cycle(self) -> int:
-        """The largest cycle the timeline touches (0 when empty).
+        """The largest event cycle of the timeline (0 when empty)."""
+        return max((event.cycle for event in self.events), default=0)
 
-        Ramps extend to their ``end_cycle``; everything else ends at its
-        firing cycle.  The runtime uses this to reject timelines reaching
-        past the injection window.
+    def check_injection_window(self, injection_end: int) -> None:
+        """Reject a timeline with an event at or past ``injection_end``.
+
+        ``injection_end`` is warm-up + measurement cycles.  Events cannot
+        fire during the drain phase: no backend polls the packet source
+        there.  :class:`~repro.spec.ExperimentSpec` checks this when it is
+        built, and the runtime again for direct
+        :class:`~repro.sim.engine.Simulator` use.
+
+        Raises:
+            ValueError: When the last event fires at or after
+                ``injection_end``.
         """
-        last = 0
-        for event in self.events:
-            last = max(last, event.cycle, getattr(event, "end_cycle", 0))
-        return last
+        last = self.last_cycle()
+        if self.events and last >= injection_end:
+            raise ValueError(
+                f"scenario timeline reaches cycle {last} but injection "
+                f"stops at cycle {injection_end}; events cannot fire "
+                "during the drain phase"
+            )
 
     # ------------------------------------------------------------------ #
     # Serialization
@@ -77,8 +88,9 @@ class ScenarioSpec:
         """Rebuild from the canonical form (unknown keys rejected).
 
         Raises:
-            ValueError: On unknown fields, unregistered event kinds or any
-                event failing validation.
+            ValueError: On unknown fields, event kinds other than
+                ``elevator-fault`` / ``elevator-repair`` or any event
+                failing validation.
         """
         if not isinstance(data, Mapping):
             raise ValueError(

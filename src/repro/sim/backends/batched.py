@@ -25,7 +25,6 @@ class ReplicaRun:
     network: Network
     packet_source: PacketSource
     scenario: Optional[ScenarioSpec] = None
-    scenario_seed: int = 0
     energy_model: Optional[EnergyModel] = None
 
 
@@ -47,7 +46,6 @@ def run_replica_group(
             drain_cycles=drain_cycles,
             energy_model=replica.energy_model,
             scenario=replica.scenario,
-            scenario_seed=replica.scenario_seed,
             probe=probe,
         ).run()
         for replica in replicas

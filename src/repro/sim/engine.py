@@ -134,13 +134,11 @@ class Simulator:
         backend: Simulation kernel executing the cycle loop -- a registered
             backend name/alias, a :class:`~repro.sim.backends.SimulatorBackend`
             instance, or ``None`` for the default (``optimized``).
-        scenario: Optional event timeline executed against the run (traffic
-            phases, rate ramps, elevator faults/repairs, markers).  The
-            dispatcher threads through *every* backend via the packet
-            source, so scenario runs stay bit-identical across kernels; the
-            statistics gain per-phase measurement windows.
-        scenario_seed: Seed that phase traffic patterns derive theirs from
-            (the experiment seed, for spec-driven runs).
+        scenario: Optional timeline of elevator faults and repairs
+            executed against the run.  The dispatcher threads through
+            *every* backend via the packet source, so scenario runs stay
+            bit-identical across kernels; the statistics gain per-phase
+            measurement windows.
         probe: Optional :class:`~repro.obs.probes.ProbeSpec` asking the
             kernel to sample per-cycle congestion gauges into
             ``result.probe``.  A run argument set on the resolved backend
@@ -158,7 +156,6 @@ class Simulator:
         energy_model: Optional[EnergyModel] = None,
         backend: Union[str, SimulatorBackend, None] = None,
         scenario: Optional[ScenarioSpec] = None,
-        scenario_seed: int = 0,
         probe: Optional[Any] = None,
     ) -> None:
         if warmup_cycles < 0 or measurement_cycles <= 0 or drain_cycles < 0:
@@ -173,7 +170,6 @@ class Simulator:
         if probe is not None:
             self.backend.probe = probe
         self.scenario = scenario
-        self.scenario_seed = scenario_seed
 
     def run(self) -> SimulationResult:
         """Execute the simulation and return its result."""
@@ -188,7 +184,6 @@ class Simulator:
                 self.scenario,
                 network=network,
                 source=source,
-                base_seed=self.scenario_seed,
                 injection_end=injection_end,
             )
             runtime.begin()
@@ -245,7 +240,6 @@ def run_simulation(
     energy_model: Optional[EnergyModel] = None,
     backend: Union[str, SimulatorBackend, None] = None,
     scenario: Optional[ScenarioSpec] = None,
-    scenario_seed: int = 0,
     probe: Optional[Any] = None,
 ) -> SimulationResult:
     """Convenience wrapper building and running a :class:`Simulator`."""
@@ -258,7 +252,6 @@ def run_simulation(
         energy_model=energy_model,
         backend=backend,
         scenario=scenario,
-        scenario_seed=scenario_seed,
         probe=probe,
     )
     return simulator.run()

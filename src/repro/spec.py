@@ -33,7 +33,6 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro.jsonutil import check_json_native as _check_json_native
 from repro.scenario.spec import ScenarioSpec
 from repro.sim.backends import DEFAULT_BACKEND
 from repro.topology.elevators import PLACEMENT_REGISTRY, ElevatorPlacement
@@ -56,12 +55,45 @@ ADELE_POLICY_NAMES = ("adele", "adele_rr")
 # ---------------------------------------------------------------------- #
 # Validation helpers
 # ---------------------------------------------------------------------- #
+def check_json_native(value: Any, where: str) -> Any:
+    """Validate (and normalize tuples in) a JSON-native value.
+
+    Free-form option mappings must stay JSON-native, because the canonical
+    dictionary serialization feeds cache keys, derived seeds and ``--spec``
+    files.
+
+    Args:
+        value: The value to validate; mappings and sequences are walked
+            recursively, tuples normalize to lists.
+        where: Human-readable location used in error messages.
+
+    Raises:
+        ValueError: For non-string mapping keys or any value outside
+            ``str``/``int``/``float``/``bool``/``None``/list/dict.
+    """
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, (list, tuple)):
+        return [check_json_native(item, where) for item in value]
+    if isinstance(value, Mapping):
+        result = {}
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise ValueError(f"{where} keys must be strings, got {key!r}")
+            result[key] = check_json_native(item, where)
+        return result
+    raise ValueError(
+        f"{where} values must be JSON-native (str/int/float/bool/None/"
+        f"list/dict), got {type(value).__name__}: {value!r}"
+    )
+
+
 def _options_dict(options: Optional[Mapping[str, Any]], where: str) -> Dict[str, Any]:
     if options is None:
         return {}
     if not isinstance(options, Mapping):
         raise ValueError(f"{where} must be a mapping, got {type(options).__name__}")
-    return dict(_check_json_native(options, where))
+    return dict(check_json_native(options, where))
 
 
 def _require_name(name: Any, what: str) -> str:
@@ -596,9 +628,9 @@ class ExperimentSpec:
     to an explicit :class:`DesignSpec` (optimizer, options, assumed
     traffic, selection); its placement field is ignored -- the experiment's
     placement is authoritative.  The optional ``scenario`` field attaches a
-    :class:`~repro.scenario.spec.ScenarioSpec` event timeline (traffic
-    phases, rate ramps, elevator faults/repairs, measurement markers)
-    executed while the simulation runs.  Both enter the canonical
+    :class:`~repro.scenario.spec.ScenarioSpec` timeline of elevator faults
+    and repairs executed while the simulation runs; it must end before
+    injection stops (warm-up + measurement cycles).  Both enter the canonical
     serialization (and therefore cache keys and derived seeds) **only when
     set**, so every pre-existing cache entry stays valid and plain
     experiments hash exactly as before.
@@ -622,9 +654,13 @@ class ExperimentSpec:
             raise ValueError(f"sim must be a SimSpec, got {self.sim!r}")
         if self.design is not None and not isinstance(self.design, DesignSpec):
             raise ValueError(f"design must be a DesignSpec or None, got {self.design!r}")
-        if self.scenario is not None and not isinstance(self.scenario, ScenarioSpec):
-            raise ValueError(
-                f"scenario must be a ScenarioSpec or None, got {self.scenario!r}"
+        if self.scenario is not None:
+            if not isinstance(self.scenario, ScenarioSpec):
+                raise ValueError(
+                    f"scenario must be a ScenarioSpec or None, got {self.scenario!r}"
+                )
+            self.scenario.check_injection_window(
+                self.sim.warmup_cycles + self.sim.measurement_cycles
             )
 
     # ------------------------------------------------------------------ #

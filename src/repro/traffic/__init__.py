@@ -47,11 +47,10 @@ from repro.traffic.generator import PacketRequest, PacketSource
 def build_traffic_pattern(name, mesh, seed=0, options=None) -> TrafficPattern:
     """Instantiate a registered pattern *or* application model by name.
 
-    The one name-resolution rule shared by :meth:`repro.spec.TrafficSpec.build`
-    and scenario traffic-phase events: application models win when a name is
-    registered in both registries, applications accept no options, and
-    unknown names raise the registry's did-you-mean ``ValueError`` over the
-    union of both namespaces.
+    The name-resolution rule behind :meth:`repro.spec.TrafficSpec.build`:
+    application models win when a name is registered in both registries,
+    applications accept no options, and unknown names raise the registry's
+    did-you-mean ``ValueError`` over the union of both namespaces.
 
     Raises:
         repro.registry.UnknownComponentError: When the name is neither a

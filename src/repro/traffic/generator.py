@@ -81,12 +81,11 @@ class BernoulliPacketSource(PacketSource):
         self.max_packet_length = max_packet_length
         self._seed = seed
         self.rng = random.Random(seed)
-        self.packet_probability = injection_rate
 
     def requests(self, cycle: int) -> List[PacketRequest]:
         requests: List[PacketRequest] = []
         for source in self.pattern.mesh.nodes():
-            if self.rng.random() < self.packet_probability:
+            if self.rng.random() < self.injection_rate:
                 destination = self.pattern.destination(source)
                 length = self.rng.randint(
                     self.min_packet_length, self.max_packet_length

@@ -113,7 +113,8 @@ class TestRunnerBuilders:
         network = build_network(tiny_spec, placement=placement)
         assert network.mesh is placement.mesh
         source = build_packet_source(tiny_spec, placement)
-        assert source.packet_probability == pytest.approx(0.05)
+        assert source.injection_rate == pytest.approx(0.05)
+        assert not hasattr(source, "packet_probability")
 
     def test_with_copies_config(self, tiny_spec):
         changed = tiny_spec.with_(injection_rate=0.1)

@@ -15,6 +15,8 @@ import os
 
 import pytest
 
+from repro.exec.batch import key_extra_for
+from repro.exec.cache import config_key, derive_seed
 from repro.exec.cli import main
 from repro.service.queue import DONE, QUEUED, JobQueue
 from repro.service.store import SqliteStore
@@ -123,18 +125,15 @@ class TestJsonOutput:
         )
         document = spec.to_dict()
         document["scenario"] = {
-            "events": [
-                {"kind": "rate_ramp", "cycle": 10, "end_cycle": 30,
-                 "start_rate": 0.002, "end_rate": 0.001}
-            ]
+            "events": [{"kind": "elevator-fault", "cycle": 10, "elevator": 0}]
         }
         path = _spec_file(tmp_path, [document])
         assert main(["run", "--spec", path, "--json"]) == 0
         parsed = _capture_json(capsys)
         assert parsed["command"] == "run"
         (outcome,) = parsed["outcomes"]
-        assert [event["kind"] for event in outcome["spec"]["scenario"]["events"]] == [
-            "rate-ramp"
+        assert outcome["spec"]["scenario"]["events"] == [
+            {"kind": "elevator-fault", "cycle": 10, "elevator": 0, "label": None}
         ]
         labels = [phase["label"] for phase in outcome["summary"]["phases"]]
         assert labels[0] == "baseline" and len(labels) == 2
@@ -188,6 +187,29 @@ class TestRunSpecFiles:
         assert len(rows) == 5
         assert rows[0].startswith("ci ") and rows[4].startswith("ci ")
         assert rows[1:4] == CI_SCENARIO_PHASE_LINES
+
+    def test_scenario_past_the_injection_window_is_a_clean_error(self, tmp_path):
+        # Injection stops at cycle 120 (20 warm-up + 100 measured cycles).
+        late = dict(CI_SCENARIO, scenario={"events": [
+            *CI_SCENARIO["scenario"]["events"],
+            {"kind": "elevator-fault", "cycle": 150, "elevator": 0},
+        ]})
+        path = _spec_file(tmp_path, [late])
+        with pytest.raises(
+            SystemExit,
+            match=r"document 0: scenario timeline reaches cycle 150 but "
+                  r"injection stops at cycle 120",
+        ):
+            main(["run", "--spec", path])
+
+    def test_ci_scenario_key_and_seed_are_pinned(self):
+        # A cache directory written by an earlier version keeps serving
+        # CI's fault/repair spec only while its key stays put.
+        spec = ExperimentSpec.from_dict(CI_SCENARIO)
+        assert config_key(spec, extra=key_extra_for(None)) == (
+            "7d4e9a8193610131dae42702b41bffdd8b55524d6cbe9bb3b9e3eab1fd7e1578"
+        )
+        assert derive_seed(spec, 7) == 1054722874
 
     def test_probe_flags_give_one_series_per_outcome(self, tmp_path, capsys):
         other_rate = dict(_static(CI_SCENARIO), traffic=dict(

@@ -20,9 +20,8 @@ from repro.exec.cache import open_caches
 from repro.scenario import (
     BASELINE_PHASE_LABEL,
     ElevatorFault,
+    ElevatorRepair,
     ScenarioSpec,
-    StatsMarker,
-    TrafficPhase,
 )
 from repro.analysis.runner import run_experiment
 from repro.sim.stats import PhaseStats
@@ -53,10 +52,10 @@ class TestPhaseWindows:
 
     def test_boundary_exactly_at_warmup_end(self):
         # The baseline window [0, warmup) exists but is empty: every record
-        # gate excludes pre-measurement events, and the first marker fires
+        # gate excludes pre-measurement events, and the first event fires
         # exactly when measurement starts.
         spec = _spec(scenario=ScenarioSpec(events=(
-            StatsMarker(cycle=30, label="measured"),
+            ElevatorFault(cycle=30, elevator=0, label="measured"),
         )))
         result = run_experiment(spec)
         baseline, measured = result.stats.phases
@@ -71,8 +70,8 @@ class TestPhaseWindows:
 
     def test_phase_counters_partition_whole_run_totals(self):
         spec = _spec(scenario=ScenarioSpec(events=(
-            StatsMarker(cycle=80, label="a"),
-            TrafficPhase(cycle=120, pattern="shuffle", injection_rate=0.03),
+            ElevatorFault(cycle=80, elevator=0, label="a"),
+            ElevatorRepair(cycle=120, elevator=0),
         )))
         result = run_experiment(spec)
         stats = result.stats
@@ -100,7 +99,7 @@ class TestBatchBitIdentity:
     def test_serial_equals_workers_equals_warm_cache(self, tmp_path):
         scenario = ScenarioSpec(events=(
             ElevatorFault(cycle=60, elevator=0),
-            TrafficPhase(cycle=100, pattern="shuffle", injection_rate=0.03),
+            ElevatorRepair(cycle=100, elevator=0),
         ))
         specs = [
             _spec(policy=policy, scenario=scenario, injection_rate=rate)

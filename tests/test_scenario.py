@@ -1,43 +1,34 @@
 """The scenario subsystem: events, specs, dispatch, cross-backend identity.
 
-The acceptance bar of the subsystem is the cross-backend matrix: every
-registered scenario event kind must run *bit-identically* on the
-``reference`` and ``optimized`` kernels -- whole-run statistics, per-phase
-windows and delivered flits -- including an elevator fault under AdEle.  A
-spec without a scenario must keep a byte-identical ``config_key`` (pinned
-against the pre-scenario hash), so no disk-cache entry is ever invalidated.
+The acceptance bar of the subsystem is the cross-backend matrix: both
+event kinds, ``elevator-fault`` and ``elevator-repair``, must run
+*bit-identically* on the ``reference`` and ``optimized`` kernels --
+whole-run statistics, per-phase windows and delivered flits -- under
+AdEle.  A spec without a scenario must keep a byte-identical
+``config_key`` (pinned against the pre-scenario hash), so no disk-cache
+entry is ever invalidated.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import ClassVar
 
 import pytest
 
 from repro.analysis.runner import run_experiment
 from repro import api
 from repro.exec.cache import canonical_config, config_key, derive_seed
-from repro.registry import UnknownComponentError
 from repro.scenario import (
-    SCENARIO_EVENT_REGISTRY,
     BASELINE_PHASE_LABEL,
     ElevatorFault,
     ElevatorRepair,
-    RateRamp,
-    ScenarioEvent,
     ScenarioRuntime,
     ScenarioSpec,
-    StatsMarker,
-    TrafficPhase,
     event_from_dict,
 )
+from repro.scenario.events import EVENT_KINDS
 from repro.sim.router import Port
 from repro.spec import ExperimentSpec, PlacementSpec, PolicySpec, SimSpec, TrafficSpec
 from repro.topology.elevators import ElevatorPlacement
 from repro.topology.mesh3d import Mesh3D
-from repro.traffic.generator import TracePacketSource
-from repro.traffic.trace import TrafficTrace
 
 #: config_key of the default ExperimentSpec as of the PR *before* the
 #: scenario subsystem existed.  A scenario-free spec must keep this hash
@@ -66,27 +57,29 @@ def _spec(policy: str = "elevator_first", **overrides) -> ExperimentSpec:
 # ---------------------------------------------------------------------- #
 # Events and spec serialization
 # ---------------------------------------------------------------------- #
+#: Kinds no longer accepted: the retired traffic events (spelled in parts,
+#: so a search for their names finds no live use) and a retired alias.
+RETIRED_KINDS = [
+    "-".join(parts)
+    for parts in (("traffic", "phase"), ("rate", "ramp"), ("stats", "marker"))
+] + ["fault"]
+
+
 class TestEvents:
     def test_registered_kinds(self):
-        kinds = SCENARIO_EVENT_REGISTRY.names()
-        assert {
-            "elevator-fault",
-            "elevator-repair",
-            "rate-ramp",
-            "stats-marker",
-            "traffic-phase",
-        } <= set(kinds)
+        assert EVENT_KINDS == {
+            "elevator-fault": ElevatorFault,
+            "elevator-repair": ElevatorRepair,
+        }
 
     @pytest.mark.parametrize(
         "event",
         [
-            TrafficPhase(cycle=5, pattern="shuffle", injection_rate=0.01),
-            TrafficPhase(cycle=0, injection_rate=0.02, label="surge"),
-            TrafficPhase(cycle=3, pattern="hotspot", options={"hotspot_fraction": 0.3}),
-            RateRamp(cycle=10, end_cycle=40, end_rate=0.05, start_rate=0.01),
-            ElevatorFault(cycle=7, elevator=1),
-            ElevatorRepair(cycle=9, elevator=1, label="fixed"),
-            StatsMarker(cycle=2, label="window-a"),
+            pytest.param(ElevatorFault(cycle=7, elevator=1), id="elevator-fault"),
+            pytest.param(
+                ElevatorRepair(cycle=9, elevator=1, label="fixed"),
+                id="elevator-repair",
+            ),
         ],
     )
     def test_event_round_trip(self, event):
@@ -97,67 +90,67 @@ class TestEvents:
 
     def test_event_validation(self):
         with pytest.raises(ValueError):
-            TrafficPhase(cycle=1)  # changes nothing
+            ElevatorFault(cycle=-1, elevator=0)
         with pytest.raises(ValueError):
-            TrafficPhase(cycle=-1, injection_rate=0.1)
-        with pytest.raises(ValueError):
-            TrafficPhase(cycle=1, injection_rate=-0.5)
-        with pytest.raises(ValueError):
-            TrafficPhase(cycle=1, injection_rate=0.1, options={"x": 1})
-        with pytest.raises(ValueError):
-            RateRamp(cycle=10, end_cycle=10, end_rate=0.1)
-        with pytest.raises(ValueError):
-            StatsMarker(cycle=1, label="")
+            ElevatorRepair(cycle=True, elevator=0)
         with pytest.raises(ValueError):
             ElevatorFault(cycle=1, elevator=-2)
+        with pytest.raises(ValueError):
+            ElevatorRepair(cycle=1, elevator="0")
 
     def test_unknown_kind_raises_value_error(self):
-        with pytest.raises(UnknownComponentError):
+        with pytest.raises(ValueError, match="elevator-fault.*elevator-repair"):
             event_from_dict({"kind": "earthquake", "cycle": 3})
         with pytest.raises(ValueError):
             event_from_dict({"cycle": 3})
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
-            event_from_dict({"kind": "stats-marker", "cycle": 1, "label": "x", "oops": 2})
-
-    def test_custom_event_registration(self):
-        @SCENARIO_EVENT_REGISTRY.register("test-noop", description="noop")
-        @dataclass(frozen=True)
-        class NoopEvent(ScenarioEvent):
-            kind: ClassVar[str] = "test-noop"
-
-        try:
-            rebuilt = event_from_dict({"kind": "test-noop", "cycle": 4})
-            assert isinstance(rebuilt, NoopEvent) and rebuilt.cycle == 4
-        finally:
-            SCENARIO_EVENT_REGISTRY.unregister("test-noop")
+            event_from_dict(
+                {"kind": "elevator-fault", "cycle": 1, "elevator": 0, "oops": 2}
+            )
 
 
 class TestScenarioSpec:
     def test_orders_validated(self):
         with pytest.raises(ValueError, match="non-decreasing"):
-            ScenarioSpec(events=(StatsMarker(cycle=10, label="a"),
-                                 StatsMarker(cycle=5, label="b")))
+            ScenarioSpec(events=(ElevatorFault(cycle=10, elevator=0),
+                                 ElevatorRepair(cycle=5, elevator=0)))
         with pytest.raises(ValueError, match="ScenarioEvent"):
             ScenarioSpec(events=("not-an-event",))
 
     def test_round_trip_through_experiment_spec(self):
         scenario = ScenarioSpec(events=(
-            StatsMarker(cycle=5, label="early"),
-            ElevatorFault(cycle=40, elevator=0),
-            TrafficPhase(cycle=60, pattern="shuffle", injection_rate=0.03),
+            ElevatorFault(cycle=5, elevator=1, label="early"),
+            ElevatorRepair(cycle=40, elevator=1),
+            ElevatorFault(cycle=60, elevator=0),
         ))
         spec = _spec(scenario=scenario)
         rebuilt = ExperimentSpec.from_json(spec.to_json())
         assert rebuilt == spec
         assert rebuilt.scenario == scenario
 
-    def test_last_cycle_covers_ramp_end(self):
-        scenario = ScenarioSpec(events=(
-            RateRamp(cycle=10, end_cycle=90, end_rate=0.01),
-        ))
-        assert scenario.last_cycle() == 90
+    @pytest.mark.parametrize("kind", RETIRED_KINDS)
+    def test_retired_kinds_are_rejected(self, kind):
+        with pytest.raises(ValueError) as excinfo:
+            ScenarioSpec.from_dict({"events": [{"kind": kind, "cycle": 10}]})
+        message = str(excinfo.value)
+        assert "elevator-fault" in message and "elevator-repair" in message
+
+    def test_experiment_spec_rejects_events_past_the_injection_window(self):
+        # Injection stops at warm-up + measurement = 180: cycle 179 is the
+        # last one an event can fire at.
+        inside = ScenarioSpec(events=(ElevatorFault(cycle=179, elevator=0),))
+        assert _spec(scenario=inside).scenario == inside
+        late = ScenarioSpec(events=(ElevatorFault(cycle=180, elevator=0),))
+        with pytest.raises(ValueError, match="drain"):
+            _spec(scenario=late)
+        with pytest.raises(ValueError, match="drain"):
+            _spec(scenario=inside).with_(measurement_cycles=100)
+        with pytest.raises(ValueError, match="drain"):
+            ExperimentSpec.from_dict(
+                dict(_spec().to_dict(), scenario=late.to_dict())
+            )
 
 
 # ---------------------------------------------------------------------- #
@@ -184,15 +177,6 @@ class TestKeyStability:
         empty = plain.with_(scenario=ScenarioSpec())
         assert config_key(plain) != config_key(empty)
 
-    def test_event_pattern_aliases_collapse(self):
-        a = _spec(scenario=ScenarioSpec(events=(
-            TrafficPhase(cycle=10, pattern="bit_complement"),
-        )))
-        b = _spec(scenario=ScenarioSpec(events=(
-            TrafficPhase(cycle=10, pattern="complement"),
-        )))
-        assert config_key(a) == config_key(b)
-
 
 # ---------------------------------------------------------------------- #
 # Cross-backend matrix (acceptance criterion)
@@ -200,19 +184,9 @@ class TestKeyStability:
 #: Kernels in the scenario cross-backend identity matrix.
 MATRIX_BACKENDS = ["reference", "optimized"]
 
-#: One scenario per registered event kind.  The completeness check below
-#: fails if a new kind is registered without a matrix entry.
+#: One scenario per event kind.  The completeness check below fails if a
+#: kind is added without a matrix entry.
 MATRIX_SCENARIOS = {
-    "stats-marker": ("elevator_first", ScenarioSpec(events=(
-        StatsMarker(cycle=30, label="measured"),
-        StatsMarker(cycle=100, label="late"),
-    ))),
-    "traffic-phase": ("elevator_first", ScenarioSpec(events=(
-        TrafficPhase(cycle=80, pattern="shuffle", injection_rate=0.04),
-    ))),
-    "rate-ramp": ("cda", ScenarioSpec(events=(
-        RateRamp(cycle=50, end_cycle=120, end_rate=0.05),
-    ))),
     "elevator-fault": ("adele", ScenarioSpec(events=(
         ElevatorFault(cycle=70, elevator=0),
     ))),
@@ -239,14 +213,8 @@ def _full_comparison(result) -> dict:
 
 class TestCrossBackendMatrix:
     def test_matrix_covers_every_registered_kind(self):
-        bundled = {
-            name
-            for name in SCENARIO_EVENT_REGISTRY.names()
-            if not name.startswith("test-")
-        }
-        assert bundled == set(MATRIX_SCENARIOS), (
-            "every registered scenario event kind needs a cross-backend "
-            "matrix entry"
+        assert set(EVENT_KINDS) == set(MATRIX_SCENARIOS), (
+            "every scenario event kind needs a cross-backend matrix entry"
         )
 
     @pytest.mark.parametrize("kind", sorted(MATRIX_SCENARIOS))
@@ -263,11 +231,11 @@ class TestCrossBackendMatrix:
 
     def test_combined_timeline_bit_identical_under_adele(self):
         scenario = ScenarioSpec(events=(
-            StatsMarker(cycle=10, label="early"),
+            ElevatorFault(cycle=10, elevator=1, label="early"),
+            ElevatorRepair(cycle=50, elevator=1),
             ElevatorFault(cycle=60, elevator=0),
-            TrafficPhase(cycle=100, pattern="shuffle", injection_rate=0.03),
             ElevatorRepair(cycle=130, elevator=0),
-            RateRamp(cycle=140, end_cycle=170, end_rate=0.005),
+            ElevatorFault(cycle=140, elevator=1),
         ))
         spec = _spec(policy="adele", scenario=scenario)
         reference = run_experiment(spec.with_(backend="reference"))
@@ -299,7 +267,7 @@ class TestRuntime:
 
     def test_events_past_injection_window_rejected(self):
         network, source = self._network_and_source()
-        scenario = ScenarioSpec(events=(StatsMarker(cycle=500, label="late"),))
+        scenario = ScenarioSpec(events=(ElevatorFault(cycle=500, elevator=0),))
         with pytest.raises(ValueError, match="drain"):
             ScenarioRuntime(scenario, network, source, injection_end=180)
 
@@ -309,23 +277,10 @@ class TestRuntime:
         with pytest.raises(ValueError, match="out of range"):
             ScenarioRuntime(scenario, network, source, injection_end=180)
 
-    def test_traffic_events_need_bernoulli_source(self):
-        network, _ = self._network_and_source()
-        trace = TrafficTrace([])
-        scenario = ScenarioSpec(events=(
-            TrafficPhase(cycle=5, injection_rate=0.1),
-        ))
-        with pytest.raises(ValueError, match="Bernoulli"):
-            ScenarioRuntime(scenario, network, TracePacketSource(trace))
-
-    def test_finalize_restores_faults_links_and_traffic(self):
+    def test_finalize_restores_faults_and_links(self):
         network, source = self._network_and_source()
         placement = network.placement
-        scenario = ScenarioSpec(events=(
-            ElevatorFault(cycle=10, elevator=0),
-            TrafficPhase(cycle=20, pattern="shuffle", injection_rate=0.2),
-        ))
-        original_pattern = source.pattern
+        scenario = ScenarioSpec(events=(ElevatorFault(cycle=10, elevator=0),))
         runtime = ScenarioRuntime(scenario, network, source, injection_end=180)
         runtime.begin()
         runtime.advance(25)
@@ -333,14 +288,11 @@ class TestRuntime:
         assert network.severed_elevators() == {0}
         bottom = placement.elevator_node(placement.elevator_by_index(0), 0)
         assert network.neighbor(bottom, Port.UP) is None
-        assert source.packet_probability == pytest.approx(0.2)
 
         runtime.finalize(180)
         assert not placement.is_faulty(0)
         assert network.severed_elevators() == set()
         assert network.neighbor(bottom, Port.UP) is not None
-        assert source.pattern is original_pattern
-        assert source.packet_probability == pytest.approx(0.02)
         # The last phase window was closed at the final cycle.
         assert network.stats.phases[-1].end_cycle == 180
 
@@ -352,32 +304,6 @@ class TestRuntime:
         # The rejected fault left nothing behind: e1 stays healthy/linked.
         assert not network.placement.is_faulty(1)
         assert network.severed_elevators() == {0}
-
-    def test_pattern_only_phase_keeps_ramp_running(self):
-        network, source = self._network_and_source()
-        scenario = ScenarioSpec(events=(
-            RateRamp(cycle=10, end_cycle=30, end_rate=0.22, start_rate=0.02),
-            TrafficPhase(cycle=20, pattern="shuffle"),
-        ))
-        runtime = ScenarioRuntime(scenario, network, source, injection_end=180)
-        runtime.begin()
-        runtime.advance(20)
-        assert source.packet_probability == pytest.approx(0.12)
-        runtime.advance(30)
-        assert source.packet_probability == pytest.approx(0.22)
-
-    def test_explicit_rate_phase_cancels_ramp(self):
-        network, source = self._network_and_source()
-        scenario = ScenarioSpec(events=(
-            RateRamp(cycle=10, end_cycle=30, end_rate=0.22, start_rate=0.02),
-            TrafficPhase(cycle=20, injection_rate=0.05),
-        ))
-        runtime = ScenarioRuntime(scenario, network, source, injection_end=180)
-        runtime.begin()
-        runtime.advance(25)
-        assert source.packet_probability == pytest.approx(0.05)
-        runtime.advance(30)
-        assert source.packet_probability == pytest.approx(0.05)
 
     def test_restore_with_preexisting_fault_repaired_midrun(self):
         # The pre-run world has e0 faulty (old-style mark_faulty before
@@ -404,55 +330,6 @@ class TestRuntime:
         runtime.finalize(180)
         assert placement.is_faulty(0) and not placement.is_faulty(1)
         assert network.severed_elevators() == set()
-
-    def test_ramp_interpolates_linearly(self):
-        network, source = self._network_and_source()
-        scenario = ScenarioSpec(events=(
-            RateRamp(cycle=10, end_cycle=20, end_rate=0.12, start_rate=0.02),
-        ))
-        runtime = ScenarioRuntime(scenario, network, source, injection_end=180)
-        runtime.begin()
-        runtime.advance(10)
-        assert source.packet_probability == pytest.approx(0.02)
-        runtime.advance(15)
-        assert source.packet_probability == pytest.approx(0.07)
-        runtime.advance(20)
-        assert source.packet_probability == pytest.approx(0.12)
-
-    def test_ramp_boundary_pins_start_rate_at_ramp_cycle(self):
-        # Regression: at exactly ramp.cycle the rate must be the ramp's
-        # start rate (no interpolation step yet), distinct from the base
-        # injection rate it overrides.
-        network, source = self._network_and_source()
-        scenario = ScenarioSpec(events=(
-            RateRamp(cycle=10, end_cycle=20, end_rate=0.14, start_rate=0.04),
-        ))
-        runtime = ScenarioRuntime(scenario, network, source, injection_end=180)
-        runtime.begin()
-        runtime.advance(10)
-        assert source.packet_probability == pytest.approx(0.04)
-        runtime.advance(11)
-        assert source.packet_probability == pytest.approx(0.05)
-
-    def test_overlapping_ramps_chain_at_the_interpolated_rate(self):
-        # Regression: a second ramp starting mid-flight used to read the
-        # *stale* pre-ramp rate as its implicit start rate.  The outgoing
-        # ramp is now advanced to the handover cycle first, so the new ramp
-        # departs from the rate actually in effect.
-        network, source = self._network_and_source()
-        scenario = ScenarioSpec(events=(
-            RateRamp(cycle=10, end_cycle=30, end_rate=0.22, start_rate=0.02),
-            RateRamp(cycle=20, end_cycle=40, end_rate=0.30),
-        ))
-        runtime = ScenarioRuntime(scenario, network, source, injection_end=180)
-        runtime.begin()
-        runtime.advance(20)
-        # Handover: the first ramp's value at cycle 20 is 0.12.
-        assert source.packet_probability == pytest.approx(0.12)
-        runtime.advance(30)
-        assert source.packet_probability == pytest.approx(0.21)
-        runtime.advance(40)
-        assert source.packet_probability == pytest.approx(0.30)
 
     def test_adele_rebuild_preserves_learned_costs(self):
         from repro.routing.adele import AdElePolicy
@@ -489,9 +366,11 @@ class TestRuntime:
 class TestRunScenarioApi:
     def test_argument_overrides_spec(self):
         spec = _spec(scenario=ScenarioSpec(events=(
-            StatsMarker(cycle=40, label="early"),
+            ElevatorFault(cycle=40, elevator=0, label="early"),
         )))
-        scenario = ScenarioSpec(events=(StatsMarker(cycle=50, label="mid"),))
+        scenario = ScenarioSpec(events=(
+            ElevatorFault(cycle=50, elevator=1, label="mid"),
+        ))
         result = api.run(spec.with_(scenario=scenario))
         assert [phase.label for phase in result.stats.phases] == [
             BASELINE_PHASE_LABEL,

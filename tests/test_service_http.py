@@ -130,6 +130,18 @@ class TestServiceEndToEnd:
             service._request("POST", "/api/jobs", {"specs": []})
         assert excinfo.value.status == 400
 
+    def test_scenario_past_the_injection_window_is_400(self, service):
+        # Injection stops at cycle 50 (10 warm-up + 40 measured cycles).
+        document = _spec().to_dict()
+        document["scenario"] = {
+            "events": [{"kind": "elevator-fault", "cycle": 60, "elevator": 0}]
+        }
+        with pytest.raises(ServiceError) as excinfo:
+            service._request("POST", "/api/jobs", {"specs": [document]})
+        assert excinfo.value.status == 400
+        assert "injection stops at cycle 50" in str(excinfo.value)
+        assert service.jobs() == []
+
     def test_unknown_route_is_404(self, service):
         with pytest.raises(ServiceError) as excinfo:
             service._request("GET", "/api/nothing")
