@@ -12,7 +12,7 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro-adele",
-    version="1.19.0",
+    version="1.20.0",
     description=(
         "Reproduction of AdEle: adaptive congestion- and energy-aware "
         "elevator selection for partially connected 3D NoCs (DAC 2021)"

@@ -94,7 +94,7 @@ from repro.spec import (
 )
 from repro import api
 
-__version__ = "1.19.0"
+__version__ = "1.20.0"
 
 __all__ = [
     "Coordinate",

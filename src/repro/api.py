@@ -80,6 +80,7 @@ from repro.exec.cache import (
     ResultCache,
     cache_stats,
     canonical_config,
+    close_caches,
     config_key,
     derive_seed,
     open_caches,
@@ -191,7 +192,10 @@ def run_design(
         archive, representatives and the strategy-selected solution.
     """
     _, cache = open_caches(cache_dir or None)
-    return design_for(spec, cache=cache, on_iteration=on_iteration)
+    try:
+        return design_for(spec, cache=cache, on_iteration=on_iteration)
+    finally:
+        close_caches(cache)
 
 
 # ---------------------------------------------------------------------- #
@@ -257,20 +261,23 @@ def run_specs(
         order, each carrying its spec, cache key and summary row.
     """
     result_cache, design_cache = open_caches(cache_dir)
-    batch = ExperimentBatch(
-        specs,
-        workers=workers,
-        result_cache=result_cache,
-        design_cache=design_cache,
-        base_seed=base_seed,
-        energy_model=energy_model,
-        plugins=tuple(plugins),
-        chunk_size=chunk_size,
-        manifest_dir=cache_dir,
-        probe=probe,
-        metrics=metrics,
-    )
-    return batch.run()
+    try:
+        batch = ExperimentBatch(
+            specs,
+            workers=workers,
+            result_cache=result_cache,
+            design_cache=design_cache,
+            base_seed=base_seed,
+            energy_model=energy_model,
+            plugins=tuple(plugins),
+            chunk_size=chunk_size,
+            manifest_dir=cache_dir,
+            probe=probe,
+            metrics=metrics,
+        )
+        return batch.run()
+    finally:
+        close_caches(result_cache, design_cache)
 
 
 def run_designs(
@@ -289,13 +296,16 @@ def run_designs(
     :func:`~repro.exec.designs.derive_design_seed`).
     """
     _, design_cache = open_caches(cache_dir)
-    return run_design_batch(
-        specs,
-        workers=workers,
-        cache=design_cache,
-        base_seed=base_seed,
-        plugins=tuple(plugins),
-    )
+    try:
+        return run_design_batch(
+            specs,
+            workers=workers,
+            cache=design_cache,
+            base_seed=base_seed,
+            plugins=tuple(plugins),
+        )
+    finally:
+        close_caches(design_cache)
 
 
 # ---------------------------------------------------------------------- #
@@ -401,6 +411,7 @@ __all__ = [
     "DesignCache",
     "cache_stats",
     "open_caches",
+    "close_caches",
     "EnergyModel",
     "SimulationResult",
     "ChunkAbort",

@@ -44,6 +44,7 @@ from repro.exec.cache import (
     ResultCache,
     cache_stats,
     canonical_config,
+    close_caches,
     canonical_json,
     config_key,
     derive_seed,
@@ -71,6 +72,7 @@ __all__ = [
     "ResultCache",
     "cache_stats",
     "open_caches",
+    "close_caches",
     "canonical_config",
     "canonical_json",
     "spec_from_canonical",

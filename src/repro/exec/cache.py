@@ -423,6 +423,20 @@ def open_caches(cache_dir: Optional[str]):
     return SqliteResultCache(store), SqliteDesignCache(store)
 
 
+def close_caches(*caches) -> None:
+    """Close the SQLite store behind caches :func:`open_caches` returned.
+
+    An unclosed ``sqlite3`` connection is freed only by the cyclic garbage
+    collector, and until then the store's ``-wal``/``-shm`` sidecars stay
+    on disk; every entry point that opens a cache directory closes it in a
+    ``finally``.  Memory-only caches and ``None`` have nothing to close.
+    """
+    for cache in caches:
+        store = getattr(cache, "store", None)
+        if store is not None:
+            store.close()
+
+
 def cache_stats(cache_dir: str) -> Dict[str, Any]:
     """What a cache directory holds.
 
@@ -472,5 +486,6 @@ __all__ = [
     "design_from_record",
     "design_key_hash",
     "open_caches",
+    "close_caches",
     "cache_stats",
 ]

@@ -134,8 +134,8 @@ from repro.analysis.runner import design_for, design_key_for
 from repro.analysis.sweep import LatencyCurve, saturation_rate
 from repro.core.optimizers import OPTIMIZER_REGISTRY
 from repro.core.selection import SELECTION_STRATEGIES
-from repro.exec.batch import ExperimentBatch, summaries_by_policy
-from repro.exec.cache import cache_stats, open_caches
+from repro.exec.batch import ExperimentBatch, ExperimentOutcome, summaries_by_policy
+from repro.exec.cache import cache_stats, close_caches, open_caches
 from repro.exec.designs import DesignBatch
 from repro.obs.probes import PROBE_CHANNELS, ProbeSpec
 from repro.obs.tracing import (
@@ -564,23 +564,29 @@ def _base_spec(args: argparse.Namespace) -> ExperimentSpec:
     )
 
 
-def _make_batch(
+def _run_batch(
     args: argparse.Namespace, specs: List[ExperimentSpec]
-) -> ExperimentBatch:
+) -> Tuple[ExperimentBatch, List[ExperimentOutcome]]:
+    """Run specs through the batch engine on ``--cache-dir``'s store."""
     result_cache, design_cache = open_caches(args.cache_dir)
-    return ExperimentBatch(
-        specs,
-        workers=args.workers,
-        result_cache=result_cache,
-        design_cache=design_cache,
-        base_seed=args.seed,
-        # Re-imported inside worker processes, so --plugin components exist
-        # by name under any multiprocessing start method (not just fork).
-        plugins=tuple(getattr(args, "plugin", [])),
-        chunk_size=getattr(args, "chunk_size", None),
-        manifest_dir=args.cache_dir,
-        probe=_parse_probe_argument(args),
-    )
+    try:
+        batch = ExperimentBatch(
+            specs,
+            workers=args.workers,
+            result_cache=result_cache,
+            design_cache=design_cache,
+            base_seed=args.seed,
+            # Re-imported inside worker processes, so --plugin components
+            # exist by name under any multiprocessing start method (not
+            # just fork).
+            plugins=tuple(getattr(args, "plugin", [])),
+            chunk_size=getattr(args, "chunk_size", None),
+            manifest_dir=args.cache_dir,
+            probe=_parse_probe_argument(args),
+        )
+        return batch, batch.run()
+    finally:
+        close_caches(result_cache, design_cache)
 
 
 def _report_engine(batch: ExperimentBatch) -> None:
@@ -658,8 +664,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
         for policy in policies
         for rate in rates
     ]
-    batch = _make_batch(args, specs)
-    outcomes = batch.run()
+    batch, outcomes = _run_batch(args, specs)
 
     curves = {policy: LatencyCurve(policy=policy) for policy in policies}
     for outcome in outcomes:
@@ -715,8 +720,7 @@ def _run_compare(args: argparse.Namespace) -> int:
     specs = [
         base.with_(policy=policy, injection_rate=args.rate) for policy in policies
     ]
-    batch = _make_batch(args, specs)
-    outcomes = batch.run()
+    batch, outcomes = _run_batch(args, specs)
 
     summaries = summaries_by_policy(outcomes)
     baseline = args.baseline
@@ -775,8 +779,7 @@ def _run_specs(args: argparse.Namespace) -> int:
     specs = _load_spec_documents(args.spec)
     if args.backend:
         specs = [spec.with_(backend=args.backend) for spec in specs]
-    batch = _make_batch(args, specs)
-    outcomes = batch.run()
+    batch, outcomes = _run_batch(args, specs)
     if args.json_output:
         document = {
             "command": "run",
@@ -894,9 +897,12 @@ def _run_optimize(args: argparse.Namespace) -> int:
         OPTIMIZER_REGISTRY.entry(spec.optimizer)
 
     _, design_cache = open_caches(args.cache_dir)
-    if len(specs) == 1 and args.workers == 1 and args.seed is None:
-        return _run_optimize_single(args, specs[0], design_cache)
-    return _run_optimize_grid(args, specs, design_cache)
+    try:
+        if len(specs) == 1 and args.workers == 1 and args.seed is None:
+            return _run_optimize_single(args, specs[0], design_cache)
+        return _run_optimize_grid(args, specs, design_cache)
+    finally:
+        close_caches(design_cache)
 
 
 def _design_document(spec: DesignSpec, design, from_cache: bool) -> Dict[str, Any]:

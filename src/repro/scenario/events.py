@@ -62,6 +62,11 @@ class ScenarioEvent:
     def __post_init__(self) -> None:
         _require_index(self.cycle, f"{self.kind} event cycle")
         _require_index(self.elevator, "elevator index")
+        if self.label is not None and not isinstance(self.label, str):
+            raise ValueError(
+                f"{self.kind} event label must be a string or null, "
+                f"got {self.label!r}"
+            )
 
     def apply(self, network: "Network") -> None:
         """Apply the event's effect to the network under test."""

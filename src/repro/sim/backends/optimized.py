@@ -8,11 +8,19 @@ Why it is faster
     proportional to the traffic that actually exists:
 
     * only routers holding at least one flit (the *active set*) are
-      evaluated, in ascending node-id order;
+      evaluated, in ascending node-id order, and each is visited **once**
+      per cycle: the scan that collects switch requests also gives head
+      flits their route;
     * each active router iterates only its *occupied* input channels,
       tracked as a 14-bit occupancy mask, instead of all port x VC pairs;
+    * each output port's requests are one bitmask of input channels, and
+      round-robin arbitration rotates that mask by the port's pointer
+      instead of sorting a candidate list;
     * routes come from the precomputed lookup tables of
       :class:`repro.routing.base.PrecomputedRoutes`;
+    * a grant does the bookkeeping of :meth:`Network.deliver_flit` and of
+      ``FlitBuffer.pop/stage/commit`` inline, on the kernel's flat tables,
+      with the measurement-window and phase reads hoisted out of the loop;
     * end-of-cycle commits visit only the buffers that received a staged
       flit this cycle, and the idle check during drain is an O(1) counter
       comparison.
@@ -23,9 +31,9 @@ Active-set invariants
       traversal) and removed only at end of cycle when its flit counter
       reaches zero.  Skipping a router outside the set is always safe -- it
       has no visible flit to route or arbitrate and nothing staged to
-      commit.  The same over-approximation is mirrored into
-      ``Network._active_routers`` so :meth:`Network.is_idle` stays truthful
-      during and after an optimized run.
+      commit.  The set is mirrored into ``Network._active_routers`` when
+      the run ends (:meth:`_ActiveSetKernel.sync_back`), so
+      :meth:`Network.is_idle` stays truthful after an optimized run.
     * The per-router channel mask over-approximates occupied channels the
       same way: a bit is set when a flit is staged into the channel and
       cleared when a pop leaves it empty; every consumer re-checks actual
@@ -36,25 +44,55 @@ Active-set invariants
       and is deliberately **not** cleared by pruning: when the next flit of
       the convoy arrives, the router re-enters the active set and resumes
       with its allocation intact.
-    * Routers are evaluated in ascending node-id order, exactly like the
-      reference kernel's full scan.  Evaluation order is observable through
+
+What keeps the one-pass cycle exact
+    The reference kernel computes every router's routes, then runs every
+    router's allocation, then commits.  This kernel fuses the first two
+    phases per router; the rules below keep every result bit-identical.
+
+    * Routers are visited in ascending node order, over the active set as
+      it stood at the start of the cycle -- the order of the reference
+      kernel's full scan.  Evaluation order is observable through
       downstream buffer occupancy (credit backpressure) and the order
-      statistics accumulate, so it is part of the semantics, not a free
-      choice.
+      statistics accumulate, so it is part of the semantics.
+    * Folding routing into allocation is exact because router *i*'s
+      allocation pops only its own FIFOs and stages only into other
+      routers' ``_staged`` lists, which no route computation reads: the
+      FIFO fronts and routes router *j* > *i* sees are the ones it would
+      have seen before any allocation ran.
+    * Requests are collected in ascending channel order, and output ports
+      are granted in the order they were first requested (dict insertion
+      order), as in :meth:`Router.allocate_and_traverse`.  That order
+      decides the order of AdEle's ``notify_source_latency`` calls and of
+      ejections into the latency reservoir.
+    * Round-robin candidates are tried in ascending
+      ``(idx - pointer) % num_channels``, the order
+      :meth:`Router._rotated_candidates` sorts them into; a single
+      candidate needs no rotation.
+    * ``cycle >= stats.measurement_start`` and ``stats._phase`` are read
+      once per :meth:`_ActiveSetKernel.step`.  Both change only between
+      steps: the scenario runtime fires its events inside
+      ``packet_source.requests``, before injection.
+    * The grant's downstream-space test is the precondition of
+      :meth:`FlitBuffer.stage`, so staging by ``append`` keeps the
+      flow-control invariant; ``stage()`` keeps its ``OverflowError`` for
+      every other caller.
 
 Equivalence
-    Packet creation, flit delivery and statistics route through the same
-    :class:`~repro.sim.network.Network` methods the reference kernel uses;
-    injection is inlined here (mirroring :meth:`Network.inject` line for
-    line, including the queue visiting order) so the kernel can maintain
-    its counters.  The cross-backend matrix in ``tests/test_backends.py``
-    asserts bit-identical results.  One caveat: allocation state lives in
-    this kernel's flat arrays, so the per-:class:`~repro.sim.router.Router`
-    introspection dicts (``current_route`` / ``output_owner``) are stale
-    *while* an optimized run executes; the kernel writes them back when the
-    run completes (:meth:`_ActiveSetKernel.sync_back`), so a finished
-    network -- even one left saturated with in-flight wormholes -- can be
-    inspected, reset, or run again with either backend.
+    Packet creation still routes through :meth:`Network.create_packet`.
+    Injection mirrors :meth:`Network.inject` line for line (including the
+    queue visiting order), and a grant mirrors
+    :meth:`Network.deliver_flit` and ``FlitBuffer.pop/stage/commit`` step
+    for step, so the kernel can keep its counters in the same pass; those
+    methods stay the ``reference`` kernel's.  The cross-backend matrix in
+    ``tests/test_backends.py`` asserts bit-identical results.  One caveat:
+    allocation state lives in this kernel's flat arrays, so the
+    per-:class:`~repro.sim.router.Router` introspection dicts
+    (``current_route`` / ``output_owner``) are stale *while* an optimized
+    run executes; the kernel writes them back when the run completes
+    (:meth:`_ActiveSetKernel.sync_back`), so a finished network -- even one
+    left saturated with in-flight wormholes -- can be inspected, reset, or
+    run again with either backend.
 """
 
 from __future__ import annotations
@@ -71,7 +109,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class _ActiveSetKernel:
-    """Per-run flattened state + the three-phase active-set cycle step."""
+    """Per-run flattened state + the one-pass active-set cycle step."""
 
     def __init__(self, network: "Network") -> None:
         self.network = network
@@ -83,15 +121,18 @@ class _ActiveSetKernel:
         #: ``Router._channel_order`` (port-major, VC-minor).
         self.channel_keys = [(port, vc) for port in ports for vc in range(num_vcs)]
         self.num_channels = len(self.channel_keys)
-        #: Channel-index base of the input port a flit staged through a
-        #: given output port lands on (``OPPOSITE_PORT * num_vcs``).
-        self.opp_base = {
-            out_port: OPPOSITE_PORT[out_port] * num_vcs
-            for out_port in OPPOSITE_PORT
-        }
+        #: Per output port: channel-index base of the input port a flit
+        #: staged through it lands on (``OPPOSITE_PORT * num_vcs``).
+        self.opp_base = [
+            OPPOSITE_PORT[port] * num_vcs if port in OPPOSITE_PORT else 0
+            for port in ports
+        ]
+        #: Per output port: whether it crosses a vertical (TSV) link.
+        self.vertical = [port in VERTICAL_PORTS for port in ports]
 
-        #: Per router: input buffers in channel order.
+        #: Per router: input buffers in channel order, and their FIFOs.
         self.buffers: List[List["FlitBuffer"]] = []
+        self.fifos = []
         #: Per router: downstream input buffer per (output port, VC), or
         #: ``None`` when the link is missing (LOCAL entries are unused --
         #: ejection needs no space check).
@@ -99,9 +140,9 @@ class _ActiveSetKernel:
         #: Per router: neighbour node id per output port (None = no link).
         self.neighbor_id: List[List[Optional[int]]] = []
         for router in network.routers:
-            self.buffers.append(
-                [router.input_buffers[key] for key in self.channel_keys]
-            )
+            bufs = [router.input_buffers[key] for key in self.channel_keys]
+            self.buffers.append(bufs)
+            self.fifos.append([buf._fifo for buf in bufs])
             per_port: List[List[Optional["FlitBuffer"]]] = []
             neighbors: List[Optional[int]] = []
             for port in ports:
@@ -202,7 +243,9 @@ class _ActiveSetKernel:
 
         Mirrors :meth:`repro.sim.network.Network.inject` exactly --
         same queue visiting order, same per-flit bookkeeping -- while
-        updating the kernel's occupancy counters in the same pass.
+        updating the kernel's occupancy counters in the same pass (the
+        network's active-router set is brought up to date by
+        :meth:`sync_back`).
         """
         network = self.network
         live = network._live_queues
@@ -232,7 +275,6 @@ class _ActiveSetKernel:
                 self.total_flits += staged
                 self.mask[node] |= 1 << vc
                 self.active.add(node)
-                network._active_routers.add(node)
                 self.staged_buffers.append(buf)
             if not queue:
                 live.discard(key)
@@ -272,138 +314,202 @@ class _ActiveSetKernel:
         }
 
     def step(self, cycle: int) -> None:
-        """One cycle: route, allocate/traverse, commit -- active flits only."""
+        """One cycle: route + allocate/traverse per router, then commit.
+
+        The loops read and append to FlitBuffer internals (``_fifo`` /
+        ``_staged``) directly: this is the hottest code in the repository,
+        and the rules that keep it exact are in the module docstring.
+        """
         network = self.network
-        active = sorted(self.active)
-        num_vcs = self.num_vcs
+        stats = network.stats
+        measurement_start = stats.measurement_start
+        measuring = cycle >= measurement_start
+        phase = stats._phase
+        traversals = stats.router_traversals
+        notify = network.policy.notify_source_latency
         port_for = self.routes.port_for
+        num_vcs = self.num_vcs
+        num_channels = self.num_channels
+        all_channels = (1 << num_channels) - 1
+        all_fifos = self.fifos
         all_buffers = self.buffers
         all_routes = self.route
-
-        # Phase 1: route computation -- head flits at buffer fronts claim
-        # an output port (held until their tail flit traverses).
-        # The loops below read FlitBuffer internals (``_fifo`` / ``_staged``)
-        # directly: this is the hottest code in the repository and attribute
-        # loads beat method dispatch; all *mutation* still goes through the
-        # buffer methods, so the two-phase invariants cannot be broken here.
-        for node in active:
-            bufs = all_buffers[node]
-            route = all_routes[node]
-            bits = self.mask[node]
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                idx = low.bit_length() - 1
-                if route[idx] is not None:
-                    continue
-                fifo = bufs[idx]._fifo
-                if not fifo:
-                    continue
-                flit = fifo[0]
-                if not flit.flit_type.is_head:
-                    continue
-                packet = flit.packet
-                route[idx] = port_for(
-                    node, packet.destination, packet.elevator_column
-                )
-
-        # Phase 2: switch allocation and traversal, ascending node order
-        # (one flit per output port; round-robin over competing input VCs).
-        deliver = network.deliver_flit
-        channel_keys = self.channel_keys
-        num_channels = self.num_channels
+        all_owners = self.owner
+        all_rr = self.rr
+        all_down = self.down
+        all_neighbors = self.neighbor_id
+        opp_base = self.opp_base
+        vertical = self.vertical
         count = self.count
         mask = self.mask
+        active_set = self.active
         staged_buffers = self.staged_buffers
+        active = sorted(active_set)
+        ejected = 0
+
         for node in active:
-            bufs = all_buffers[node]
+            node_mask = mask[node]
+            fifos = all_fifos[node]
             route = all_routes[node]
+
+            # Route computation folded into request collection: a head
+            # flit at a FIFO front claims its output port (held until its
+            # tail traverses), then every routed front requests that port.
             requests = None
-            bits = mask[node]
+            bits = node_mask
             while bits:
                 low = bits & -bits
                 bits ^= low
                 idx = low.bit_length() - 1
-                out_port = route[idx]
-                if out_port is None or not bufs[idx]._fifo:
+                fifo = fifos[idx]
+                if not fifo:
                     continue
+                out_port = route[idx]
+                if out_port is None:
+                    flit = fifo[0]
+                    if not flit.flit_type.is_head:
+                        continue
+                    packet = flit.packet
+                    out_port = route[idx] = port_for(
+                        node, packet.destination, packet.elevator_column
+                    )
                 if requests is None:
-                    requests = {}
-                requests.setdefault(out_port, []).append(idx)
+                    requests = {out_port: low}
+                elif out_port in requests:
+                    requests[out_port] |= low
+                else:
+                    requests[out_port] = low
             if requests is None:
                 continue
-            owner = self.owner[node]
-            rr = self.rr[node]
-            down = self.down[node]
+
+            # Switch allocation and traversal: one flit per output port,
+            # round-robin over the requesting input channels.
+            owner = all_owners[node]
+            rr = all_rr[node]
+            down = all_down[node]
+            bufs = all_buffers[node]
+            moved = 0
             for out_port, candidates in requests.items():
-                pointer = rr[out_port] % num_channels
-                if len(candidates) > 1:
-                    candidates.sort(key=lambda i: (i - pointer) % num_channels)
-                winner = None
-                winner_vc = 0
-                for idx in candidates:
-                    fifo = bufs[idx]._fifo
-                    if not fifo:
+                if candidates & (candidates - 1):
+                    # Rotate right by the pointer: bit j of the rotated
+                    # mask is channel (j + pointer) % num_channels, so
+                    # ascending bits are ascending round-robin distance.
+                    pointer = rr[out_port] % num_channels
+                    candidates = (
+                        (candidates >> pointer)
+                        | (candidates << (num_channels - pointer))
+                    ) & all_channels
+                else:
+                    pointer = 0
+                out_base = out_port * num_vcs
+                while candidates:
+                    low = candidates & -candidates
+                    candidates ^= low
+                    idx = low.bit_length() - 1 + pointer
+                    if idx >= num_channels:
+                        idx -= num_channels
+                    flit = fifos[idx][0]
+                    flit_type = flit.flit_type
+                    packet = flit.packet
+                    out_vc = packet.virtual_network
+                    holder = owner[out_base + out_vc]
+                    # A head flit needs the output VC free (or already its
+                    # own in the single-flit re-request case); body/tail
+                    # flits only follow their own wormhole.
+                    if holder != idx and (
+                        holder is not None or not flit_type.is_head
+                    ):
                         continue
-                    flit = fifo[0]
-                    out_vc = flit.packet.virtual_network
-                    holder = owner[out_port * num_vcs + out_vc]
-                    if flit.flit_type.is_head:
-                        # A head flit needs the output VC free (or already
-                        # its own in the single-flit re-request case).
-                        if holder is not None and holder != idx:
-                            continue
-                    elif holder != idx:
-                        # Body/tail flits only follow their own wormhole.
-                        continue
-                    if out_port != Port.LOCAL:
+                    if out_port:  # every port but LOCAL checks for space
                         downstream = down[out_port][out_vc]
                         if downstream is None or (
                             len(downstream._fifo) + len(downstream._staged)
                             >= downstream.depth
                         ):
                             continue
-                    winner = idx
-                    winner_vc = out_vc
                     break
-                if winner is None:
-                    continue
-                buf = bufs[winner]
-                flit = buf.pop()
-                flit_type = flit.flit_type
-                out_key = out_port * num_vcs + winner_vc
-                if flit_type.is_head:
-                    owner[out_key] = winner
-                if flit_type.is_tail:
-                    owner[out_key] = None
-                    route[winner] = None
-                rr[out_port] = (winner + 1) % num_channels
-                count[node] -= 1
-                if not (buf._fifo or buf._staged):
-                    mask[node] &= ~(1 << winner)
-                if out_port == Port.LOCAL:
-                    self.total_flits -= 1
                 else:
-                    neighbor = self.neighbor_id[node][out_port]
-                    count[neighbor] += 1
-                    mask[neighbor] |= 1 << (self.opp_base[out_port] + winner_vc)
-                    self.active.add(neighbor)
-                    staged_buffers.append(down[out_port][winner_vc])
-                deliver(
-                    node, channel_keys[winner], out_port, winner_vc, flit, cycle
-                )
+                    continue  # no requester is eligible this cycle
 
-        # Phase 3: commit the buffers that received staged flits this cycle
-        # and prune routers whose flit counter dropped to zero.  Pruning
-        # only drops iteration work -- allocation state survives in the
-        # flat arrays (see the module docstring's invariants).
+                # Grant ``idx``: FlitBuffer.pop plus wormhole state.
+                fifo = fifos[idx]
+                fifo.popleft()
+                if flit_type.is_head:
+                    owner[out_base + out_vc] = idx
+                if flit_type.is_tail:
+                    owner[out_base + out_vc] = None
+                    route[idx] = None
+                rr[out_port] = idx + 1 if idx + 1 < num_channels else 0
+                moved += 1
+                if not (fifo or bufs[idx]._staged):
+                    node_mask &= ~(1 << idx)
+
+                # Network.deliver_flit, step for step.
+                if measuring:
+                    traversals[node] = traversals.get(node, 0) + 1
+                    if phase is not None:
+                        phase.router_traversals += 1
+                # Source-side bookkeeping for AdEle's local latency
+                # estimate: the flit leaves its source from a LOCAL input
+                # channel (indices below num_vcs).
+                if idx < num_vcs and node == packet.source:
+                    if flit_type.is_head:
+                        packet.head_exit_cycle = cycle
+                    if flit_type.is_tail:
+                        packet.tail_exit_cycle = cycle
+                        metric = packet.source_serialization_latency()
+                        if metric is not None and packet.elevator_index is not None:
+                            notify(packet.source, packet.elevator_index, metric, cycle)
+                if out_port:
+                    is_vertical = vertical[out_port]
+                    if measuring:
+                        if is_vertical:
+                            stats.vertical_link_traversals += 1
+                            if phase is not None:
+                                phase.vertical_link_traversals += 1
+                        else:
+                            stats.horizontal_link_traversals += 1
+                            if phase is not None:
+                                phase.horizontal_link_traversals += 1
+                    if flit_type.is_head:
+                        packet.hops += 1
+                        if is_vertical:
+                            packet.vertical_hops += 1
+                    # FlitBuffer.stage, its space check already passed.
+                    downstream._staged.append(flit)
+                    staged_buffers.append(downstream)
+                    neighbor = all_neighbors[node][out_port]
+                    count[neighbor] += 1
+                    mask[neighbor] |= 1 << (opp_base[out_port] + out_vc)
+                    active_set.add(neighbor)
+                else:
+                    ejected += 1
+                    if packet.creation_cycle >= measurement_start:
+                        stats.flits_delivered += 1
+                        if phase is not None:
+                            phase.flits_delivered += 1
+                    if flit_type.is_tail:
+                        packet.delivery_cycle = cycle
+                        stats.record_packet_delivered(packet, cycle)
+                        network._in_flight -= 1
+            if moved:
+                count[node] -= moved
+                mask[node] = node_mask
+        self.total_flits -= ejected
+
+        # FlitBuffer.commit of every buffer that received a staged flit
+        # this cycle, then prune routers whose flit counter dropped to zero
+        # (only routers active at the start of the cycle can have).
+        # Pruning only drops iteration work -- allocation state survives in
+        # the flat arrays (see the module docstring's invariants).
         if staged_buffers:
             for buf in staged_buffers:
-                buf.commit()
+                buf._fifo.extend(buf._staged)
+                buf._staged.clear()
             staged_buffers.clear()
-        pruned = [node for node in self.active if not count[node]]
-        for node in pruned:
-            self.active.discard(node)
+        for node in active:
+            if not count[node]:
+                active_set.discard(node)
 
     def sync_back(self) -> None:
         """Write the flat allocation state back into the Router dicts.
@@ -413,7 +519,9 @@ class _ActiveSetKernel:
         network's true allocation state, so a network left mid-wormhole
         (e.g. after a saturated run) can be inspected or run again with
         either backend and behave exactly as it would have under the
-        reference kernel.
+        reference kernel.  The routers still holding flits join
+        ``Network._active_routers``, which the kernel does not update
+        while it runs.
         """
         channel_keys = self.channel_keys
         num_vcs = self.num_vcs
@@ -431,6 +539,7 @@ class _ActiveSetKernel:
                         None if holder is None else channel_keys[holder]
                     )
                 router._rr_pointer[port] = rr[port]
+        self.network._active_routers.update(self.active)
 
 
 # ``vectorized`` named a deleted flat-array kernel; the benchmark's

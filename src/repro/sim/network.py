@@ -109,11 +109,11 @@ class Network:
         #   key, and only drained by ``inject``, which removes it once
         #   empty);
         # * every router holding at least one flit -- visible or staged --
-        #   is in ``_active_routers``.  Routers are added whenever a flit
-        #   is staged into them through the network (``inject`` /
-        #   ``deliver_flit``) and removed lazily, only after a scan
-        #   verifies they are empty (``is_idle`` and the optimized
-        #   kernel's end-of-cycle prune).  The set may therefore
+        #   is in ``_active_routers`` between runs.  Routers are added
+        #   whenever a flit is staged into them through the network
+        #   (``inject`` / ``deliver_flit``) or, for the optimized kernel,
+        #   when its run ends; they are removed lazily, only after a scan
+        #   verifies they are empty (``is_idle``).  The set may therefore
         #   over-approximate, never under-approximate, the busy routers.
         self._active_routers: Set[int] = set()
         self._live_queues: Set[Tuple[int, int]] = set()

@@ -89,6 +89,9 @@ class Router:
             for port in Port
             for vc in range(num_vcs)
         }
+        # Every buffer keeps its FIFO object for life (``clear`` empties it
+        # in place), so the visible-flit count can sum them directly.
+        self._fifos = [buf._fifo for buf in self.input_buffers.values()]
         #: Output port currently assigned to each input VC (None = no route).
         self._route: Dict[ChannelKey, Optional[Port]] = {
             key: None for key in self.input_buffers
@@ -114,7 +117,8 @@ class Router:
     def buffer_occupancy(self, port: Optional[Port] = None) -> int:
         """Total visible flits, optionally restricted to one input port."""
         if port is None:
-            return sum(buf.occupancy for buf in self.input_buffers.values())
+            # CDA calls this for every router on its candidate paths.
+            return sum(map(len, self._fifos))
         return sum(
             buf.occupancy
             for (p, _vc), buf in self.input_buffers.items()

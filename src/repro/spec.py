@@ -33,11 +33,13 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
+from repro.registry import UnknownComponentError
 from repro.scenario.spec import ScenarioSpec
 from repro.sim.backends import DEFAULT_BACKEND
 from repro.topology.elevators import PLACEMENT_REGISTRY, ElevatorPlacement
 from repro.topology.mesh3d import Mesh3D
-from repro.traffic.patterns import TrafficPattern
+from repro.traffic.applications import APPLICATION_REGISTRY, make_application_traffic
+from repro.traffic.patterns import PATTERN_REGISTRY, TrafficPattern
 
 #: Version tag of the canonical dictionary serialization.
 SPEC_FORMAT = 1
@@ -295,14 +297,31 @@ class TrafficSpec:
     def build(self, placement: ElevatorPlacement, seed: int = 0) -> TrafficPattern:
         """Instantiate the traffic pattern on a placement's mesh.
 
+        Application models win when a name is registered as both an
+        application and a pattern, and applications accept no options.
+
         Raises:
             repro.registry.UnknownComponentError: When the name is neither a
-                registered pattern nor a registered application.
+                registered pattern nor a registered application (the
+                did-you-mean message lists both namespaces).
+            ValueError: When options are passed with an application name.
         """
-        from repro.traffic import build_traffic_pattern
-
-        return build_traffic_pattern(
-            self.pattern, placement.mesh, seed=seed, options=self.options
+        name = self.pattern
+        if name in APPLICATION_REGISTRY:
+            if self.options:
+                raise ValueError(
+                    f"application traffic {name!r} accepts no options, "
+                    f"got {sorted(self.options)}"
+                )
+            return make_application_traffic(name, placement.mesh, seed=seed)
+        if name in PATTERN_REGISTRY:
+            return PATTERN_REGISTRY.create(
+                name, placement.mesh, seed=seed, **self.options
+            )
+        raise UnknownComponentError(
+            "traffic pattern or application",
+            name,
+            sorted(set(PATTERN_REGISTRY.names()) | set(APPLICATION_REGISTRY.names())),
         )
 
     def to_dict(self) -> Dict[str, Any]:

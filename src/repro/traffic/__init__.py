@@ -44,38 +44,6 @@ from repro.traffic.trace import TraceEvent, TrafficTrace
 from repro.traffic.generator import PacketRequest, PacketSource
 
 
-def build_traffic_pattern(name, mesh, seed=0, options=None) -> TrafficPattern:
-    """Instantiate a registered pattern *or* application model by name.
-
-    The name-resolution rule behind :meth:`repro.spec.TrafficSpec.build`:
-    application models win when a name is registered in both registries,
-    applications accept no options, and unknown names raise the registry's
-    did-you-mean ``ValueError`` over the union of both namespaces.
-
-    Raises:
-        repro.registry.UnknownComponentError: When the name is neither a
-            registered pattern nor a registered application.
-        ValueError: When options are passed with an application name.
-    """
-    from repro.registry import UnknownComponentError
-
-    options = dict(options or {})
-    if name in APPLICATION_REGISTRY:
-        if options:
-            raise ValueError(
-                f"application traffic {name!r} accepts no options, "
-                f"got {sorted(options)}"
-            )
-        return make_application_traffic(name, mesh, seed=seed)
-    if name in PATTERN_REGISTRY:
-        return PATTERN_REGISTRY.create(name, mesh, seed=seed, **options)
-    raise UnknownComponentError(
-        "traffic pattern or application",
-        name,
-        sorted(set(PATTERN_REGISTRY.names()) | set(APPLICATION_REGISTRY.names())),
-    )
-
-
 __all__ = [
     "TrafficPattern",
     "UniformTraffic",
@@ -100,5 +68,4 @@ __all__ = [
     "TrafficTrace",
     "PacketRequest",
     "PacketSource",
-    "build_traffic_pattern",
 ]

@@ -213,15 +213,15 @@ class ApplicationTraffic(TrafficPattern):
         super().__init__(mesh, seed)
         self.spec = spec
         self._matrix = self._build_matrix(seed)
-        self._per_source: Dict[int, Tuple[List[int], List[float]]] = {}
-        for src in mesh.nodes():
-            destinations = []
-            weights = []
-            for (s, d), w in self._matrix.items():
-                if s == src:
-                    destinations.append(d)
-                    weights.append(w)
-            self._per_source[src] = (destinations, weights)
+        # One pass over the matrix; each source keeps its destinations in
+        # matrix insertion order, which the weighted draws depend on.
+        self._per_source: Dict[int, Tuple[List[int], List[float]]] = {
+            src: ([], []) for src in mesh.nodes()
+        }
+        for (src, dst), weight in self._matrix.items():
+            destinations, weights = self._per_source[src]
+            destinations.append(dst)
+            weights.append(weight)
 
     # ------------------------------------------------------------------ #
     # Graph construction
@@ -235,9 +235,10 @@ class ApplicationTraffic(TrafficPattern):
         n = mesh.num_nodes
 
         hotspots = self._pick_hotspots(graph_rng)
+        coords = [(c.x, c.y, c.z) for c in map(mesh.coordinate, range(n))]
         matrix: TrafficMatrix = {}
         for src in range(n):
-            partners = self._pick_partners(src, graph_rng)
+            partners = self._pick_partners(src, graph_rng, coords)
             weights = self._zipf_weights(len(partners), graph_rng)
             partner_share = 1.0 - (spec.hotspot_share if hotspots else 0.0)
             for partner, weight in zip(partners, weights):
@@ -262,23 +263,29 @@ class ApplicationTraffic(TrafficPattern):
             return []
         return rng.sample(range(self.mesh.num_nodes), count)
 
-    def _pick_partners(self, src: int, rng: random.Random) -> List[int]:
+    def _pick_partners(
+        self, src: int, rng: random.Random, coords: List[Tuple[int, int, int]]
+    ) -> List[int]:
         mesh = self.mesh
         spec = self.spec
         count = min(spec.partners_per_node, mesh.num_nodes - 1)
         others = [node for node in mesh.nodes() if node != src]
         # Local candidates sorted by 3D distance; ties shuffled for variety.
         rng.shuffle(others)
-        by_distance = sorted(others, key=lambda node: mesh.manhattan_3d(src, node))
+        sx, sy, sz = coords[src]
+        distance = [abs(x - sx) + abs(y - sy) + abs(z - sz) for x, y, z in coords]
+        # The pool is the distance order minus the partners picked so far.
+        pool = sorted(others, key=distance.__getitem__)
         partners: List[int] = []
         for _ in range(count):
-            pool = [node for node in by_distance if node not in partners]
             if not pool:
                 break
             if rng.random() < spec.locality:
-                partners.append(pool[0])
+                partner = pool[0]
             else:
-                partners.append(rng.choice(pool))
+                partner = rng.choice(pool)
+            pool.remove(partner)
+            partners.append(partner)
         return partners
 
     def _zipf_weights(self, count: int, rng: random.Random) -> List[float]:

@@ -84,8 +84,11 @@ class BernoulliPacketSource(PacketSource):
 
     def requests(self, cycle: int) -> List[PacketRequest]:
         requests: List[PacketRequest] = []
+        # One draw per node per cycle: bind the hot lookups once per call.
+        draw = self.rng.random
+        rate = self.injection_rate
         for source in self.pattern.mesh.nodes():
-            if self.rng.random() < self.injection_rate:
+            if draw() < rate:
                 destination = self.pattern.destination(source)
                 length = self.rng.randint(
                     self.min_packet_length, self.max_packet_length

@@ -7,6 +7,7 @@ paper's evaluation relies on.
 
 from __future__ import annotations
 
+import gc
 import os
 
 import pytest
@@ -19,6 +20,23 @@ from repro.sim.network import Network
 from repro.topology.elevators import ElevatorPlacement, standard_placement
 from repro.topology.mesh3d import Mesh3D
 from repro.traffic.patterns import UniformTraffic
+
+
+@pytest.fixture
+def no_cyclic_gc():
+    """Run a test with the cyclic garbage collector off.
+
+    Only the cyclic collector frees an unclosed ``sqlite3`` connection, so
+    with it off a store an entry point left open keeps its WAL file.
+    """
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.fixture

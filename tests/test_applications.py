@@ -1,5 +1,6 @@
 """Unit tests for the synthetic application traffic (SPLASH-2/PARSEC stand-in)."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import textwrap
 import pytest
 
 import repro
+from repro.topology.elevators import standard_placement
 from repro.topology.mesh3d import Mesh3D
 from repro.traffic.applications import (
     APPLICATION_NAMES,
@@ -118,6 +120,35 @@ class TestApplicationTraffic:
     def test_load_factor_exposed(self, mesh):
         traffic = make_application_traffic("lu", mesh, seed=0)
         assert traffic.load_factor == application_spec("lu").load_factor
+
+
+#: Digest of ``traffic_matrix()`` and the per-source tables of every
+#: bundled application on PS1, as the quadratic-time graph build produced
+#: them.  A faster build must keep every RNG draw and every table order.
+_PS1_GRAPH_DIGESTS = {
+    ("canneal", 0): "91c9b2fab72d93a7c6386488021f3a415a59a4c483587301e0b6af0c0b9e144f",
+    ("canneal", 7): "b853bb5b3dc7bfbfe62010b4f25f77406ab49437bb56498196fbb7904ee1f759",
+    ("fft", 0): "cbffdc5ca8017fa302d303a10b17d7cdaa5eeca64cb98f78b174c9f6d97981e9",
+    ("fft", 7): "97fcfd0bd6f21628853a2a20a23b86117b20a7ac93417364ad8be91fb3cca90d",
+    ("fluidanimate", 0): "b5fa224eb38923e8e0863c06dd15383dd1a2edda34ca7fed4bf675d1b375940c",
+    ("fluidanimate", 7): "418471d2413e206072d5218411656abc0830607beb085caab187b56f30cba020",
+    ("lu", 0): "6b491065d909436f0624e4a458b091d6cca1ee3448ba666eeddb50c8d7fd42ae",
+    ("lu", 7): "5b23b67bcc74e03663e23e299fe52f662c68531efffa8edf617299a2e029c7e6",
+    ("radix", 0): "209bd9b0b2e9a1c5b90bf0a07e159e8eda118a77a2385910ccccc2c682d24b8f",
+    ("radix", 7): "faeed08e40f0e0aa4406a3d04e648fba944d933622a43f142fbb17128048e9ba",
+    ("water", 0): "85b5d8a8728d4e6454af1da87c079eecf3eaf3490ab78e9709a8de0701098b63",
+    ("water", 7): "46934bb83d35d2c1a9c410df888d7324b1375013bb5715eb58d0b799ced623f5",
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(_PS1_GRAPH_DIGESTS))
+def test_ps1_graphs_are_pinned(name, seed):
+    traffic = make_application_traffic(name, standard_placement("PS1").mesh, seed=seed)
+    blob = repr(
+        (list(traffic.traffic_matrix().items()), list(traffic._per_source.items()))
+    )
+    digest = hashlib.sha256(blob.encode()).hexdigest()
+    assert digest == _PS1_GRAPH_DIGESTS[(name, seed)]
 
 
 #: Prints the traffic-matrix digest of every registered application.

@@ -19,6 +19,7 @@ from repro.exec.cache import config_key
 from repro.registry import UnknownComponentError
 from repro.routing import make_policy
 from repro.routing.base import PrecomputedRoutes, compute_output_port
+from repro.scenario import ElevatorFault, ElevatorRepair, ScenarioSpec
 from repro.sim.backends import (
     BACKEND_REGISTRY,
     DEFAULT_BACKEND,
@@ -316,6 +317,113 @@ class TestHypothesisEquivalence:
             ), backend
 
 
+def _allocation_state(network: Network) -> list:
+    """Every router's routes, output-VC owners and round-robin pointers."""
+    return [
+        (dict(router._route), dict(router._output_owner), dict(router._rr_pointer))
+        for router in network.routers
+    ]
+
+
+class TestFusedPass:
+    """The one-pass kernel against ``reference`` where its exactness rules
+    bite: wide channel masks, wrapped round-robin pointers, and scenario
+    events at the edges of the measurement window."""
+
+    @given(
+        num_vcs=st.integers(min_value=2, max_value=4),
+        buffer_depth=st.integers(min_value=1, max_value=4),
+        rate=st.floats(min_value=0.0, max_value=0.3, allow_nan=False),
+        seed=st.integers(min_value=0, max_value=2**16),
+        policy=st.sampled_from(["elevator_first", "cda"]),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_wide_masks_and_shallow_buffers_agree(
+        self, num_vcs, buffer_depth, rate, seed, policy
+    ):
+        # 14-28 input channels per router; short packets (single-flit ones
+        # included) at up to saturating rates rotate every mask width and
+        # wrap the round-robin pointers.
+        runs = {}
+        for backend in ALL_BACKENDS:
+            placement = _placement()
+            network = Network(
+                placement,
+                make_policy(policy, placement),
+                num_vcs=num_vcs,
+                buffer_depth=buffer_depth,
+            )
+            source = BernoulliPacketSource(
+                UniformTraffic(placement.mesh, seed=seed),
+                rate,
+                min_packet_length=1,
+                max_packet_length=6,
+                seed=seed,
+            )
+            result = Simulator(network, source, 10, 60, 40, backend=backend).run()
+            runs[backend] = (
+                result.summary(),
+                result.drain_cycles_used,
+                _full_stats_fields(result.stats),
+                _allocation_state(network),
+            )
+        assert runs["reference"] == runs["optimized"]
+
+    @pytest.mark.parametrize(
+        "policy",
+        ["cda", PolicySpec(name="adele", options={"max_subset_size": 2})],
+        ids=["cda", "adele"],
+    )
+    def test_fault_timeline_at_the_window_edges(self, policy, tiny_amosa):
+        # Warm-up ends at cycle 30 and injection at 180: the fault opens a
+        # phase while nothing is measured, the repair fires on the last
+        # injection cycle.
+        scenario = ScenarioSpec(events=(
+            ElevatorFault(cycle=12, elevator=1),
+            ElevatorRepair(cycle=179, elevator=1),
+        ))
+        spec = _spec(
+            "reference", policy=policy, injection_rate=0.05, scenario=scenario
+        )
+        ref = run_experiment(spec)
+        assert [phase.start_cycle for phase in ref.stats.phases] == [0, 12, 179]
+        for backend in ALL_BACKENDS[1:]:
+            other = run_experiment(spec.with_(backend=backend))
+            assert ref.summary() == other.summary(), backend
+            assert ref.drain_cycles_used == other.drain_cycles_used, backend
+            assert _full_stats_fields(ref.stats) == (
+                _full_stats_fields(other.stats)
+            ), backend
+
+    def test_buffer_occupancy_is_the_sum_of_visible_flits(self):
+        placement = _placement()
+        network = Network(placement, make_policy("cda", placement))
+
+        def check() -> int:
+            busy = 0
+            for router in network.routers:
+                expected = sum(
+                    buf.occupancy for buf in router.input_buffers.values()
+                )
+                assert router.buffer_occupancy() == expected
+                busy += expected > 0
+            return busy
+
+        class CheckingSource(BernoulliPacketSource):
+            busy = 0
+
+            def requests(self, cycle):
+                CheckingSource.busy += check()
+                return super().requests(cycle)
+
+        source = CheckingSource(UniformTraffic(placement.mesh, seed=4), 0.1, seed=4)
+        Simulator(network, source, 10, 60, 0, backend="optimized").run()
+        assert CheckingSource.busy > 0  # checked while flits were buffered
+        assert check() > 0  # no drain: the run ends with flits in flight
+        network.reset()
+        assert check() == 0
+
+
 class TestActiveSetInvariants:
     def test_fresh_network_is_idle_with_empty_active_set(self):
         placement = _placement()
@@ -359,6 +467,18 @@ class TestActiveSetInvariants:
         spec = _spec("optimized", injection_rate=0.01)
         result = run_experiment(spec)
         assert result.stats.packets_delivered > 0
+        # A saturated run ends with flits in flight: every router holding
+        # one must be in the network's active set, or a later reference
+        # run would take the network for drained.
+        placement = _placement()
+        network = Network(placement, make_policy("elevator_first", placement))
+        source = BernoulliPacketSource(
+            UniformTraffic(placement.mesh, seed=7), 0.2, seed=7
+        )
+        Simulator(network, source, 10, 80, 30, backend="optimized").run()
+        busy = {router.node_id for router in network.routers if router.has_traffic()}
+        assert busy and busy <= network.active_routers()
+        assert not network.is_idle()
 
     def test_reset_clears_active_tracking(self):
         placement = _placement()

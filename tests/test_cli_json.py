@@ -202,6 +202,22 @@ class TestRunSpecFiles:
         ):
             main(["run", "--spec", path])
 
+    def test_non_string_label_is_a_clean_error_before_any_run(self, tmp_path):
+        fault, repair = CI_SCENARIO["scenario"]["events"]
+        labelled = dict(CI_SCENARIO, scenario={"events": [
+            dict(fault, label=5), repair,
+        ]})
+        cache_dir = tmp_path / "cache"
+        path = _spec_file(tmp_path, [labelled])
+        with pytest.raises(
+            SystemExit,
+            match=r"document 0: elevator-fault event label must be a string "
+                  r"or null, got 5",
+        ):
+            main(["run", "--spec", path, "--cache-dir", str(cache_dir)])
+        # Rejected while the file is read: nothing simulated or cached.
+        assert not cache_dir.exists()
+
     def test_ci_scenario_key_and_seed_are_pinned(self):
         # A cache directory written by an earlier version keeps serving
         # CI's fault/repair spec only while its key stays put.
@@ -282,6 +298,12 @@ class TestCacheStatsCommand:
             f"[repro.cache] {cache_dir} (sqlite): 1 result(s), 0 design(s), "
             f"0 job(s), 0 task(s), 0 manifest(s), {stats['bytes']} byte(s)"
         ]
+
+    def test_run_closes_its_store(self, tmp_path, capsys, no_cyclic_gc):
+        cache_dir = tmp_path / "cache"
+        path = _spec_file(tmp_path, [_static(CI_SCENARIO)])
+        assert main(["run", "--spec", path, "--cache-dir", str(cache_dir)]) == 0
+        assert "repro.sqlite3-wal" not in os.listdir(cache_dir)
 
     def test_missing_directory_is_rejected_and_not_created(self, tmp_path):
         missing = tmp_path / "nope"

@@ -10,10 +10,12 @@ directory's store.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict
 
 import pytest
 
+from repro import api
 from repro.analysis import runner
 from repro.analysis.runner import (
     DesignCache,
@@ -211,6 +213,13 @@ class TestResultCache:
         cache.clear()
         assert len(cache) == 0
         assert open_caches(str(tmp_path))[0].get("a") is None
+
+    def test_run_specs_closes_its_store(self, tmp_path, no_cyclic_gc):
+        outcomes = api.run_specs(
+            [_tiny_spec(injection_rate=0.02)], cache_dir=str(tmp_path)
+        )
+        assert not outcomes[0].from_cache
+        assert "repro.sqlite3-wal" not in os.listdir(tmp_path)
 
 
 # ---------------------------------------------------------------------- #

@@ -142,6 +142,17 @@ class TestServiceEndToEnd:
         assert "injection stops at cycle 50" in str(excinfo.value)
         assert service.jobs() == []
 
+    def test_non_string_event_label_is_400(self, service):
+        document = _spec().to_dict()
+        document["scenario"] = {"events": [
+            {"kind": "elevator-fault", "cycle": 20, "elevator": 0, "label": 5}
+        ]}
+        with pytest.raises(ServiceError) as excinfo:
+            service._request("POST", "/api/jobs", {"specs": [document]})
+        assert excinfo.value.status == 400
+        assert "label must be a string or null" in str(excinfo.value)
+        assert service.jobs() == []
+
     def test_unknown_route_is_404(self, service):
         with pytest.raises(ServiceError) as excinfo:
             service._request("GET", "/api/nothing")
