@@ -30,7 +30,7 @@ import os
 from typing import Dict, List
 
 from repro.exec.batch import ExperimentBatch
-from repro.exec.cache import open_caches
+from repro.exec.cache import close_caches, open_caches
 from repro.scenario import ElevatorFault, ElevatorRepair, ScenarioSpec
 from repro.spec import ExperimentSpec, PlacementSpec, PolicySpec, SimSpec, TrafficSpec
 
@@ -81,14 +81,17 @@ def run_benchmark(args: argparse.Namespace) -> Dict:
         for name, scenario in scenarios.items()
     ]
     result_cache, design_cache = open_caches(args.cache_dir)
-    batch = ExperimentBatch(
-        [spec for _, _, spec in grid],
-        workers=args.workers,
-        result_cache=result_cache,
-        design_cache=design_cache,
-        base_seed=args.seed,
-    )
-    outcomes = batch.run()
+    try:
+        batch = ExperimentBatch(
+            [spec for _, _, spec in grid],
+            workers=args.workers,
+            result_cache=result_cache,
+            design_cache=design_cache,
+            base_seed=args.seed,
+        )
+        outcomes = batch.run()
+    finally:
+        close_caches(result_cache, design_cache)
     print(
         f"[repro.exec] {batch.last_executed} simulated, "
         f"{batch.last_cached} served from cache ({batch.workers} workers)"

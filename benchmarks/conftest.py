@@ -22,7 +22,7 @@ from typing import Iterable, List, Optional, Sequence
 import pytest
 
 from repro.exec.batch import ExperimentBatch, ExperimentOutcome
-from repro.exec.cache import open_caches
+from repro.exec.cache import close_caches, open_caches
 from repro.spec import ExperimentSpec, PlacementSpec, PolicySpec, SimSpec, TrafficSpec
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
@@ -35,6 +35,11 @@ _CACHE_DIR = os.environ.get("REPRO_BENCH_CACHE") or None
 #: directory's store when ``REPRO_BENCH_CACHE`` is set (shared across bench
 #: files and re-runs).
 RESULT_CACHE, DESIGN_CACHE = open_caches(_CACHE_DIR)
+
+
+def pytest_sessionfinish(session, exitstatus) -> None:
+    """Close the shared caches' store once every bench has run."""
+    close_caches(RESULT_CACHE, DESIGN_CACHE)
 
 
 def run_grid(specs: Sequence[ExperimentSpec]) -> List[ExperimentOutcome]:

@@ -21,7 +21,14 @@ import os
 import time
 
 from repro import ExperimentBatch
-from repro.api import ExperimentSpec, PlacementSpec, SimSpec, TrafficSpec, open_caches
+from repro.api import (
+    ExperimentSpec,
+    PlacementSpec,
+    SimSpec,
+    TrafficSpec,
+    close_caches,
+    open_caches,
+)
 
 CACHE_DIR = os.path.join(os.path.dirname(__file__), ".repro-cache")
 POLICIES = ("elevator_first", "cda", "adele")
@@ -40,17 +47,19 @@ def main() -> None:
         for rate in RATES
     ]
     result_cache, design_cache = open_caches(CACHE_DIR)
-    batch = ExperimentBatch(
-        specs,
-        workers=4,
-        result_cache=result_cache,
-        design_cache=design_cache,
-        base_seed=1,  # per-task seeds derive from the config hash + 1
-    )
-
-    start = time.perf_counter()
-    outcomes = batch.run()
-    elapsed = time.perf_counter() - start
+    try:
+        batch = ExperimentBatch(
+            specs,
+            workers=4,
+            result_cache=result_cache,
+            design_cache=design_cache,
+            base_seed=1,  # per-task seeds derive from the config hash + 1
+        )
+        start = time.perf_counter()
+        outcomes = batch.run()
+        elapsed = time.perf_counter() - start
+    finally:
+        close_caches(result_cache, design_cache)
     print(
         f"{batch.last_executed} simulated, {batch.last_cached} from cache "
         f"in {elapsed:.1f}s (cache: {CACHE_DIR})"

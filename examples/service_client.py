@@ -6,7 +6,8 @@ workflow through :mod:`repro.api`:
 
 1. submit a small sweep (the job dedups by spec hash -- submitting it
    twice attaches to the same job);
-2. poll progress until the job finishes;
+2. wait until the job finishes (held status requests: the daemon answers
+   as soon as it is done);
 3. fetch the summary rows, in submission order;
 4. verify they are **bit-identical** to a direct in-process
    :func:`repro.api.run_specs` run of the same specs;

@@ -336,7 +336,11 @@ def wait(
     timeout: Optional[float] = None,
     base_url: str = DEFAULT_SERVICE_URL,
 ) -> Dict[str, object]:
-    """Poll the service until the job finishes; returns its status."""
+    """Wait until the service job finishes; returns its status.
+
+    See :meth:`ServiceClient.wait`: held status requests, asked back to
+    back, so the finish is seen within a request's round trip.
+    """
     return connect(base_url).wait(job_id, timeout=timeout)
 
 

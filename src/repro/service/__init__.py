@@ -18,8 +18,8 @@ system that many clients share:
   machinery with derived per-task seeds, preserving the
   serial == parallel == warm-cache bit-identity contract;
 * :mod:`repro.service.http` -- a thin stdlib HTTP API
-  (``python -m repro serve``): submit/status/result/cancel plus incremental
-  progress polling;
+  (``python -m repro serve``): submit/status/result/cancel, with status
+  requests the daemon can hold until the job ends (``?wait=S``);
 * :mod:`repro.service.client` -- the matching urllib client
   (:class:`ServiceClient`; re-exported as ``repro.api.connect`` /
   ``submit`` / ``wait`` / ``results``).

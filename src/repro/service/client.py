@@ -134,9 +134,18 @@ class ServiceClient:
             "POST", "/api/jobs", {"specs": documents, "base_seed": base_seed}
         )
 
-    def status(self, job_id: int) -> Dict[str, Any]:
-        """Current job state + per-state task counts (progress polling)."""
-        return self._request("GET", f"/api/jobs/{job_id}")
+    def status(self, job_id: int, wait: float = 0.0) -> Dict[str, Any]:
+        """Job state + per-state task counts.
+
+        With ``wait > 0`` the daemon holds the answer until the job is
+        terminal or ``wait`` seconds pass (``GET /api/jobs/<id>?wait=S``).
+        The hold is capped at half this client's socket timeout, so the
+        answer arrives before the socket gives up; the daemon caps it at
+        :data:`repro.service.http.MAX_STATUS_WAIT_S`.
+        """
+        wait = min(wait, self.timeout / 2)
+        query = f"?wait={wait:g}" if wait > 0 else ""
+        return self._request("GET", f"/api/jobs/{job_id}{query}")
 
     def jobs(self) -> List[Dict[str, Any]]:
         """Every job the daemon knows, newest first."""
@@ -148,14 +157,25 @@ class ServiceClient:
         timeout: Optional[float] = None,
         poll_interval: float = 0.2,
     ) -> Dict[str, Any]:
-        """Poll until the job reaches a terminal state; returns its status.
+        """Wait until the job reaches a terminal state; returns its status.
+
+        Each look is a held status request (:meth:`status` with
+        ``wait=min(poll_interval, time left)``) that returns as soon as the
+        job finishes; an open job is asked about again at once, so
+        ``poll_interval`` bounds the gap between two looks at the job.  A
+        daemon that ignores ``wait`` answers early; then the rest of the
+        hold is slept, as before holds existed.
 
         Raises:
             TimeoutError: The job was still open after ``timeout`` seconds.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
-            status = self.status(job_id)
+            asked = time.monotonic()
+            hold = poll_interval
+            if deadline is not None:
+                hold = max(0.0, min(hold, deadline - asked))
+            status = self.status(job_id, wait=hold)
             if status["state"] in _TERMINAL:
                 return status
             if deadline is not None and time.monotonic() > deadline:
@@ -163,7 +183,10 @@ class ServiceClient:
                     f"job {job_id} still {status['state']} after {timeout}s "
                     f"({status['counts']})"
                 )
-            time.sleep(poll_interval)
+            # A daemon that predates ``wait`` answers at once: do not spin.
+            rest = hold - (time.monotonic() - asked)
+            if rest > 0:
+                time.sleep(rest)
 
     def results(self, job_id: int) -> List[Dict[str, float]]:
         """Summary rows of a finished job, in submission order.

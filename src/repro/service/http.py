@@ -20,8 +20,11 @@ POST   ``/api/jobs``                 submit (``{"specs": [...],
                                      for an identical resubmission,
                                      201 for a new job
 GET    ``/api/jobs``                 list jobs, newest first
-GET    ``/api/jobs/<id>``            job state + progress counts
-                                     (incremental polling)
+GET    ``/api/jobs/<id>[?wait=S]``   job state + progress counts; with
+                                     ``wait=S`` the answer is held until
+                                     the job is terminal or S seconds
+                                     pass (S clamped to
+                                     :data:`MAX_STATUS_WAIT_S`)
 GET    ``/api/jobs/<id>/result``     per-task results in submission order
 POST   ``/api/jobs/<id>/cancel``     cancel the job's queued tasks
 ====== ============================= =====================================
@@ -34,20 +37,27 @@ Request logging goes through the ``repro.service`` :mod:`logging` logger:
 one structured access-log event per request (method, path, status,
 duration) at INFO, stdlib ``log_message`` chatter at DEBUG.  ``repro serve
 --verbose`` attaches a stderr handler; embedders configure the logger like
-any other.
+any other.  A held status request's duration -- in the access log, its
+``http.request`` span and its ``repro_http_request_seconds`` observation
+-- includes the hold.
+
+Each request runs on its own thread with its own SQLite connection, which
+is closed when the request ends.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 import re
 import signal
 import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
+from urllib.parse import parse_qs
 
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, MetricsRegistry
 from repro.obs.tracing import span
@@ -65,6 +75,10 @@ LOGGER = logging.getLogger("repro.service")
 
 #: Prometheus text exposition content type.
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+#: Longest hold, in seconds, of ``GET /api/jobs/<id>?wait=S``; below the
+#: bundled client's default socket timeout (30 s).
+MAX_STATUS_WAIT_S = 20.0
 
 
 def configure_service_logging(verbose: bool = False) -> None:
@@ -112,6 +126,8 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     #: Set by :func:`make_server` on the generated subclass.
     context: ServiceContext
+    #: The request's query parameters (``parse_qs`` form).
+    query: Dict[str, List[str]]
 
     server_version = "repro-service/1.7"
     protocol_version = "HTTP/1.1"
@@ -139,12 +155,19 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         LOGGER.debug("%s %s", self.address_string(), format % args)
 
     def _dispatch(self, method: str) -> None:
-        path = self.path.split("?", 1)[0].rstrip("/") or "/"
+        path, _, query = self.path.partition("?")
+        path = path.rstrip("/") or "/"
+        self.query = parse_qs(query, keep_blank_values=True)
         started = time.perf_counter()
-        with span("http.request", method=method, path=path) as request_span:
-            status = self._route(method, path)
-            if request_span is not None:
-                request_span.args["status"] = status
+        try:
+            with span("http.request", method=method, path=path) as request_span:
+                status = self._route(method, path)
+                if request_span is not None:
+                    request_span.args["status"] = status
+        finally:
+            # This thread ends with the request; an unclosed connection
+            # would live on until the cyclic garbage collector ran.
+            self.context.store.close()
         elapsed = time.perf_counter() - started
         metrics = self.context.metrics
         metrics.counter(
@@ -301,7 +324,32 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         return 200, {"jobs": [job.to_dict() for job in self.context.queue.jobs()]}
 
     def _job_status(self, job_id: str) -> Tuple[int, Dict[str, Any]]:
-        return 200, self.context.queue.job(int(job_id)).to_dict()
+        queue = self.context.queue
+        deadline = time.monotonic() + self._status_wait()
+        while True:
+            # Generation before the read, so a change in between is not lost.
+            generation = queue.generation
+            job = queue.job(int(job_id))
+            left = deadline - time.monotonic()
+            if job.finished or left <= 0:
+                return 200, job.to_dict()
+            queue.wait_for_change(generation, left)
+
+    def _status_wait(self) -> float:
+        """The ``wait`` query parameter in seconds (0 when absent), clamped."""
+        values = self.query.get("wait")
+        if not values:
+            return 0.0
+        try:
+            seconds = float(values[-1])
+        except ValueError:
+            seconds = math.nan
+        if not math.isfinite(seconds) or seconds < 0:
+            raise _ApiError(
+                400, f"wait must be a finite number of seconds >= 0, "
+                     f"got {values[-1]!r}"
+            )
+        return min(seconds, MAX_STATUS_WAIT_S)
 
     def _job_result(self, job_id: str) -> Tuple[int, Dict[str, Any]]:
         job = self.context.queue.job(int(job_id))
@@ -401,6 +449,7 @@ __all__ = [
     "DEFAULT_HOST",
     "DEFAULT_PORT",
     "LOGGER",
+    "MAX_STATUS_WAIT_S",
     "METRICS_CONTENT_TYPE",
     "ServiceContext",
     "ServiceRequestHandler",

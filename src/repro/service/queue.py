@@ -31,16 +31,19 @@ hashes:
 All mutating operations run in ``BEGIN IMMEDIATE`` transactions on the
 shared :class:`~repro.service.store.SqliteStore`, so any number of worker
 threads/processes can claim concurrently without handing out one task
-twice.
+twice.  After a transaction that changed state commits, the queue bumps
+its in-process change signal (:meth:`JobQueue.wait_for_change`), which
+wakes idle workers and held status requests instead of making them poll.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.exec.batch import key_extra_for
 from repro.exec.cache import canonical_config, config_key, derive_seed
@@ -126,6 +129,12 @@ def job_hash_for(keys: Sequence[str]) -> str:
 class JobQueue:
     """The durable queue over a shared :class:`SqliteStore`.
 
+    Every state-changing operation bumps :attr:`generation` after its
+    transaction commits, so threads of this process that share this object
+    can block in :meth:`wait_for_change` instead of polling the store.
+    Changes made through another ``JobQueue`` object or another process do
+    not signal; waiters bound their wait with a timeout for those.
+
     Args:
         store: The service database (jobs/tasks/results tables).
         max_attempts: Claim-count limit per task; a task failing (or being
@@ -139,6 +148,41 @@ class JobQueue:
             raise ValueError("max_attempts must be >= 1")
         self.store = store
         self.max_attempts = max_attempts
+        self._changed = threading.Condition()
+        self._generation = 0
+
+    # ------------------------------------------------------------------ #
+    # Change signal
+    # ------------------------------------------------------------------ #
+    @property
+    def generation(self) -> int:
+        """How many state changes this object has signalled so far.
+
+        Read it *before* looking at the queue, then pass it to
+        :meth:`wait_for_change`: a change that lands in between makes the
+        wait return at once instead of being lost.
+        """
+        return self._generation
+
+    def wait_for_change(self, generation: int, timeout: Optional[float]) -> bool:
+        """Block until :attr:`generation` moves past ``generation``.
+
+        Returns ``False`` when ``timeout`` seconds passed first.
+        """
+        with self._changed:
+            return self._changed.wait_for(
+                lambda: self._generation != generation, timeout
+            )
+
+    def signal(self) -> None:
+        """Bump :attr:`generation` and wake every :meth:`wait_for_change`.
+
+        The queue calls it after each committed state change; a worker
+        pool calls it on stop so that its idle workers exit at once.
+        """
+        with self._changed:
+            self._generation += 1
+            self._changed.notify_all()
 
     # ------------------------------------------------------------------ #
     # Submission
@@ -170,6 +214,7 @@ class JobQueue:
         keys = [config_key(spec, extra=extra) for spec in resolved]
         job_hash = job_hash_for(keys)
 
+        queued = False
         with self.store.transaction() as conn:
             row = conn.execute(
                 "SELECT id FROM jobs WHERE job_hash=?", (job_hash,)
@@ -204,6 +249,9 @@ class JobQueue:
                         ),
                     )
                 self._finalize_job(conn, job_id)
+                queued = any(key not in warm for key in keys)
+        if queued:
+            self.signal()
         return SubmitReceipt(job=self.job(job_id), created=created)
 
     # ------------------------------------------------------------------ #
@@ -218,21 +266,24 @@ class JobQueue:
         exhausted their attempts are failed in place.
         """
         with span("queue.claim", worker=worker) as record_span:
-            task = self._claim(worker)
+            task, settled = self._claim(worker)
+            if settled:
+                self.signal()
             if record_span is not None:
                 record_span.args["claimed"] = task is not None
             return task
 
-    def _claim(self, worker: str) -> Optional[TaskRecord]:
+    def _claim(self, worker: str) -> Tuple[Optional[TaskRecord], bool]:
+        """The claimed task, and whether queued tasks were absorbed or failed."""
         with self.store.transaction() as conn:
             # Absorb free wins first: a result row satisfies every queued
             # task waiting on that key, whichever job queued it.
-            absorbed = conn.execute(
+            settled = conn.execute(
                 "UPDATE tasks SET state=?, worker=NULL, claimed_at=NULL "
                 "WHERE state=? AND key IN (SELECT key FROM results)",
                 (DONE, QUEUED),
-            ).rowcount
-            if absorbed:
+            ).rowcount > 0
+            if settled:
                 self._finalize_jobs_of_absorbed(conn)
             while True:
                 row = conn.execute(
@@ -243,7 +294,7 @@ class JobQueue:
                     (QUEUED, CANCELLED, FAILED),
                 ).fetchone()
                 if row is None:
-                    return None
+                    return None, settled
                 if row["attempts"] < self.max_attempts:
                     break
                 # Attempts used up: fail it in place and read the next row.
@@ -252,6 +303,7 @@ class JobQueue:
                     (FAILED, "attempt limit exhausted", row["job_id"], row["idx"]),
                 )
                 self._finalize_job(conn, row["job_id"])
+                settled = True
             conn.execute(
                 "UPDATE tasks SET state=?, attempts=attempts+1, "
                 "worker=?, claimed_at=? WHERE job_id=? AND idx=?",
@@ -268,7 +320,7 @@ class JobQueue:
                 spec=ExperimentSpec.from_dict(json.loads(row["spec"])),
                 state=RUNNING,
                 attempts=row["attempts"] + 1,
-            )
+            ), settled
 
     def complete(self, task: TaskRecord, summary: Dict[str, float]) -> None:
         """Record a finished task: result row + per-task completion.
@@ -290,6 +342,7 @@ class JobQueue:
                 (DONE, task.job_id, task.index, QUEUED, task.key),
             )
             self._finalize_jobs_of_absorbed(conn)
+        self.signal()
 
     def fail(self, task: TaskRecord, error: str) -> None:
         """Record a failed attempt: re-queue under the limit, else fail."""
@@ -306,6 +359,7 @@ class JobQueue:
                     (FAILED, error, task.job_id, task.index),
                 )
                 self._finalize_job(conn, task.job_id)
+        self.signal()
 
     def requeue_stale(self, lease_seconds: float) -> int:
         """Re-queue running tasks whose claim is older than the lease.
@@ -321,6 +375,8 @@ class JobQueue:
                 "WHERE state=? AND claimed_at IS NOT NULL AND claimed_at<?",
                 (QUEUED, RUNNING, cutoff),
             ).rowcount
+        if requeued:
+            self.signal()
         return requeued
 
     def recover_running(self) -> int:
@@ -339,6 +395,8 @@ class JobQueue:
             conn.execute(
                 "UPDATE jobs SET state=? WHERE state=?", (QUEUED, RUNNING)
             )
+        if requeued:
+            self.signal()
         return requeued
 
     # ------------------------------------------------------------------ #
@@ -357,6 +415,7 @@ class JobQueue:
                 (CANCELLED, job_id, QUEUED),
             )
             self._finalize_job(conn, job_id)
+        self.signal()
         return self.job(job_id)
 
     def job(self, job_id: int) -> JobRecord:

@@ -77,10 +77,16 @@ def execute_claimed_task(
 class WorkerPool:
     """N supervised worker threads draining a :class:`JobQueue`.
 
+    An idle worker, and :meth:`drain`, wait on the queue's change signal
+    (:meth:`JobQueue.wait_for_change`), so a submission through the pool's
+    own queue object is claimed at once.
+
     Args:
         store: The shared service database.
         workers: Worker thread count.
-        poll_interval: Idle sleep between claim attempts, seconds.
+        poll_interval: Longest idle wait between claim attempts, seconds:
+            only work queued by another process or another ``JobQueue``
+            object on the same store waits this long.
         lease_seconds: Claim age after which the supervisor re-queues a
             ``running`` task (orphan recovery).
         plugins: Module names imported before specs resolve, mirroring the
@@ -132,6 +138,7 @@ class WorkerPool:
     def stop(self, timeout: float = 30.0) -> None:
         """Signal every thread to stop and join them."""
         self._stop.set()
+        self.queue.signal()  # after the flag: a woken worker must see it
         for thread in self._threads:
             thread.join(timeout=timeout)
         if self._supervisor is not None:
@@ -147,14 +154,18 @@ class WorkerPool:
         """
         deadline = None if timeout is None else _monotonic() + timeout
         while True:
+            generation = self.queue.generation
             counts = self.queue.counts()
             if counts["queued"] == 0 and counts["running"] == 0:
                 return True
-            if deadline is not None and _monotonic() > deadline:
-                return False
-            self._stop.wait(self.poll_interval)
             if self._stop.is_set():
                 return False
+            wait = self.poll_interval
+            if deadline is not None:
+                wait = min(wait, deadline - _monotonic())
+                if wait < 0:
+                    return False
+            self.queue.wait_for_change(generation, wait)
 
     # ------------------------------------------------------------------ #
     def _spawn(self, index: int) -> threading.Thread:
@@ -184,10 +195,15 @@ class WorkerPool:
             "repro_worker_tasks_failed_total",
             help="Claimed-task attempts reported as failed.",
         )
-        while not self._stop.is_set():
+        while True:
+            # Generation before the stop check and the claim: a stop or a
+            # submission after either makes the wait return at once.
+            generation = self.queue.generation
+            if self._stop.is_set():
+                return
             task = self.queue.claim(worker)
             if task is None:
-                self._stop.wait(self.poll_interval)
+                self.queue.wait_for_change(generation, self.poll_interval)
                 continue
             started = time.perf_counter()
             ok = execute_claimed_task(

@@ -10,8 +10,12 @@ assertion is bit-identity: a job's summary rows must equal a direct
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import json
+import sqlite3
 import threading
+import time
 
 import pytest
 
@@ -34,25 +38,48 @@ def _spec(rate: float = 0.002, policy: str = "elevator_first") -> ExperimentSpec
     ).with_(policy=policy)
 
 
-@pytest.fixture
-def service(tmp_path):
-    """A live daemon on an ephemeral port; yields a connected client."""
-    store = SqliteStore(str(tmp_path / "service.sqlite3"))
+@contextlib.contextmanager
+def _daemon(path: str, start_workers: bool):
+    """A live daemon on an ephemeral port; yields a client and its queue."""
+    store = SqliteStore(path)
     queue = JobQueue(store)
     pool = WorkerPool(store, workers=2, queue=queue, poll_interval=0.02)
     server = make_server(ServiceContext(store, queue, pool), port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    pool.start()
+    if start_workers:
+        pool.start()
     client = ServiceClient(f"http://127.0.0.1:{server.server_address[1]}")
     try:
-        yield client
+        yield client, queue
     finally:
         server.shutdown()
         server.server_close()
         pool.stop()
         store.close()
         thread.join(timeout=5)
+
+
+@pytest.fixture
+def service(tmp_path):
+    """A live daemon with running workers; yields a connected client."""
+    with _daemon(str(tmp_path / "service.sqlite3"), start_workers=True) as (client, _):
+        yield client
+
+
+@pytest.fixture
+def idle_daemon(tmp_path):
+    """A live daemon whose workers never start: the test moves its tasks.
+
+    Yields the client and the daemon's own queue object, so a change the
+    test makes through it signals the daemon's held requests.
+    """
+    with _daemon(str(tmp_path / "idle.sqlite3"), start_workers=False) as pair:
+        yield pair
+
+
+def _live_connections() -> int:
+    return sum(isinstance(obj, sqlite3.Connection) for obj in gc.get_objects())
 
 
 class TestServiceEndToEnd:
@@ -170,3 +197,103 @@ class TestServiceEndToEnd:
         client = api.connect(service.base_url)
         assert isinstance(client, ServiceClient)
         assert client.health()["status"] == "ok"
+
+
+class TestHeldStatus:
+    """``GET /api/jobs/<id>?wait=S`` answers when the job ends, not later."""
+
+    @staticmethod
+    def _hold(client, job_id):
+        """Start a ``wait=30`` status request on a thread."""
+        answer = {}
+
+        def ask():
+            answer["status"] = client._request("GET", f"/api/jobs/{job_id}?wait=30")
+            answer["returned"] = time.monotonic()
+
+        thread = threading.Thread(target=ask, daemon=True)
+        thread.start()
+        time.sleep(0.3)
+        assert thread.is_alive(), "an open job's status was not held"
+        return thread, answer
+
+    def test_held_request_returns_when_the_job_completes(self, idle_daemon):
+        client, queue = idle_daemon
+        job_id = queue.submit([_spec()]).job.id
+        thread, answer = self._hold(client, job_id)
+        queue.complete(queue.claim("test"), {"average_latency": 1.0})
+        completed = time.monotonic()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert answer["status"]["state"] == "done"
+        assert answer["returned"] - completed < 2.0
+
+    def test_cancel_wakes_a_held_request(self, idle_daemon):
+        client, queue = idle_daemon
+        job_id = queue.submit([_spec()]).job.id
+        thread, answer = self._hold(client, job_id)
+        client.cancel(job_id)
+        cancelled = time.monotonic()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert answer["status"]["state"] == "cancelled"
+        assert answer["returned"] - cancelled < 2.0
+
+    def test_terminal_job_answers_at_once(self, idle_daemon):
+        client, queue = idle_daemon
+        job_id = queue.submit([_spec()]).job.id
+        queue.complete(queue.claim("test"), {"average_latency": 1.0})
+        started = time.monotonic()
+        status = client._request("GET", f"/api/jobs/{job_id}?wait=30")
+        assert status["state"] == "done"
+        assert time.monotonic() - started < 2.0
+
+    def test_open_job_answers_after_the_hold(self, idle_daemon):
+        client, queue = idle_daemon
+        job_id = queue.submit([_spec()]).job.id
+        started = time.monotonic()
+        status = client.status(job_id, wait=0.2)
+        elapsed = time.monotonic() - started
+        assert status["state"] == "queued"
+        assert 0.2 <= elapsed < 5.0
+
+    @pytest.mark.parametrize("value", ["-1", "abc", "nan", "inf", ""])
+    def test_bad_wait_is_400(self, idle_daemon, value):
+        client, queue = idle_daemon
+        job_id = queue.submit([_spec()]).job.id
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("GET", f"/api/jobs/{job_id}?wait={value}")
+        assert excinfo.value.status == 400
+        assert "wait must be" in str(excinfo.value)
+
+    @pytest.mark.parametrize("daemon_holds", [True, False])
+    def test_wait_looks_through_status_with_bounded_holds(
+        self, idle_daemon, monkeypatch, daemon_holds
+    ):
+        client, queue = idle_daemon
+        job_id = queue.submit([_spec()]).job.id
+        holds = []
+        status = client.status
+
+        def counted(job, wait=0.0):
+            holds.append(wait)
+            # A daemon that predates ``wait`` ignores it and answers at once.
+            return status(job, wait=wait if daemon_holds else 0.0)
+
+        monkeypatch.setattr(client, "status", counted)
+        with pytest.raises(TimeoutError):
+            client.wait(job_id, timeout=0.5, poll_interval=0.2)
+        # Holds of min(poll_interval, time left), and no spinning either way.
+        assert holds[0] == 0.2
+        assert 2 <= len(holds) <= 5 and all(0 <= hold <= 0.2 for hold in holds)
+
+    def test_requests_close_their_store_connections(self, idle_daemon, no_cyclic_gc):
+        client, _ = idle_daemon
+        before = _live_connections()
+        for _ in range(50):
+            client.health()
+        # A request thread closes its connection just after it answers.
+        deadline = time.monotonic() + 5
+        while _live_connections() != before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert _live_connections() == before

@@ -6,7 +6,9 @@ where a worker claims a task and is hard-killed mid-run to prove that
 ``recover_running`` / ``requeue_stale`` resume the sweep without losing
 completed work or looping forever on a crashing task.  One test runs a
 real task through the worker pool: the rows it leaves equal the rows a
-direct engine run writes to a cache directory.
+direct engine run writes to a cache directory.  The wake-up tests run
+pools whose fallback poll is a minute long, so only the queue's change
+signal can make them finish in time.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
 
@@ -43,6 +46,19 @@ def _spec(rate: float = 0.002, policy: str = "elevator_first") -> ExperimentSpec
         ),
         traffic=TrafficSpec(pattern="uniform", injection_rate=rate),
     ).with_(policy=policy)
+
+
+def _fast(rate: float = 0.002) -> ExperimentSpec:
+    return _spec(rate).with_(warmup_cycles=10, measurement_cycles=40, drain_cycles=30)
+
+
+def _until(predicate, timeout: float) -> bool:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
 
 
 @pytest.fixture
@@ -230,6 +246,63 @@ class TestDaemonRows:
         assert len(daemon_rows[0]) == 1 and len(daemon_rows[1]) == 1
         assert daemon_rows[0][0][1] is not None  # the config column
         assert daemon_rows == store_rows(direct_dir)
+
+
+# ---------------------------------------------------------------------- #
+# Wake-ups: idle workers and drain() wait on the queue's change signal
+# ---------------------------------------------------------------------- #
+class TestWakeups:
+    def test_idle_workers_wake_on_submit(self, queue, store):
+        pool = WorkerPool(store, workers=2, queue=queue, poll_interval=60)
+        pool.start()
+        try:
+            time.sleep(0.3)  # both workers found nothing and went idle
+            job = queue.submit([_fast()]).job
+            assert _until(lambda: queue.job(job.id).state == DONE, 10)
+        finally:
+            pool.stop()
+
+    def test_submit_between_empty_claim_and_wait_is_not_lost(self, queue, store):
+        # The submission bumps the generation after the worker's claim
+        # found nothing and before the worker waits.
+        claim, submitted = queue.claim, []
+
+        def claim_then_submit(worker):
+            task = claim(worker)
+            if task is None and not submitted:
+                submitted.append(queue.submit([_fast()]).job.id)
+            return task
+
+        queue.claim = claim_then_submit
+        pool = WorkerPool(store, workers=1, queue=queue, poll_interval=60)
+        pool.start()
+        try:
+            assert _until(
+                lambda: submitted and queue.job(submitted[0]).state == DONE, 10
+            )
+        finally:
+            pool.stop()
+
+    def test_drain_returns_once_the_queue_empties(self, queue, store):
+        queue.submit([_fast()])
+        pool = WorkerPool(store, workers=1, queue=queue, poll_interval=60)
+        pool.start()
+        try:
+            started = time.monotonic()
+            assert pool.drain(timeout=30)
+            assert time.monotonic() - started < 10
+        finally:
+            pool.stop()
+
+    def test_stop_returns_promptly(self, queue, store):
+        pool = WorkerPool(store, workers=2, queue=queue, poll_interval=60)
+        pool.start()
+        time.sleep(0.2)
+        threads = [*pool._threads, pool._supervisor]
+        started = time.monotonic()
+        pool.stop(timeout=10)
+        assert time.monotonic() - started < 5
+        assert not any(thread.is_alive() for thread in threads)
 
 
 # ---------------------------------------------------------------------- #
