@@ -41,8 +41,9 @@ any other.  A held status request's duration -- in the access log, its
 ``http.request`` span and its ``repro_http_request_seconds`` observation
 -- includes the hold.
 
-Each request runs on its own thread with its own SQLite connection, which
-is closed when the request ends.
+Each client connection is served on its own short-lived thread; a
+request's SQLite connection (the store's per-thread one) is closed when
+the request ends.
 """
 
 from __future__ import annotations
@@ -165,8 +166,8 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 if request_span is not None:
                     request_span.args["status"] = status
         finally:
-            # This thread ends with the request; an unclosed connection
-            # would live on until the cyclic garbage collector ran.
+            # Request threads are short-lived: an unclosed connection would
+            # outlive its thread until the cyclic garbage collector ran.
             self.context.store.close()
         elapsed = time.perf_counter() - started
         metrics = self.context.metrics
