@@ -94,7 +94,7 @@ from repro.spec import (
 )
 from repro import api
 
-__version__ = "1.21.0"
+__version__ = "1.22.0"
 
 __all__ = [
     "Coordinate",

@@ -2,9 +2,9 @@
 
 :class:`ExperimentBatch` is the execution backbone of the repository: it
 takes a list of :class:`~repro.spec.ExperimentSpec`, fans the uncached
-ones out over a :class:`concurrent.futures.ProcessPoolExecutor` (or runs
-them inline when ``workers=1``) and returns one :class:`ExperimentOutcome`
-per input spec, in input order.
+ones out over a :class:`concurrent.futures.ProcessPoolExecutor` (its own,
+or one its caller owns; it runs them inline when ``workers=1``) and
+returns one :class:`ExperimentOutcome` per input spec, in input order.
 
 Determinism guarantee
     Every task runs the exact same code path regardless of worker count:
@@ -36,6 +36,12 @@ Warm-worker memoization
     batch (``last_setup_s`` / ``last_kernel_s`` / ``last_memo_hits`` /
     ``last_memo_misses``) and surface in every CLI ``--json`` engine
     block.
+
+Spans
+    While the parent has a tracer installed, a task sent to a process pool
+    records its spans in the worker (on the parent's timeline) and returns
+    them next to its row; the parent replays them into its own tracer
+    under the worker's pid.  Untraced tasks ship exactly as before.
 """
 
 from __future__ import annotations
@@ -43,12 +49,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import importlib
+import itertools
 import json
 import os
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -72,7 +79,7 @@ from repro.exec.cache import (
 )
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, MetricsRegistry
 from repro.obs.probes import ProbeSpec
-from repro.obs.tracing import span
+from repro.obs.tracing import capture_spans, current_tracer, span
 from repro.routing.base import RouteComputation
 from repro.spec import ExperimentSpec, as_spec
 
@@ -306,6 +313,20 @@ def _execute_task_timed(
     return task.key, result.summary(), meta
 
 
+def _execute_task_traced(
+    task: _Task, epoch_ns: int
+) -> Tuple[str, Dict[str, float], Dict[str, Any]]:
+    """:func:`_execute_task_timed` in a pool worker of a traced parent.
+
+    The task's spans are recorded on the parent tracer's ``epoch_ns`` and
+    ride back in ``meta["spans"]``.
+    """
+    with capture_spans(epoch_ns) as tracer:
+        key, summary, meta = _execute_task_timed(task)
+    meta["spans"] = tracer.spans()
+    return key, summary, meta
+
+
 class ExperimentBatch:
     """Run a list of experiments, in parallel and cached.
 
@@ -354,6 +375,10 @@ class ExperimentBatch:
             service does, feeding ``GET /metrics``).  The per-run
             ``last_*`` attributes remain the per-``run()`` view; the
             registry is the cumulative one.
+        executor: A process pool its caller owns and shuts down.  When
+            given, every pending task runs on it and ``workers`` is not
+            used; the calling thread only waits.  The experiment service
+            hands each worker thread's batch its pool this way.
     """
 
     def __init__(
@@ -370,6 +395,7 @@ class ExperimentBatch:
         replica_batch: Optional[int] = None,
         probe: Optional[ProbeSpec] = None,
         metrics: Optional[MetricsRegistry] = None,
+        executor: Optional[Executor] = None,
     ) -> None:
         self.specs: List[ExperimentSpec] = [as_spec(spec) for spec in specs]
         if workers < 1:
@@ -388,6 +414,7 @@ class ExperimentBatch:
         self.manifest_dir = manifest_dir
         self.probe = probe
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.executor = executor
         #: Probe series sampled by the last ``run()``, keyed by config key
         #: (empty unless a ``probe`` was attached; cache hits never appear).
         self.last_probes: Dict[str, Any] = {}
@@ -521,19 +548,29 @@ class ExperimentBatch:
         abort_raw = os.environ.get(ABORT_AFTER_CHUNKS_ENV)
         abort_after = int(abort_raw) if abort_raw else None
         done_offset = len(grid_keys) - len(tasks)
-        pool: Optional[ProcessPoolExecutor] = None
+        tracer = current_tracer()
+        pool = self.executor
+        owned: Optional[ProcessPoolExecutor] = None
         try:
-            if self.workers > 1 and len(tasks) > 1:
-                pool = ProcessPoolExecutor(
+            if pool is None and self.workers > 1 and len(tasks) > 1:
+                pool = owned = ProcessPoolExecutor(
                     max_workers=min(self.workers, len(tasks))
                 )
             completed = 0
             for start in range(0, len(tasks), chunk):
                 chunk_tasks = tasks[start:start + chunk]
-                if pool is not None and len(chunk_tasks) > 1:
+                # A pool of our own skips one-task chunks; a caller's
+                # executor takes every task.
+                if pool is None or (pool is owned and len(chunk_tasks) == 1):
+                    rows = [_execute_task_timed(task) for task in chunk_tasks]
+                elif tracer is None:
                     rows = list(pool.map(_execute_task_timed, chunk_tasks))
                 else:
-                    rows = [_execute_task_timed(task) for task in chunk_tasks]
+                    rows = list(pool.map(
+                        _execute_task_traced,
+                        chunk_tasks,
+                        itertools.repeat(tracer.epoch_ns),
+                    ))
                 finished = []
                 for key, summary, meta in rows:
                     finished.append((key, summary))
@@ -545,6 +582,8 @@ class ExperimentBatch:
                     kernel_hist.observe(meta["kernel_s"])
                     if "probe" in meta:
                         self.last_probes[key] = meta["probe"]
+                    if "spans" in meta:
+                        tracer.replay(meta["spans"])
                 with span("chunk.flush", rows=len(finished)):
                     for key, summary in finished:
                         self.result_cache.put(
@@ -573,8 +612,8 @@ class ExperimentBatch:
                         f"{ABORT_AFTER_CHUNKS_ENV}={abort_raw})"
                     )
         finally:
-            if pool is not None:
-                pool.shutdown()
+            if owned is not None:
+                owned.shutdown()
         return executed
 
     def _record_run_metrics(self) -> None:

@@ -98,9 +98,9 @@ flags:
 ``--trace FILE``
     Append one JSONL span record per instrumented boundary (setup,
     kernel, cache, chunk flush, queue, HTTP) to FILE; inspect with
-    ``repro trace report`` / ``repro trace export``.  Under the ``fork``
-    start method, ``--workers`` > 1 processes append their spans too, each
-    stamped with its own pid.
+    ``repro trace report`` / ``repro trace export``.  The spans of
+    ``--workers`` > 1 processes come back to this process and are
+    appended too, each stamped with its worker's pid.
 
 ``--probe-interval N`` / ``--probe-channels C1,C2``
     Attach a kernel probe sampling per-cycle congestion gauges every N
@@ -177,6 +177,21 @@ def _parse_columns(text: str) -> List[Tuple[int, int]]:
     return columns
 
 
+def _count(text: str) -> int:
+    """Argparse type of the count flags: an int >= 1.
+
+    Rejecting 0 at parse time exits 2 with the flag's name, before a
+    command opens any store.
+    """
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return value
+
+
 def _add_plugin_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--plugin", action="append", default=[], metavar="MODULE",
@@ -238,7 +253,7 @@ def _add_backend_argument(target) -> None:
 def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     engine = parser.add_argument_group("engine")
     engine.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=_count, default=1,
         help="worker processes (1 = serial fallback)",
     )
     engine.add_argument(
@@ -277,8 +292,7 @@ def _add_trace_argument(target) -> None:
         "--trace", default=None, metavar="FILE",
         help="append one JSONL span record per instrumented boundary to "
              "FILE (inspect with `repro trace report` / `repro trace "
-             "export`; under the fork start method, worker processes "
-             "append theirs too)",
+             "export`; worker processes' spans included, under their pids)",
     )
 
 
@@ -315,7 +329,7 @@ def _install_cli_tracer(args: argparse.Namespace) -> None:
 
 def _add_checkpoint_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument_group("checkpoints").add_argument(
-        "--chunk-size", type=int, default=None, metavar="C",
+        "--chunk-size", type=_count, default=None, metavar="C",
         help="flush results to the cache every C completed specs (chunked "
              "checkpointing; a killed run resumes from its last chunk)",
     )
@@ -374,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(flags below override every document's fields)",
     )
     optimize.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=_count, default=1,
         help="worker processes fanning a design grid out (1 = serial)",
     )
     optimize.add_argument(
@@ -449,15 +463,16 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"bind port, 0 = ephemeral (default: {service_http.DEFAULT_PORT})",
     )
     serve.add_argument(
-        "--workers", type=int, default=2,
-        help="worker threads draining the job queue (default: 2)",
+        "--workers", type=_count, default=2,
+        help="worker threads draining the job queue; with two or more, "
+             "each runs its simulations in a pool process (default: 2)",
     )
     serve.add_argument(
         "--cache-dir", required=True,
         help=f"service state directory (holds {DEFAULT_DB_FILENAME})",
     )
     serve.add_argument(
-        "--max-attempts", type=int, default=None, metavar="N",
+        "--max-attempts", type=_count, default=None, metavar="N",
         help="times a task may be claimed before it is marked failed "
              "(default: 3)",
     )

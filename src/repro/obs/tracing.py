@@ -13,10 +13,10 @@ context while no tracer is installed (one global read -- the
 uninstrumented fast path costs a dict-free attribute check).  The tracer
 is process-local by design: spans record wall-clock boundaries, never
 anything fed back into a simulation, so instrumentation cannot perturb
-results (see :mod:`repro.obs`).  A worker forked while a tracer is
-installed inherits a copy: its spans carry the worker's own pid and reach
-a :class:`JsonlRecorder`'s file, while a :class:`RingRecorder` copy dies
-with the worker.
+results (see :mod:`repro.obs`).  Spans survive a process pool: while the
+parent has a tracer, each pool task runs under :func:`capture_spans` on
+the parent's timeline and returns its records, and the parent replays
+them into its own recorder (:meth:`Tracer.replay`) under the worker's pid.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ __all__ = [
     "install_tracer",
     "uninstall_tracer",
     "current_tracer",
+    "capture_spans",
     "chrome_trace_document",
     "load_span_records",
     "trace_report",
@@ -128,7 +129,8 @@ class JsonlRecorder:
 
     def spans(self) -> List[SpanRecord]:
         with self._lock:
-            self._handle.flush()
+            if not self._handle.closed:
+                self._handle.flush()
         return load_span_records(self.path)
 
     def close(self) -> None:
@@ -162,7 +164,7 @@ class _Span:
         self._tracer._record(
             SpanRecord(
                 name=self.name,
-                ts_us=(self._start_ns - self._tracer._epoch_ns) // 1000,
+                ts_us=(self._start_ns - self._tracer.epoch_ns) // 1000,
                 dur_us=max(0, (end_ns - self._start_ns) // 1000),
                 # Read per span, not per tracer: a worker forked with an
                 # installed tracer records under its own pid.
@@ -179,7 +181,10 @@ class Tracer:
 
     def __init__(self, recorder: Optional[Any] = None) -> None:
         self.recorder = recorder if recorder is not None else RingRecorder()
-        self._epoch_ns = time.perf_counter_ns()
+        #: The ``perf_counter_ns()`` reading span timestamps count from.
+        #: That clock is monotonic and system-wide, so a worker process
+        #: given the parent's epoch records on the parent's timeline.
+        self.epoch_ns = time.perf_counter_ns()
         self._depths = threading.local()
 
     def span(self, name: str, **attrs: Any) -> _Span:
@@ -190,6 +195,14 @@ class Tracer:
 
     def close(self) -> None:
         self.recorder.close()
+
+    def replay(self, records: Iterable[SpanRecord]) -> None:
+        """Push spans another process recorded on this tracer's timeline.
+
+        They keep the pid and thread id that recorded them.
+        """
+        for record in records:
+            self.recorder.record(record)
 
     # -- internal -------------------------------------------------------- #
     def _enter(self) -> int:
@@ -230,6 +243,25 @@ def uninstall_tracer() -> None:
 
 def current_tracer() -> Optional[Tracer]:
     return _TRACER
+
+
+@contextlib.contextmanager
+def capture_spans(epoch_ns: int):
+    """Record this process's spans into a fresh ring for the block.
+
+    A pool worker runs each task of a traced parent under it, on the
+    parent's ``epoch_ns``, and returns the yielded tracer's records for
+    the parent to :meth:`Tracer.replay`.  A tracer the worker inherited
+    under ``fork`` is set aside meanwhile, so no span is written twice.
+    """
+    global _TRACER
+    inherited = _TRACER
+    tracer = _TRACER = Tracer(RingRecorder())
+    tracer.epoch_ns = epoch_ns
+    try:
+        yield tracer
+    finally:
+        _TRACER = inherited
 
 
 def span(name: str, **attrs: Any):

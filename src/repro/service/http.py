@@ -430,9 +430,10 @@ def serve(
     )
     thread.start()
     bound = server.server_address
+    # Flushed: a supervisor reading a redirected stdout waits for this line.
     print(f"[repro.serve] listening on http://{bound[0]}:{bound[1]} "
           f"({workers} worker{'s' if workers != 1 else ''}, "
-          f"db {store.path})")
+          f"db {store.path})", flush=True)
     if ready is not None:
         ready.set()
     try:

@@ -33,7 +33,10 @@ shared :class:`~repro.service.store.SqliteStore`, so any number of worker
 threads/processes can claim concurrently without handing out one task
 twice.  After a transaction that changed state commits, the queue bumps
 its in-process change signal (:meth:`JobQueue.wait_for_change`), which
-wakes idle workers and held status requests instead of making them poll.
+wakes held status requests instead of making them poll.  Idle workers
+wait on a second signal (:meth:`JobQueue.wait_for_work`) that only
+changes adding claimable work bump, so a completion never sends them to
+an empty claim.
 """
 
 from __future__ import annotations
@@ -132,8 +135,12 @@ class JobQueue:
     Every state-changing operation bumps :attr:`generation` after its
     transaction commits, so threads of this process that share this object
     can block in :meth:`wait_for_change` instead of polling the store.
-    Changes made through another ``JobQueue`` object or another process do
-    not signal; waiters bound their wait with a timeout for those.
+    Changes that add claimable work (a submission that queued tasks, a
+    failed attempt that re-queued one, a re-queue of orphaned claims) also
+    bump :attr:`work_generation`, which idle workers wait on
+    (:meth:`wait_for_work`).  Changes made through another ``JobQueue``
+    object or another process do not signal; waiters bound their wait with
+    a timeout for those.
 
     Args:
         store: The service database (jobs/tasks/results tables).
@@ -148,8 +155,11 @@ class JobQueue:
             raise ValueError("max_attempts must be >= 1")
         self.store = store
         self.max_attempts = max_attempts
-        self._changed = threading.Condition()
+        lock = threading.Lock()
+        self._changed = threading.Condition(lock)
+        self._work_added = threading.Condition(lock)
         self._generation = 0
+        self._work_generation = 0
 
     # ------------------------------------------------------------------ #
     # Change signal
@@ -174,15 +184,39 @@ class JobQueue:
                 lambda: self._generation != generation, timeout
             )
 
-    def signal(self) -> None:
+    @property
+    def work_generation(self) -> int:
+        """How many work-adding changes this object has signalled so far.
+
+        The :attr:`generation` rule holds: read it before the claim.
+        """
+        return self._work_generation
+
+    def wait_for_work(self, generation: int, timeout: Optional[float]) -> bool:
+        """Block until :attr:`work_generation` moves past ``generation``.
+
+        Returns ``False`` when ``timeout`` seconds passed first.
+        """
+        with self._work_added:
+            return self._work_added.wait_for(
+                lambda: self._work_generation != generation, timeout
+            )
+
+    def signal(self, work: bool = False) -> None:
         """Bump :attr:`generation` and wake every :meth:`wait_for_change`.
 
-        The queue calls it after each committed state change; a worker
-        pool calls it on stop so that its idle workers exit at once.
+        The queue calls it after each committed state change.  ``work``
+        also bumps :attr:`work_generation` and wakes every
+        :meth:`wait_for_work`: the queue passes it for changes that add
+        claimable work, and a worker pool on stop, so that its idle
+        workers exit at once.
         """
         with self._changed:
             self._generation += 1
             self._changed.notify_all()
+            if work:
+                self._work_generation += 1
+                self._work_added.notify_all()
 
     # ------------------------------------------------------------------ #
     # Submission
@@ -251,7 +285,7 @@ class JobQueue:
                 self._finalize_job(conn, job_id)
                 queued = any(key not in warm for key in keys)
         if queued:
-            self.signal()
+            self.signal(work=True)
         return SubmitReceipt(job=self.job(job_id), created=created)
 
     # ------------------------------------------------------------------ #
@@ -346,8 +380,9 @@ class JobQueue:
 
     def fail(self, task: TaskRecord, error: str) -> None:
         """Record a failed attempt: re-queue under the limit, else fail."""
+        requeued = task.attempts < self.max_attempts
         with self.store.transaction() as conn:
-            if task.attempts < self.max_attempts:
+            if requeued:
                 conn.execute(
                     "UPDATE tasks SET state=?, worker=NULL, claimed_at=NULL, "
                     "error=? WHERE job_id=? AND idx=?",
@@ -359,7 +394,7 @@ class JobQueue:
                     (FAILED, error, task.job_id, task.index),
                 )
                 self._finalize_job(conn, task.job_id)
-        self.signal()
+        self.signal(work=requeued)
 
     def requeue_stale(self, lease_seconds: float) -> int:
         """Re-queue running tasks whose claim is older than the lease.
@@ -376,7 +411,7 @@ class JobQueue:
                 (QUEUED, RUNNING, cutoff),
             ).rowcount
         if requeued:
-            self.signal()
+            self.signal(work=True)
         return requeued
 
     def recover_running(self) -> int:
@@ -396,7 +431,7 @@ class JobQueue:
                 "UPDATE jobs SET state=? WHERE state=?", (QUEUED, RUNNING)
             )
         if requeued:
-            self.signal()
+            self.signal(work=True)
         return requeued
 
     # ------------------------------------------------------------------ #

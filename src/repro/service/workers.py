@@ -2,29 +2,46 @@
 
 Workers are threads inside the daemon process; each loops claim -> execute
 -> report.  Execution goes through the existing
-:class:`~repro.exec.batch.ExperimentBatch` machinery (one task at a time,
-``workers=1``) with the store's design cache, so a service run takes the
-*exact* code path of a direct ``repro run`` -- same design resolution, same
-seeding, same cache keys -- and stays bit-identical to it.  The batch keeps
-its row in memory; :meth:`JobQueue.complete` writes it to the store once, in
-the transaction that marks the task done.  Seeds were already derived at
-submit time (the task row stores the effective spec), so workers never need
-the job's base seed.
+:class:`~repro.exec.batch.ExperimentBatch` machinery (one task at a time)
+with the store's design cache, so a service run takes the *exact* code
+path of a direct ``repro run`` -- same design resolution, same seeding,
+same cache keys -- and stays bit-identical to it.  The batch keeps its row
+in memory; :meth:`JobQueue.complete` writes it to the store once, in the
+transaction that marks the task done.  Seeds were already derived at
+submit time (the task row stores the effective spec), so workers never
+need the job's base seed.
+
+Claims, design resolution and reports stay on the worker threads; only the
+simulation moves.  A pool of two or more workers runs each task's
+simulation in one shared :class:`~concurrent.futures.ProcessPoolExecutor`
+of as many processes, so the threads stop sharing one GIL.  It starts at
+the first claimed task, through ``forkserver`` (``spawn`` where that is
+missing), because forking a threaded daemon can copy a lock another thread
+holds.  Its processes ignore SIGINT, so Ctrl-C still drains in-flight
+tasks through :meth:`WorkerPool.stop`, and exit when the daemon dies, even
+by SIGKILL.  A one-worker pool runs tasks on its thread.
 
 Supervision: a supervisor thread restarts workers that died from an
 unhandled error and periodically re-queues lease-expired ``running`` tasks
 (:meth:`JobQueue.requeue_stale`), so a worker lost to a hard crash only
 delays its task by one lease instead of wedging the job.  A task that
 raises is reported through :meth:`JobQueue.fail` -- re-queued until its
-attempt limit, then failed permanently.
+attempt limit, then failed permanently.  A simulation process that dies
+costs its task one attempt the same way, and the worker thread replaces
+the broken executor before it reports.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import multiprocessing.connection
 import os
+import signal
 import threading
 import time
 import traceback
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Optional, Sequence, Tuple
 
 from repro.exec.batch import ExperimentBatch
@@ -36,12 +53,50 @@ from repro.service.store import SqliteDesignCache, SqliteStore
 DEFAULT_LEASE_SECONDS = 600.0
 
 
+def _pool_context():
+    """The start method of the simulation processes: forkserver, else spawn.
+
+    The forkserver preloads the batch engine, so each process starts with
+    the package imported.
+    """
+    if "forkserver" not in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("spawn")
+    context = multiprocessing.get_context("forkserver")
+    context.set_forkserver_preload(["repro.exec.batch"])
+    return context
+
+
+def _init_simulation_process() -> None:
+    """Initializer of each simulation process.
+
+    SIGINT is ignored: Ctrl-C reaches the whole process group, and the
+    daemon's graceful stop lets in-flight tasks finish.  A pool process
+    never notices a dead parent by itself, so a daemon thread exits it
+    when the parent's sentinel fires.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    parent = multiprocessing.parent_process()
+    if parent is not None:
+        threading.Thread(
+            target=_exit_with_parent,
+            args=(parent.sentinel,),
+            name="repro-parent-watch",
+            daemon=True,
+        ).start()
+
+
+def _exit_with_parent(sentinel: int) -> None:
+    multiprocessing.connection.wait([sentinel])
+    os._exit(1)
+
+
 def execute_claimed_task(
     queue: JobQueue,
     task: TaskRecord,
     design_cache: SqliteDesignCache,
     plugins: Sequence[str] = (),
     metrics: Optional[MetricsRegistry] = None,
+    executor: Optional[ProcessPoolExecutor] = None,
 ) -> bool:
     """Execute one claimed task and report its outcome to the queue.
 
@@ -50,15 +105,18 @@ def execute_claimed_task(
     subprocess).  Returns ``True`` on completion, ``False`` on failure.
     ``metrics`` is handed to the batch engine, so a pool-wide registry
     aggregates engine counters across every task (the ``GET /metrics``
-    source).
+    source).  With an ``executor`` the simulation runs there and this
+    thread waits; a :class:`BrokenProcessPool` propagates unreported, so
+    that the executor's owner replaces it before the failed attempt
+    re-queues the task.
     """
     try:
         batch = ExperimentBatch(
             [task.spec],
-            workers=1,
             design_cache=design_cache,
             plugins=tuple(plugins),
             metrics=metrics,
+            executor=executor,
         )
         outcome = batch.run()[0]
         if outcome.key != task.key:
@@ -69,6 +127,8 @@ def execute_claimed_task(
             )
         queue.complete(task, outcome.summary)
         return True
+    except BrokenProcessPool:
+        raise
     except Exception:
         queue.fail(task, traceback.format_exc(limit=20))
         return False
@@ -77,13 +137,15 @@ def execute_claimed_task(
 class WorkerPool:
     """N supervised worker threads draining a :class:`JobQueue`.
 
-    An idle worker, and :meth:`drain`, wait on the queue's change signal
-    (:meth:`JobQueue.wait_for_change`), so a submission through the pool's
-    own queue object is claimed at once.
+    An idle worker waits for work (:meth:`JobQueue.wait_for_work`), so a
+    submission through the pool's own queue object is claimed at once and
+    a completion wakes no one; :meth:`drain` waits on every change
+    (:meth:`JobQueue.wait_for_change`).
 
     Args:
         store: The shared service database.
-        workers: Worker thread count.
+        workers: Worker thread count; with two or more, each thread's
+            simulations run in a process pool of this size.
         poll_interval: Longest idle wait between claim attempts, seconds:
             only work queued by another process or another ``JobQueue``
             object on the same store waits this long.
@@ -115,11 +177,15 @@ class WorkerPool:
         self._stop = threading.Event()
         self._threads: list[threading.Thread] = []
         self._supervisor: Optional[threading.Thread] = None
+        self._executor: Optional[ProcessPoolExecutor] = None
+        self._executor_lock = threading.Lock()
         #: Pool-wide metrics registry: worker gauges/counters plus the
         #: engine counters of every executed task (``GET /metrics``).
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.metrics.gauge(
-            "repro_workers", help="Configured worker thread count."
+            "repro_workers",
+            help="Configured worker count (threads; with two or more, each "
+                 "simulates in a pool process).",
         ).set(self.workers)
 
     # ------------------------------------------------------------------ #
@@ -136,15 +202,20 @@ class WorkerPool:
         self._supervisor.start()
 
     def stop(self, timeout: float = 30.0) -> None:
-        """Signal every thread to stop and join them."""
+        """Signal every thread to stop, join them, then shut the processes down."""
         self._stop.set()
-        self.queue.signal()  # after the flag: a woken worker must see it
+        # After the flag: a woken worker must see it.
+        self.queue.signal(work=True)
         for thread in self._threads:
             thread.join(timeout=timeout)
         if self._supervisor is not None:
             self._supervisor.join(timeout=timeout)
         self._threads = []
         self._supervisor = None
+        with self._executor_lock:
+            executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown()
 
     def drain(self, timeout: Optional[float] = None) -> bool:
         """Block until no task is queued or running (or timeout).
@@ -180,6 +251,29 @@ class WorkerPool:
     def _worker_id(self) -> str:
         return f"{os.getpid()}:{threading.current_thread().name}"
 
+    def _simulation_executor(self) -> Optional[ProcessPoolExecutor]:
+        """The shared simulation processes, started at the first call.
+
+        ``None`` for a one-worker pool, which simulates on its thread.
+        """
+        if self.workers == 1:
+            return None
+        with self._executor_lock:
+            if self._executor is None:
+                self._executor = ProcessPoolExecutor(
+                    max_workers=self.workers,
+                    mp_context=_pool_context(),
+                    initializer=_init_simulation_process,
+                )
+            return self._executor
+
+    def _replace_executor(self, broken: ProcessPoolExecutor) -> None:
+        """Drop a broken executor; the next task starts a fresh one."""
+        with self._executor_lock:
+            if self._executor is broken:
+                self._executor = None
+        broken.shutdown(wait=False)
+
     def _work(self) -> None:
         worker = self._worker_id()
         task_hist = self.metrics.histogram(
@@ -198,21 +292,30 @@ class WorkerPool:
         while True:
             # Generation before the stop check and the claim: a stop or a
             # submission after either makes the wait return at once.
-            generation = self.queue.generation
+            generation = self.queue.work_generation
             if self._stop.is_set():
                 return
             task = self.queue.claim(worker)
             if task is None:
-                self.queue.wait_for_change(generation, self.poll_interval)
+                self.queue.wait_for_work(generation, self.poll_interval)
                 continue
             started = time.perf_counter()
-            ok = execute_claimed_task(
-                self.queue,
-                task,
-                self.design_cache,
-                plugins=self.plugins,
-                metrics=self.metrics,
-            )
+            executor = self._simulation_executor()
+            try:
+                ok = execute_claimed_task(
+                    self.queue,
+                    task,
+                    self.design_cache,
+                    plugins=self.plugins,
+                    metrics=self.metrics,
+                    executor=executor,
+                )
+            except BrokenProcessPool:
+                # A simulation process died.  Replace the executor first,
+                # so the re-queued task's next claim meets a live one.
+                self._replace_executor(executor)
+                self.queue.fail(task, traceback.format_exc(limit=20))
+                ok = False
             task_hist.observe(time.perf_counter() - started)
             (completed_total if ok else failed_total).inc()
 

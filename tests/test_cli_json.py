@@ -6,6 +6,7 @@ must print a scenario spec's per-phase windows and carry probe series,
 ``optimize`` must fan multi-document spec files over the design batch,
 and ``cache stats`` must report a cache directory's store on one line.  A
 sweep's ``--cache-dir`` is the store the ``serve`` daemon's queue reads.
+A count flag below 1 is a usage error that opens no store.
 """
 
 from __future__ import annotations
@@ -354,3 +355,30 @@ class TestSweepSharesTheDaemonStore:
             assert queue.counts()[QUEUED] == 0
         finally:
             store.close()
+
+
+class TestCountFlags:
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--workers", "0"],
+        ["sweep", "--chunk-size", "0"],
+        ["run", "--spec", "unused.json", "--workers", "-1"],
+        ["optimize", "--workers", "0"],
+        ["serve", "--workers", "0"],
+        ["serve", "--max-attempts", "0"],
+    ])
+    def test_a_count_below_one_exits_2_and_creates_nothing(
+        self, tmp_path, capsys, argv
+    ):
+        cache_dir = tmp_path / "cache"
+        with pytest.raises(SystemExit) as raised:
+            main([*argv, "--cache-dir", str(cache_dir)])
+        assert raised.value.code == 2
+        flag = next(arg for arg in argv if arg.startswith("--") and arg != "--spec")
+        assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
+        assert not cache_dir.exists()
+
+    def test_a_count_that_is_not_an_int_keeps_its_message(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["sweep", "--workers", "two"])
+        assert raised.value.code == 2
+        assert "argument --workers: invalid int value: 'two'" in capsys.readouterr().err

@@ -4,7 +4,9 @@ The coverage test is the acceptance criterion of the observability layer:
 one in-process exercise of the stack (batch engine with a warm cache +
 the HTTP service with a real job) must record spans for every hot
 boundary family -- setup, kernel, cache, chunk flush, queue, HTTP -- so
-``repro trace report`` actually shows where the time goes.
+``repro trace report`` actually shows where the time goes.  Spans recorded
+in pool processes -- the batch engine's and the service's -- come back to
+the parent's tracer, whatever its recorder and the start method.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import json
 import multiprocessing
 import os
 import threading
+from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -108,6 +112,7 @@ class TestTracerMechanics:
         loaded = load_span_records(path)
         assert [r.name for r in loaded] == ["beta", "alpha"]
         assert loaded[1].args == {"key": "k1"}
+        assert tracer.spans() == loaded  # a closed log still reads back
         # A record survives dict round-tripping losslessly.
         for record in loaded:
             assert SpanRecord.from_dict(record.to_dict()).to_dict() == record.to_dict()
@@ -119,25 +124,68 @@ class TestTracerMechanics:
             load_span_records(str(path))
 
 
+def _traced_batch(recorder, workers: int = 1, executor=None):
+    """The spans a traced 4-spec batch leaves in ``recorder``."""
+    tracer = install_tracer(Tracer(recorder))
+    try:
+        ExperimentBatch(
+            [_spec(rate) for rate in (0.001, 0.002, 0.003, 0.004)],
+            workers=workers,
+            executor=executor,
+        ).run()
+    finally:
+        uninstall_tracer()
+        tracer.close()
+    return recorder.spans()
+
+
 class TestWorkerSpans:
-    def test_forked_workers_stamp_their_own_pid(self, tmp_path):
-        # Forked workers inherit the installed tracer and the JSONL log's
-        # file handle; each span must carry the pid of the process that
-        # recorded it, or the Chrome export draws every worker on one lane.
-        if multiprocessing.get_start_method() != "fork":
-            pytest.skip("workers inherit the tracer only under fork")
-        log = str(tmp_path / "trace.jsonl")
-        tracer = install_tracer(Tracer(JsonlRecorder(log)))
-        try:
-            ExperimentBatch(
-                [_spec(rate) for rate in (0.001, 0.002, 0.003, 0.004)],
-                workers=2,
-            ).run()
-        finally:
-            uninstall_tracer()
-            tracer.close()
-        kernel = [r for r in load_span_records(log) if r.name == "kernel.run"]
+    @pytest.mark.parametrize("kind", ["ring", "jsonl"])
+    def test_pool_spans_reach_the_parents_recorder(self, tmp_path, kind):
+        def recorder(name):
+            if kind == "ring":
+                return RingRecorder()
+            return JsonlRecorder(str(tmp_path / f"{name}.jsonl"))
+
+        serial = _traced_batch(recorder("serial"), workers=1)
+        pooled = _traced_batch(recorder("pooled"), workers=2)
+        # The same spans as a serial run, each recorded exactly once ...
+        assert Counter(r.name for r in pooled) == Counter(r.name for r in serial)
+        worker = [r for r in pooled if r.pid != os.getpid()]
+        assert Counter(r.name for r in worker) == {
+            "setup.network": 4, "kernel.run": 4,
+        }
+        # ... on the parent's timeline: the chunk flush follows its tasks.
+        [flush] = [r for r in pooled if r.name == "chunk.flush"]
+        assert all(0 <= r.ts_us and r.ts_us + r.dur_us <= flush.ts_us for r in worker)
+
+    @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+    def test_workers_stamp_their_own_pid(self, tmp_path, method):
+        # Under every start method a worker's spans reach the parent's log,
+        # each with the pid of the process that recorded it, or the Chrome
+        # export draws every worker on one lane.
+        context = multiprocessing.get_context(method)
+        with ProcessPoolExecutor(max_workers=2, mp_context=context) as executor:
+            records = _traced_batch(
+                JsonlRecorder(str(tmp_path / "trace.jsonl")), executor=executor
+            )
+        kernel = [r for r in records if r.name == "kernel.run"]
         assert len(kernel) == 4
+        assert os.getpid() not in {record.pid for record in kernel}
+
+    def test_worker_pool_spans_come_from_its_processes(self, tmp_path, tracer):
+        store = SqliteStore(str(tmp_path / "pool.sqlite3"))
+        queue = JobQueue(store)
+        queue.submit([_spec(rate) for rate in (0.001, 0.002, 0.003)])
+        pool = WorkerPool(store, workers=2, queue=queue, poll_interval=0.02)
+        pool.start()
+        try:
+            assert pool.drain(timeout=120)
+        finally:
+            pool.stop()
+            store.close()
+        kernel = [r for r in tracer.spans() if r.name == "kernel.run"]
+        assert len(kernel) == queue.counts()["done"] == 3
         assert os.getpid() not in {record.pid for record in kernel}
 
 
@@ -181,8 +229,8 @@ class TestSpanCoverage:
         )
         batch.run()
 
-        # The HTTP service with one real job: http/queue (+ worker-side
-        # engine spans, recorded because workers are threads, not procs).
+        # The HTTP service with one real job: http/queue (+ the engine
+        # spans of the one-worker pool, which simulates on its thread).
         store = SqliteStore(str(tmp_path / "service.sqlite3"))
         queue = JobQueue(store)
         pool = WorkerPool(store, workers=1, queue=queue, poll_interval=0.02)

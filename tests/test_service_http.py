@@ -5,7 +5,9 @@ ThreadingHTTPServer on an ephemeral port -- and drives it through
 :class:`~repro.service.client.ServiceClient` exactly like an external
 process would: submit, poll, fetch results, cancel.  The load-bearing
 assertion is bit-identity: a job's summary rows must equal a direct
-``api.run_specs`` run of the same specs, byte for byte.
+``api.run_specs`` run of the same specs, byte for byte.  A ``repro serve``
+subprocess, killed or terminated after a job, must leave none of the
+processes it started running.
 """
 
 from __future__ import annotations
@@ -13,9 +15,15 @@ from __future__ import annotations
 import contextlib
 import gc
 import json
+import os
+import re
+import signal
 import sqlite3
+import subprocess
+import sys
 import threading
 import time
+from typing import Dict, List
 
 import pytest
 
@@ -80,6 +88,44 @@ def idle_daemon(tmp_path):
 
 def _live_connections() -> int:
     return sum(isinstance(obj, sqlite3.Connection) for obj in gc.get_objects())
+
+
+def _until(predicate, timeout: float) -> bool:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+def _descendants(pid: int) -> List[int]:
+    """Every process below ``pid``, read from ``/proc``."""
+    children: Dict[int, List[int]] = {}
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        children.setdefault(int(fields[1]), []).append(int(entry))
+    found, pending = [], [pid]
+    while pending:
+        for child in children.get(pending.pop(), []):
+            found.append(child)
+            pending.append(child)
+    return found
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
 
 
 class TestServiceEndToEnd:
@@ -297,3 +343,38 @@ class TestHeldStatus:
         while _live_connections() != before and time.monotonic() < deadline:
             time.sleep(0.01)
         assert _live_connections() == before
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+class TestDaemonProcesses:
+    @pytest.mark.parametrize(
+        "signum", [signal.SIGKILL, signal.SIGTERM], ids=["SIGKILL", "SIGTERM"]
+    )
+    def test_no_process_outlives_the_daemon(self, tmp_path, signum):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(api.__file__)))
+        log_path = tmp_path / "serve.log"
+        with open(log_path, "wb") as log:
+            daemon = subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve", "--workers", "2",
+                 "--port", "0", "--cache-dir", str(tmp_path / "state")],
+                stdout=log, stderr=subprocess.STDOUT,
+                env=dict(os.environ, PYTHONPATH=src),
+            )
+        try:
+            assert _until(lambda: "listening on" in log_path.read_text(), 60)
+            url = re.search(r"listening on (http://\S+)", log_path.read_text())[1]
+            client = ServiceClient(url)
+            job_id = client.submit([_spec(0.002), _spec(0.002, "cda")])
+            assert client.wait(job_id, timeout=120)["state"] == "done"
+            # The simulation processes, and what started them, run now.
+            started = _descendants(daemon.pid)
+            assert len(started) >= 2
+            daemon.send_signal(signum)
+            daemon.wait(timeout=30)
+            assert _until(lambda: not any(map(_running, started)), 5), [
+                pid for pid in started if _running(pid)
+            ]
+        finally:
+            if daemon.poll() is None:
+                daemon.kill()
+                daemon.wait()

@@ -4,11 +4,12 @@ Exercises the queue purely at the store level (completions are injected
 with synthetic summaries, no simulations run), plus one subprocess test
 where a worker claims a task and is hard-killed mid-run to prove that
 ``recover_running`` / ``requeue_stale`` resume the sweep without losing
-completed work or looping forever on a crashing task.  One test runs a
-real task through the worker pool: the rows it leaves equal the rows a
-direct engine run writes to a cache directory.  The wake-up tests run
-pools whose fallback poll is a minute long, so only the queue's change
-signal can make them finish in time.
+completed work or looping forever on a crashing task.  Real tasks run
+through the worker pool, on its thread and in its simulation processes:
+the rows they leave equal the rows a direct engine run writes to a cache
+directory, and a simulation process that dies costs its task one
+attempt.  The wake-up tests run pools whose fallback poll is a minute
+long, so only the queue's signals can make them finish in time.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import time
 
 import pytest
 
-from repro.api import run_specs
+from repro.api import RingRecorder, Tracer, install_tracer, run_specs, uninstall_tracer
 from repro.exec.batch import key_extra_for
 from repro.exec.cache import canonical_config, config_key, derive_seed
 from repro.service.queue import (
@@ -223,29 +224,53 @@ class TestLifecycle:
 # Daemon rows == engine rows
 # ---------------------------------------------------------------------- #
 class TestDaemonRows:
-    def test_daemon_rows_equal_the_run_specs_rows(self, tmp_path, store_rows):
-        spec = _spec(0.02, policy="adele").with_(
-            warmup_cycles=10, measurement_cycles=40, drain_cycles=30
-        )
+    @staticmethod
+    def _daemon_and_direct_rows(tmp_path, store_rows, specs, workers):
+        """The store rows a pool of ``workers`` and ``run_specs`` leave."""
         daemon_dir = str(tmp_path / "daemon")
         store = SqliteStore(os.path.join(daemon_dir, DEFAULT_DB_FILENAME))
         queue = JobQueue(store)
-        queue.submit([spec], base_seed=3)
-        pool = WorkerPool(store, workers=1, queue=queue, poll_interval=0.02)
+        queue.submit(specs, base_seed=3)
+        pool = WorkerPool(store, workers=workers, queue=queue, poll_interval=0.02)
         pool.start()
         try:
             assert pool.drain(timeout=120)
         finally:
             pool.stop()
             store.close()
-        assert queue.counts()[DONE] == 1
+        assert queue.counts()[DONE] == len(specs)
 
         direct_dir = str(tmp_path / "direct")
-        run_specs([spec], cache_dir=direct_dir, base_seed=3)
-        daemon_rows = store_rows(daemon_dir)
+        run_specs(specs, cache_dir=direct_dir, base_seed=3)
+        return store_rows(daemon_dir), store_rows(direct_dir)
+
+    def test_daemon_rows_equal_the_run_specs_rows(self, tmp_path, store_rows):
+        spec = _spec(0.02, policy="adele").with_(
+            warmup_cycles=10, measurement_cycles=40, drain_cycles=30
+        )
+        daemon_rows, direct_rows = self._daemon_and_direct_rows(
+            tmp_path, store_rows, [spec], workers=1
+        )
         assert len(daemon_rows[0]) == 1 and len(daemon_rows[1]) == 1
         assert daemon_rows[0][0][1] is not None  # the config column
-        assert daemon_rows == store_rows(direct_dir)
+        assert daemon_rows == direct_rows
+
+    def test_process_workers_rows_equal_the_run_specs_rows(
+        self, tmp_path, store_rows
+    ):
+        # Two workers simulate in pool processes; the design is resolved
+        # in the daemon and shipped as subsets, as a direct run does.
+        specs = [
+            _spec(0.02, policy=policy).with_(
+                warmup_cycles=10, measurement_cycles=40, drain_cycles=30
+            )
+            for policy in ("elevator_first", "cda", "adele")
+        ]
+        daemon_rows, direct_rows = self._daemon_and_direct_rows(
+            tmp_path, store_rows, specs, workers=2
+        )
+        assert len(daemon_rows[0]) == 3 and len(daemon_rows[1]) == 1
+        assert daemon_rows == direct_rows
 
 
 # ---------------------------------------------------------------------- #
@@ -283,6 +308,31 @@ class TestWakeups:
         finally:
             pool.stop()
 
+    def test_completions_do_not_send_idle_workers_to_empty_claims(
+        self, queue, store
+    ):
+        claim, claims = queue.claim, {"empty": 0, "tasks": 0}
+
+        def counting_claim(worker):
+            task = claim(worker)
+            claims["empty" if task is None else "tasks"] += 1
+            return task
+
+        queue.claim = counting_claim
+        pool = WorkerPool(store, workers=2, queue=queue, poll_interval=60)
+        pool.start()
+        try:
+            for index in range(30):
+                rate = 0.001 * (index + 1)
+                job = queue.submit([_fast(rate), _fast(rate).with_(policy="cda")]).job
+                assert _until(lambda job=job: queue.job(job.id).state == DONE, 30)
+        finally:
+            pool.stop()
+        assert claims["tasks"] == 60
+        # A worker that finished a task may find nothing once, and each
+        # worker finds nothing when it starts; no completion wakes one.
+        assert claims["empty"] <= claims["tasks"] + pool.workers
+
     def test_drain_returns_once_the_queue_empties(self, queue, store):
         queue.submit([_fast()])
         pool = WorkerPool(store, workers=1, queue=queue, poll_interval=60)
@@ -303,6 +353,83 @@ class TestWakeups:
         pool.stop(timeout=10)
         assert time.monotonic() - started < 5
         assert not any(thread.is_alive() for thread in threads)
+
+
+# ---------------------------------------------------------------------- #
+# Simulation processes
+# ---------------------------------------------------------------------- #
+_CRASH_ONCE_PLUGIN = textwrap.dedent(
+    """
+    import os
+
+    from repro.api import register_policy
+    from repro.routing.base import ElevatorSelectionPolicy
+
+
+    # The nearest elevator; the policy's first build kills its process.
+    @register_policy("crash_once")
+    class CrashOnce(ElevatorSelectionPolicy):
+        name = "crash_once"
+
+        def __init__(self, placement):
+            if not os.path.exists({marker!r}):
+                open({marker!r}, "w").close()
+                os._exit(3)
+            super().__init__(placement)
+
+        def _select(self, source, destination, network, cycle):
+            return self.placement.nearest_elevator(source)
+    """
+)
+
+
+class TestSimulationProcesses:
+    def test_a_dead_simulation_process_costs_one_attempt(
+        self, tmp_path, monkeypatch, queue
+    ):
+        marker = tmp_path / "crashed-once"
+        plugin = tmp_path / "crash_once_plugin.py"
+        plugin.write_text(_CRASH_ONCE_PLUGIN.format(marker=str(marker)))
+        monkeypatch.syspath_prepend(str(tmp_path))
+        crashing = queue.submit([_fast().with_(policy="crash_once")]).job
+        pool = WorkerPool(
+            queue.store, workers=2, queue=queue, poll_interval=0.02,
+            plugins=("crash_once_plugin",),
+        )
+        pool.start()
+        try:
+            assert _until(lambda: queue.job(crashing.id).finished, 60)
+            following = queue.submit([_fast(0.003)]).job
+            assert _until(lambda: queue.job(following.id).finished, 60)
+        finally:
+            pool.stop()
+        assert marker.exists()
+        [task] = queue.tasks(crashing.id)
+        assert task.state == DONE and task.attempts == 2
+        assert queue.job(following.id).state == DONE
+        failed = pool.metrics.counter("repro_worker_tasks_failed_total")
+        assert failed.value == 1
+
+    def test_worker_threads_share_one_set_of_processes(self, queue):
+        # More workers than cores and frequent thread switches: threads
+        # racing to their first task still start one executor between them.
+        tracer = install_tracer(Tracer(RingRecorder()))
+        switch_interval = sys.getswitchinterval()
+        pool = WorkerPool(queue.store, workers=4, queue=queue, poll_interval=0.02)
+        job = queue.submit([_fast(0.001 * (index + 1)) for index in range(12)]).job
+        sys.setswitchinterval(1e-6)
+        try:
+            pool.start()
+            assert _until(lambda: queue.job(job.id).finished, 60)
+        finally:
+            sys.setswitchinterval(switch_interval)
+            pool.stop()
+            uninstall_tracer()
+        assert queue.job(job.id).state == DONE
+        assert all(task.attempts == 1 for task in queue.tasks(job.id))
+        kernel = [r for r in tracer.spans() if r.name == "kernel.run"]
+        assert len(kernel) == 12
+        assert len({record.pid for record in kernel}) <= pool.workers
 
 
 # ---------------------------------------------------------------------- #
